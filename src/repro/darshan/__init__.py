@@ -36,6 +36,7 @@ from repro.darshan.summary import (
 from repro.darshan.records import (
     SHARED_RANK,
     DxtSegment,
+    DxtTable,
     JobRecord,
     ModuleRecord,
     NameRecord,
@@ -45,6 +46,7 @@ from repro.darshan.validate import validate_log
 __all__ = [
     "DarshanLog",
     "DxtSegment",
+    "DxtTable",
     "FileActivity",
     "Heatmap",
     "JobRecord",

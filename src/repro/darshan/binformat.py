@@ -3,11 +3,16 @@
 The real Darshan log is a sequence of zlib-compressed regions behind a
 small header; this module implements the same shape.  A file is:
 
-``magic | version string | section count | sections...``
+``magic | section count | sections...``
 
 where each section is ``name | compressed length | CRC32 | zlib payload``
 and the payload is fixed-width struct packing (no JSON for record data),
 so the reader is a genuine binary parser with integrity checking.
+
+DXT segments live in a columnar ``dxt2`` section: the segment count,
+the hostname dictionary, then each :class:`DxtTable` column as one
+length-prefixed little-endian block.  Logs carrying the row-per-segment
+``dxt`` section of older versions still read.
 
 Use :func:`write_log` / :func:`read_log`; everything else is framing.
 """
@@ -17,18 +22,29 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
 import zlib
+from array import array
 from pathlib import Path
+from typing import Iterator
 
 from repro.darshan.counters import counters_for, fcounters_for, known_modules
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
-from repro.util.errors import DarshanFormatError
+from repro.darshan.records import (
+    DXT_MODULES,
+    DXT_OPS,
+    DxtTable,
+    JobRecord,
+    ModuleRecord,
+    NameRecord,
+)
+from repro.util.errors import DarshanFormatError, DarshanValidationError
 
 MAGIC = b"DSHNRPRO"
 
-_DXT_MODULES = ("X_POSIX", "X_MPIIO")
-_DXT_OPS = ("read", "write")
+#: Largest payload one section may inflate to; a section claiming more
+#: is rejected as corrupt rather than allocated.
+MAX_SECTION_BYTES = 1 << 30
 
 
 # -- low-level packing -------------------------------------------------
@@ -43,14 +59,18 @@ def _pack_str(buffer: io.BytesIO, text: str) -> None:
 
 
 class _Reader:
-    """Cursor over one decompressed section payload."""
+    """Cursor over a log file or one decompressed section payload.
 
-    def __init__(self, data: bytes, section: str) -> None:
-        self._data = data
-        self._pos = 0
+    Every read is bounds-checked before anything is sliced, so a corrupt
+    length field fails as truncation instead of sizing an allocation.
+    """
+
+    def __init__(self, data: bytes, section: str, start: int = 0) -> None:
+        self._data = memoryview(data)
+        self._pos = start
         self._section = section
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self._pos + count > len(self._data):
             raise DarshanFormatError(
                 f"section {self._section!r} truncated at byte {self._pos}"
@@ -64,7 +84,7 @@ class _Reader:
 
     def read_str(self) -> str:
         (length,) = self.unpack("<H")
-        return self.take(length).decode("utf-8")
+        return str(self.take(length), "utf-8")
 
     @property
     def exhausted(self) -> bool:
@@ -175,60 +195,80 @@ def _decode_module(module: str, data: bytes) -> list[ModuleRecord]:
     return records
 
 
-def _encode_dxt(segments: list[DxtSegment]) -> bytes:
+def _little_endian(column: array) -> array:
+    if sys.byteorder == "little":
+        return column
+    swapped = array(column.typecode, column)
+    swapped.byteswap()
+    return swapped
+
+
+def _encode_dxt2(table: DxtTable) -> bytes:
     buffer = io.BytesIO()
-    buffer.write(struct.pack("<I", len(segments)))
-    for seg in segments:
-        buffer.write(
-            struct.pack(
-                "<BBqQQQdd",
-                _DXT_MODULES.index(seg.module),
-                _DXT_OPS.index(seg.operation),
-                seg.rank,
-                seg.record_id,
-                seg.offset,
-                seg.length,
-                seg.start_time,
-                seg.end_time,
-            )
-        )
-        _pack_str(buffer, seg.hostname)
+    buffer.write(struct.pack("<II", len(table), len(table.hostnames)))
+    for hostname in table.hostnames:
+        _pack_str(buffer, hostname)
+    for column in table.columns():
+        buffer.write(struct.pack("<Q", len(column) * column.itemsize))
+        buffer.write(_little_endian(column))
     return buffer.getvalue()
 
 
-def _decode_dxt(data: bytes) -> list[DxtSegment]:
+def _decode_dxt2(data: bytes) -> DxtTable:
+    reader = _Reader(data, "dxt2")
+    count, host_count = reader.unpack("<II")
+    table = DxtTable(reader.read_str() for _ in range(host_count))
+    for (name, _), column in zip(DxtTable.COLUMNS, table.columns()):
+        (size,) = reader.unpack("<Q")
+        if size != count * column.itemsize:
+            raise DarshanFormatError(
+                f"dxt2 column {name!r} holds {size} bytes, "
+                f"expected {count} x {column.itemsize}"
+            )
+        column.frombytes(reader.take(size))
+        if sys.byteorder != "little":
+            column.byteswap()
+    if not reader.exhausted:
+        raise DarshanFormatError("dxt2 section has trailing bytes")
+    return table
+
+
+def _decode_dxt_v1(data: bytes) -> DxtTable:
+    """Decode the row-per-segment ``dxt`` section older versions wrote."""
     reader = _Reader(data, "dxt")
     (count,) = reader.unpack("<I")
-    segments = []
+    table = DxtTable()
     for _ in range(count):
-        module_idx, op_idx, rank, record_id, offset, length, start, end = (
-            reader.unpack("<BBqQQQdd")
+        module, op, rank, record_id, offset, length, start, end = reader.unpack(
+            "<BBqQQQdd"
         )
-        hostname = reader.read_str()
-        try:
-            module = _DXT_MODULES[module_idx]
-            operation = _DXT_OPS[op_idx]
-        except IndexError:
-            raise DarshanFormatError(
-                f"bad DXT module/op code {module_idx}/{op_idx}"
-            ) from None
-        segments.append(
-            DxtSegment(
-                module=module,
-                record_id=record_id,
-                rank=rank,
-                operation=operation,
-                offset=offset,
-                length=length,
-                start_time=start,
-                end_time=end,
-                hostname=hostname,
-            )
+        if module >= len(DXT_MODULES) or op >= len(DXT_OPS):
+            raise DarshanFormatError(f"bad DXT module/op code {module}/{op}")
+        table.append(
+            DXT_MODULES[module], record_id, rank, DXT_OPS[op],
+            offset, length, start, end, reader.read_str(),
         )
-    return segments
+    return table
 
 
 # -- file framing -------------------------------------------------------
+
+
+def iter_sections(log: DarshanLog) -> Iterator[tuple[str, bytes]]:
+    """Yield ``(section name, payload)`` for every section of ``log``.
+
+    These are the sections :func:`write_log` writes, in file order and
+    before compression; :func:`repro.service.cache.log_digest` hashes
+    the same payloads.
+    """
+    yield "job", _encode_job(log.job, log.version)
+    yield "names", _encode_names(log.name_records)
+    for module in known_modules():
+        records = log.records.get(module)
+        if records:
+            yield f"mod:{module}", _encode_module(module, records)
+    if log.has_dxt:
+        yield "dxt2", _encode_dxt2(log.dxt)
 
 
 def _write_section(handle, name: str, payload: bytes) -> None:
@@ -240,42 +280,31 @@ def _write_section(handle, name: str, payload: bytes) -> None:
     handle.write(compressed)
 
 
-def _read_exact(handle, count: int) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise DarshanFormatError(
-            f"log truncated: wanted {count} bytes, got {len(data)}"
-        )
-    return data
-
-
-def _read_section(handle) -> tuple[str, bytes]:
-    (name_len,) = struct.unpack("<H", _read_exact(handle, 2))
-    name = _read_exact(handle, name_len).decode("utf-8")
-    length, crc = struct.unpack("<QI", _read_exact(handle, 12))
-    compressed = _read_exact(handle, length)
+def _read_section(reader: _Reader) -> tuple[str, bytes]:
+    name = reader.read_str()
+    length, crc = reader.unpack("<QI")
+    compressed = reader.take(length)
     if zlib.crc32(compressed) != crc:
         raise DarshanFormatError(f"section {name!r} failed its CRC check")
+    inflater = zlib.decompressobj()
     try:
-        return name, zlib.decompress(compressed)
+        payload = inflater.decompress(compressed, MAX_SECTION_BYTES)
     except zlib.error as exc:
         raise DarshanFormatError(f"section {name!r} failed to inflate: {exc}") from exc
+    if inflater.unconsumed_tail:
+        raise DarshanFormatError(
+            f"section {name!r} inflates past {MAX_SECTION_BYTES} bytes"
+        )
+    if not inflater.eof:
+        raise DarshanFormatError(f"section {name!r} is an incomplete zlib stream")
+    return name, payload
 
 
 def write_log(log: DarshanLog, path: str | Path) -> Path:
     """Serialize ``log`` to ``path`` and return the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    sections: list[tuple[str, bytes]] = [
-        ("job", _encode_job(log.job, log.version)),
-        ("names", _encode_names(log.name_records)),
-    ]
-    for module in known_modules():
-        records = log.records.get(module)
-        if records:
-            sections.append((f"mod:{module}", _encode_module(module, records)))
-    if log.dxt_segments:
-        sections.append(("dxt", _encode_dxt(log.dxt_segments)))
+    sections = list(iter_sections(log))
     with path.open("wb") as handle:
         handle.write(MAGIC)
         handle.write(struct.pack("<I", len(sections)))
@@ -287,20 +316,28 @@ def write_log(log: DarshanLog, path: str | Path) -> Path:
 def read_log(path: str | Path) -> DarshanLog:
     """Parse a binary log from ``path``.
 
-    Raises :class:`~repro.util.errors.DarshanFormatError` on a bad
-    magic number, CRC mismatch, truncation, or counter-set skew.
+    Raises :class:`~repro.util.errors.DarshanFormatError`, and nothing
+    else, on any malformed content: a bad magic number, CRC mismatch,
+    truncation, oversized section, counter-set skew, or a record that
+    fails its checks.
     """
     path = Path(path)
-    with path.open("rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise DarshanFormatError(
-                f"{path} is not a Darshan log (magic {magic!r})"
-            )
-        (section_count,) = struct.unpack("<I", _read_exact(handle, 4))
-        sections = dict(_read_section(handle) for _ in range(section_count))
+    data = path.read_bytes()
+    if data[: len(MAGIC)] != MAGIC:
+        raise DarshanFormatError(
+            f"{path} is not a Darshan log (magic {data[: len(MAGIC)]!r})"
+        )
+    try:
+        return _parse(_Reader(data, "log", start=len(MAGIC)))
+    except (ValueError, TypeError, OverflowError, DarshanValidationError) as exc:
+        raise DarshanFormatError(f"{path}: {exc}") from exc
+
+
+def _parse(reader: _Reader) -> DarshanLog:
+    (section_count,) = reader.unpack("<I")
+    sections = dict(_read_section(reader) for _ in range(section_count))
     if "job" not in sections or "names" not in sections:
-        raise DarshanFormatError(f"{path} is missing its job or name section")
+        raise DarshanFormatError("log is missing its job or name section")
     job, version = _decode_job(sections["job"])
     log = DarshanLog(job=job, version=version)
     for record in _decode_names(sections["names"]).values():
@@ -311,7 +348,8 @@ def read_log(path: str | Path) -> DarshanLog:
             continue
         for record in _decode_module(module, payload):
             log.add_record(record)
-    if "dxt" in sections:
-        for segment in _decode_dxt(sections["dxt"]):
-            log.add_dxt(segment)
+    if "dxt2" in sections:
+        log.set_dxt(_decode_dxt2(sections["dxt2"]))
+    elif "dxt" in sections:
+        log.set_dxt(_decode_dxt_v1(sections["dxt"]))
     return log

@@ -18,6 +18,7 @@ import io
 from dataclasses import dataclass, field
 
 from repro.darshan.log import DarshanLog
+from repro.darshan.records import DXT_MODULES, DXT_OPS
 from repro.util.errors import ReproError
 from repro.util.units import format_size
 
@@ -71,7 +72,8 @@ def build_heatmap(log: DarshanLog, nbins: int = 48) -> Heatmap:
     end = max(log.job.end_time, start + 1e-9)
     span = end - start
     bin_width = span / nbins
-    ranks = sorted({segment.rank for segment in log.dxt_segments})
+    table = log.dxt
+    ranks = sorted(set(table.rank))
     heatmap = Heatmap(
         bin_width=bin_width,
         start_time=start,
@@ -79,18 +81,20 @@ def build_heatmap(log: DarshanLog, nbins: int = 48) -> Heatmap:
         read_bins={rank: [0.0] * nbins for rank in ranks},
         write_bins={rank: [0.0] * nbins for rank in ranks},
     )
-    for segment in log.dxt_segments:
-        if segment.module != "X_POSIX":
+    for module, op, rank, length, seg_start, seg_end in zip(
+        table.module, table.op, table.rank, table.length, table.start, table.end
+    ):
+        if DXT_MODULES[module] != "X_POSIX":
             continue  # count physical transfers once (MPI-IO wraps POSIX)
         bins = (
-            heatmap.read_bins if segment.operation == "read" else heatmap.write_bins
-        )[segment.rank]
-        seg_start = max(segment.start_time, start)
-        seg_end = min(max(segment.end_time, seg_start), end)
+            heatmap.read_bins if DXT_OPS[op] == "read" else heatmap.write_bins
+        )[rank]
+        seg_start = max(seg_start, start)
+        seg_end = min(max(seg_end, seg_start), end)
         duration = seg_end - seg_start
         if duration <= 0:
             index = min(int((seg_start - start) / bin_width), nbins - 1)
-            bins[index] += segment.length
+            bins[index] += length
             continue
         first = min(int((seg_start - start) / bin_width), nbins - 1)
         last = min(int((seg_end - start) / bin_width), nbins - 1)
@@ -99,7 +103,7 @@ def build_heatmap(log: DarshanLog, nbins: int = 48) -> Heatmap:
             bin_end = bin_start + bin_width
             overlap = min(seg_end, bin_end) - max(seg_start, bin_start)
             if overlap > 0:
-                bins[index] += segment.length * (overlap / duration)
+                bins[index] += length * (overlap / duration)
     return heatmap
 
 

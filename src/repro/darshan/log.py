@@ -3,8 +3,8 @@
 :class:`DarshanLog` is what the instrumentation runtime produces, what
 the binary format serializes, and what the parsers and analyzers read.
 It deliberately mirrors the structure of a real ``.darshan`` file:
-a job header, a name table, per-module record arrays, and optional DXT
-segments.
+a job header, a name table, per-module record arrays, and an optional
+columnar table of DXT segments.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.darshan.counters import known_modules
 from repro.darshan.records import (
     SHARED_RANK,
     DxtSegment,
+    DxtTable,
     JobRecord,
     ModuleRecord,
     NameRecord,
@@ -34,7 +35,7 @@ class DarshanLog:
     version: str = FORMAT_VERSION
     name_records: dict[int, NameRecord] = field(default_factory=dict)
     records: dict[str, list[ModuleRecord]] = field(default_factory=dict)
-    dxt_segments: list[DxtSegment] = field(default_factory=list)
+    dxt: DxtTable = field(default_factory=DxtTable)
 
     # -- construction -------------------------------------------------
 
@@ -63,7 +64,22 @@ class DarshanLog:
             raise DarshanValidationError(
                 f"DXT segment references unknown record id {segment.record_id:#x}"
             )
-        self.dxt_segments.append(segment)
+        self.dxt.append(
+            segment.module,
+            segment.record_id,
+            segment.rank,
+            segment.operation,
+            segment.offset,
+            segment.length,
+            segment.start_time,
+            segment.end_time,
+            segment.hostname,
+        )
+
+    def set_dxt(self, table: DxtTable) -> None:
+        """Replace the DXT segments with ``table`` after checking every row."""
+        table.check(self.name_records)
+        self.dxt = table
 
     # -- queries ------------------------------------------------------
 
@@ -75,7 +91,12 @@ class DarshanLog:
     @property
     def has_dxt(self) -> bool:
         """Whether extended tracing data is present."""
-        return bool(self.dxt_segments)
+        return len(self.dxt) > 0
+
+    @property
+    def dxt_segments(self) -> DxtTable:
+        """The DXT segments as a sequence of :class:`DxtSegment` views."""
+        return self.dxt
 
     def path_for(self, record_id: int) -> str:
         """Resolve a record id back to its file path."""
@@ -114,7 +135,7 @@ class DarshanLog:
         rank: int | None = None,
     ) -> Iterator[DxtSegment]:
         """Iterate DXT segments with optional filters."""
-        for segment in self.dxt_segments:
+        for segment in self.dxt:
             if module is not None and segment.module != module:
                 continue
             if record_id is not None and segment.record_id != record_id:

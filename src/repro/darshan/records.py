@@ -3,15 +3,20 @@
 A log holds one :class:`JobRecord`, a name table mapping 64-bit record
 ids to file paths, per-module :class:`ModuleRecord` arrays (one per
 (file, rank) pair that touched the module), and — when extended tracing
-was enabled — a flat list of :class:`DxtSegment` rows, one per POSIX or
-MPI-IO read/write operation.
+was enabled — a :class:`DxtTable` of traced operations, one row per
+POSIX or MPI-IO read/write, stored as typed columns.  A
+:class:`DxtSegment` is one row of that table viewed as an object.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.darshan.counters import counters_for, fcounters_for
+from repro.util.errors import DarshanValidationError
 
 #: Rank value Darshan uses for records reduced across all ranks of a
 #: shared file.  We keep per-rank records by default but the reduction
@@ -99,16 +104,163 @@ class DxtSegment:
     hostname: str = "node0"
 
     def __post_init__(self) -> None:
-        if self.operation not in ("read", "write"):
-            raise ValueError(f"bad DXT operation {self.operation!r}")
-        if self.module not in ("X_POSIX", "X_MPIIO"):
-            raise ValueError(f"bad DXT module {self.module!r}")
-        if self.length < 0 or self.offset < 0:
-            raise ValueError("DXT offset/length must be non-negative")
-        if self.end_time < self.start_time:
-            raise ValueError("DXT segment ends before it starts")
+        _check_segment(
+            self.module, self.operation, self.offset, self.length,
+            self.start_time, self.end_time,
+        )
 
     @property
     def duration(self) -> float:
         """Wall time of the operation in seconds."""
         return self.end_time - self.start_time
+
+
+#: DXT module and operation names, indexed by the codes stored in a
+#: :class:`DxtTable` and in the binary log.
+DXT_MODULES = ("X_POSIX", "X_MPIIO")
+DXT_OPS = ("read", "write")
+_MODULE_CODES = {name: code for code, name in enumerate(DXT_MODULES)}
+_OP_CODES = {name: code for code, name in enumerate(DXT_OPS)}
+
+
+def _check_segment(
+    module: str, operation: str, offset: int, length: int, start: float, end: float
+) -> None:
+    if operation not in _OP_CODES:
+        raise ValueError(f"bad DXT operation {operation!r}")
+    if module not in _MODULE_CODES:
+        raise ValueError(f"bad DXT module {module!r}")
+    if length < 0 or offset < 0:
+        raise ValueError("DXT offset/length must be non-negative")
+    if end < start:
+        raise ValueError("DXT segment ends before it starts")
+
+
+class DxtTable:
+    """Every DXT segment of a log, stored as parallel typed columns.
+
+    Row ``i`` of the table is ``(module[i], op[i], rank[i], ...)``;
+    ``module`` and ``op`` hold indexes into :data:`DXT_MODULES` /
+    :data:`DXT_OPS`, and ``host`` indexes the ``hostnames`` dictionary.
+    Consumers that want objects index or iterate the table, which yields
+    :class:`DxtSegment` views; bulk consumers read the columns.
+    """
+
+    #: ``(column, array typecode)`` in storage order.
+    COLUMNS = (
+        ("module", "B"),
+        ("op", "B"),
+        ("rank", "q"),
+        ("record_id", "Q"),
+        ("offset", "q"),
+        ("length", "q"),
+        ("start", "d"),
+        ("end", "d"),
+        ("host", "I"),
+    )
+
+    def __init__(self, hostnames: Iterable[str] = ()) -> None:
+        for name, typecode in self.COLUMNS:
+            setattr(self, name, array(typecode))
+        self.hostnames: list[str] = list(hostnames)
+        self._host_codes = {host: code for code, host in enumerate(self.hostnames)}
+
+    def columns(self) -> list[array]:
+        """The column arrays in :attr:`COLUMNS` order."""
+        return [getattr(self, name) for name, _ in self.COLUMNS]
+
+    def append(
+        self,
+        module: str,
+        record_id: int,
+        rank: int,
+        operation: str,
+        offset: int,
+        length: int,
+        start: float,
+        end: float,
+        hostname: str = "node0",
+    ) -> None:
+        """Append one segment, with the checks :class:`DxtSegment` makes."""
+        _check_segment(module, operation, offset, length, start, end)
+        host = self._host_codes.get(hostname)
+        if host is None:
+            host = self._host_codes[hostname] = len(self.hostnames)
+            self.hostnames.append(hostname)
+        self.module.append(_MODULE_CODES[module])
+        self.op.append(_OP_CODES[operation])
+        self.rank.append(rank)
+        self.record_id.append(record_id)
+        self.offset.append(offset)
+        self.length.append(length)
+        self.start.append(start)
+        self.end.append(end)
+        self.host.append(host)
+
+    def check(self, known_ids: Iterable[int]) -> None:
+        """Check every row as :meth:`append` and ``DarshanLog.add_dxt`` do.
+
+        Raises :class:`ValueError` for a malformed row and
+        :class:`DarshanValidationError` for a record id not in
+        ``known_ids``.
+        """
+        count = len(self.module)
+        if any(len(column) != count for column in self.columns()):
+            raise ValueError("DXT columns differ in length")
+        if not count:
+            return
+        if max(self.module) >= len(DXT_MODULES) or max(self.op) >= len(DXT_OPS):
+            raise ValueError(
+                f"bad DXT module/op code {max(self.module)}/{max(self.op)}"
+            )
+        if min(self.offset) < 0 or min(self.length) < 0:
+            raise ValueError("DXT offset/length must be non-negative")
+        if any(map(operator.lt, self.end, self.start)):
+            raise ValueError("DXT segment ends before it starts")
+        if max(self.host) >= len(self.hostnames):
+            raise ValueError(f"bad DXT hostname index {max(self.host)}")
+        unknown = set(self.record_id).difference(known_ids)
+        if unknown:
+            raise DarshanValidationError(
+                f"DXT segment references unknown record id {min(unknown):#x}"
+            )
+
+    def segment_indices(self) -> list[int]:
+        """Each row's position among the rows of its (module, file, rank)."""
+        seen: dict[tuple[int, int, int], int] = {}
+        indices = []
+        for key in zip(self.module, self.record_id, self.rank):
+            index = seen.get(key, 0)
+            seen[key] = index + 1
+            indices.append(index)
+        return indices
+
+    def __len__(self) -> int:
+        return len(self.module)
+
+    def __getitem__(self, index: int) -> DxtSegment:
+        return DxtSegment(
+            module=DXT_MODULES[self.module[index]],
+            record_id=self.record_id[index],
+            rank=self.rank[index],
+            operation=DXT_OPS[self.op[index]],
+            offset=self.offset[index],
+            length=self.length[index],
+            start_time=self.start[index],
+            end_time=self.end[index],
+            hostname=self.hostnames[self.host[index]],
+        )
+
+    def __iter__(self) -> Iterator[DxtSegment]:
+        return (self[index] for index in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DxtTable):
+            return NotImplemented
+        return (
+            self.hostnames == other.hostnames
+            and self.columns() == other.columns()
+        )
+
+    def __repr__(self) -> str:
+        return f"DxtTable({len(self)} segments, {len(self.hostnames)} hosts)"

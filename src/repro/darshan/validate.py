@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import SHARED_RANK, ModuleRecord
+from repro.darshan.records import DXT_MODULES, DXT_OPS, SHARED_RANK, ModuleRecord
 from repro.util.errors import DarshanValidationError
 from repro.util.stats import SIZE_BIN_LABELS
 
@@ -136,12 +136,14 @@ def _check_times(log: DarshanLog, record: ModuleRecord, prefix: str) -> None:
 def _check_dxt(log: DarshanLog, check_bytes: bool) -> None:
     moved: dict[tuple[int, int, str], int] = defaultdict(int)
     counts: dict[tuple[int, int, str], int] = defaultdict(int)
-    for segment in log.dxt_segments:
-        if segment.module != "X_POSIX":
-            continue
-        key = (segment.record_id, segment.rank, segment.operation)
-        moved[key] += segment.length
-        counts[key] += 1
+    table = log.dxt
+    for module, record_id, rank, op, length in zip(
+        table.module, table.record_id, table.rank, table.op, table.length
+    ):
+        if DXT_MODULES[module] == "X_POSIX":
+            key = (record_id, rank, DXT_OPS[op])
+            moved[key] += length
+            counts[key] += 1
     for record in log.records.get("POSIX", []):
         if record.rank == SHARED_RANK:
             continue

@@ -17,12 +17,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from repro.darshan.binformat import read_log
 from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
+from repro.darshan.records import DXT_MODULES, DXT_OPS
 from repro.obs.trace import NULL_TRACER
-from repro.util.csvio import write_rows
+from repro.util.csvio import LINE_END, csv_field, write_lines, write_rows
 from repro.util.errors import ExtractionError
 from repro.util.metrics import MetricsRegistry
 from repro.util.units import MIB
@@ -128,27 +130,7 @@ class Extractor:
             columns[module] = fieldnames
         if log.has_dxt:
             path = directory / "DXT.csv"
-            segment_index: Counter[tuple[str, int, int]] = Counter()
-
-            def dxt_rows():
-                for seg in log.dxt_segments:
-                    key = (seg.module, seg.record_id, seg.rank)
-                    index = segment_index[key]
-                    segment_index[key] += 1
-                    yield {
-                        "module": seg.module,
-                        "rank": seg.rank,
-                        "operation": seg.operation,
-                        "segment": index,
-                        "offset": seg.offset,
-                        "length": seg.length,
-                        "start": f"{seg.start_time:.9f}",
-                        "end": f"{seg.end_time:.9f}",
-                        "file_id": seg.record_id,
-                        "file": log.path_for(seg.record_id),
-                    }
-
-            row_counts["DXT"] = write_rows(path, DXT_COLUMNS, dxt_rows())
+            row_counts["DXT"] = write_lines(path, DXT_COLUMNS, _dxt_lines(log))
             csv_paths["DXT"] = path
             columns["DXT"] = list(DXT_COLUMNS)
         if not csv_paths:
@@ -190,3 +172,32 @@ class Extractor:
                     "POSIX_FILE_ALIGNMENT"
                 ]
         return system
+
+
+def _dxt_lines(log: DarshanLog) -> Iterator[str]:
+    """One ``DXT.csv`` line per segment, in :data:`DXT_COLUMNS` order.
+
+    ``segment`` is the row's position within its (module, file, rank);
+    times carry nine decimals.  Each file's id and quoted path are
+    formatted once.
+    """
+    table = log.dxt
+    tails = {
+        record_id: f"{record_id},{csv_field(log.path_for(record_id))}{LINE_END}"
+        for record_id in set(table.record_id)
+    }
+    for module, rank, op, index, offset, length, start, end, record_id in zip(
+        table.module,
+        table.rank,
+        table.op,
+        table.segment_indices(),
+        table.offset,
+        table.length,
+        table.start,
+        table.end,
+        table.record_id,
+    ):
+        yield (
+            f"{DXT_MODULES[module]},{rank},{DXT_OPS[op]},{index},{offset},"
+            f"{length},{start:.9f},{end:.9f},{tails[record_id]}"
+        )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.darshan.counters import LUSTRE_MAX_OSTS
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
+from repro.darshan.records import DxtTable, JobRecord, ModuleRecord, NameRecord
 from repro.lustre.filesystem import Inode, LustreFilesystem
 from repro.util.stats import SIZE_BIN_LABELS, CommonValueTracker, size_bin_index
 
@@ -183,7 +183,7 @@ class DarshanRuntime:
         self._stdio: dict[tuple[int, int], _StdioAccumulator] = {}
         self._names: dict[int, str] = {}
         self._lustre_files: dict[int, Inode] = {}
-        self._dxt: list[DxtSegment] = []
+        self._dxt = DxtTable()
 
     # -- registration hooks called by the I/O layers -------------------
 
@@ -248,16 +248,7 @@ class DarshanRuntime:
         acc.record_io(operation, offset, length, start, end, file_aligned, mem_aligned)
         if self._enable_dxt:
             self._dxt.append(
-                DxtSegment(
-                    module="X_POSIX",
-                    record_id=inode.file_id,
-                    rank=rank,
-                    operation=operation,
-                    offset=offset,
-                    length=length,
-                    start_time=start,
-                    end_time=end,
-                )
+                "X_POSIX", inode.file_id, rank, operation, offset, length, start, end
             )
 
     def mpiio_open(
@@ -300,16 +291,7 @@ class DarshanRuntime:
         acc.record_io(flavor, operation, offset, length, start, end)
         if self._enable_dxt:
             self._dxt.append(
-                DxtSegment(
-                    module="X_MPIIO",
-                    record_id=inode.file_id,
-                    rank=rank,
-                    operation=operation,
-                    offset=offset,
-                    length=length,
-                    start_time=start,
-                    end_time=end,
-                )
+                "X_MPIIO", inode.file_id, rank, operation, offset, length, start, end
             )
 
     def stdio_open(self, inode: Inode, rank: int, start: float, end: float) -> None:
@@ -374,8 +356,7 @@ class DarshanRuntime:
             log.add_record(self._finalize_stdio(file_id, rank, acc))
         for file_id, inode in sorted(self._lustre_files.items()):
             log.add_record(self._finalize_lustre(file_id, inode))
-        for segment in self._dxt:
-            log.add_dxt(segment)
+        log.set_dxt(self._dxt)
         return log
 
     def _finalize_posix(

@@ -16,6 +16,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from repro.sca.guard import parse_source
+
 #: Upper bin edges matching the Darshan size-histogram labels.
 _BIN_EDGES = (
     '_BINS = [("0_100", 100), ("100_1K", 1024), ("1K_10K", 10240),\n'
@@ -583,7 +585,7 @@ def strip_imports(code: str, modules: "set[str] | frozenset[str]") -> str:
     the syntax error itself.
     """
     try:
-        tree = ast.parse(code)
+        tree = parse_source(code)
     except SyntaxError:
         return code
     lines = code.splitlines()

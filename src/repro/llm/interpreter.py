@@ -196,6 +196,11 @@ class CodeInterpreter:
         except BaseException:
             trace = traceback.format_exc(limit=8)
             return ExecutionResult(stdout=self._clip(stdout.getvalue()), error=trace)
+        finally:
+            # Functions the snippet defines keep the namespace as their
+            # globals: a cycle that would hold every row the snippet read
+            # until the cyclic collector next runs.
+            namespace.clear()
         return ExecutionResult(stdout=self._clip(stdout.getvalue()))
 
     def run_or_raise(self, code: str) -> str:

@@ -43,9 +43,17 @@ from repro.sca.walker import Rule, WalkContext, run_rules
 # interpreter-global module state; concurrent ast.parse calls from the
 # analyzer's prompt threads can interleave (a GC mid-conversion runs
 # Python code and allows a thread switch) and die with "SystemError:
-# AST constructor recursion depth mismatch".  Parsing is fast, so the
-# guard simply serializes it.
+# AST constructor recursion depth mismatch".  Parsing is fast, so every
+# parse of analysis code goes through :func:`parse_source` and is
+# serialized.
 _PARSE_LOCK = threading.Lock()
+
+
+def parse_source(code: str) -> ast.Module:
+    """``ast.parse(code)``, serialized with every other caller's parse."""
+    with _PARSE_LOCK:
+        return ast.parse(code)
+
 
 RULE_IMPORT = "sca.import"
 RULE_BUILTIN = "sca.builtin"
@@ -346,8 +354,7 @@ class CodeGuard:
         errors with the traceback the model expects.
         """
         try:
-            with _PARSE_LOCK:
-                tree = ast.parse(code)
+            tree = parse_source(code)
         except (SyntaxError, ValueError):
             return GuardVerdict()
         except (RecursionError, SystemError):

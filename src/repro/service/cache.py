@@ -33,13 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.darshan.binformat import (
-    _encode_dxt,
-    _encode_job,
-    _encode_module,
-    _encode_names,
-)
-from repro.darshan.counters import known_modules
+from repro.darshan.binformat import iter_sections
 from repro.darshan.log import DarshanLog
 from repro.ion.extractor import ExtractionResult, Extractor
 from repro.util.errors import CacheError
@@ -52,24 +46,18 @@ _MANIFEST_VERSION = 1
 def log_digest(log: DarshanLog) -> str:
     """SHA-256 content digest of a Darshan log.
 
-    Hashes the same canonical section encodings the binary format
+    Hashes the same canonical section payloads the binary format
     writes (before compression), so the digest is stable across
     serialization round-trips and across identical re-generations of a
     trace, and changes whenever any counter, fcounter, name, DXT
     segment or job field changes.
     """
-    hasher = hashlib.sha256()
-    hasher.update(_encode_job(log.job, log.version))
-    hasher.update(_encode_names(log.name_records))
-    for module in known_modules():
-        records = log.records.get(module)
-        if records:
-            hasher.update(module.encode("utf-8"))
-            hasher.update(_encode_module(module, records))
-    if log.dxt_segments:
-        hasher.update(b"dxt")
-        hasher.update(_encode_dxt(log.dxt_segments))
-    return hasher.hexdigest()
+    parts: list[bytes] = []
+    for name, payload in iter_sections(log):
+        parts += (f"{name}:{len(payload)}:".encode("utf-8"), payload)
+    # One update: hashing a large buffer releases the GIL, and in a busy
+    # worker pool each release costs a wait to take it back.
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def extraction_key(digest: str, extractor: Extractor) -> str:

@@ -8,8 +8,13 @@ stable header order is done in exactly one place.
 from __future__ import annotations
 
 import csv
+import io
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+#: Row terminator of every CSV written here (the ``excel`` dialect's).
+LINE_END = csv.excel.lineterminator
 
 
 def write_rows(
@@ -32,6 +37,35 @@ def write_rows(
             writer.writerow(row)
             count += 1
     return count
+
+
+def write_lines(
+    path: str | Path, fieldnames: Sequence[str], lines: Iterable[str]
+) -> int:
+    """Write a header then pre-formatted rows; return the row count.
+
+    For producers too hot for :func:`write_rows`: each line must already
+    be a complete row, quoted as :func:`csv_field` quotes and ending in
+    :data:`LINE_END`, so the file is byte-identical to what
+    :func:`write_rows` writes for the same cells.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = iter(lines)
+    count = 0
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerow(fieldnames)
+        while chunk := list(islice(lines, 512)):
+            handle.write("".join(chunk))
+            count += len(chunk)
+    return count
+
+
+def csv_field(value: str) -> str:
+    """``value`` quoted as :func:`write_rows` quotes a cell within a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(("", value))
+    return buffer.getvalue()[1 : -len(LINE_END)]
 
 
 def read_rows(path: str | Path) -> list[dict[str, str]]:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import struct
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.darshan.binformat import MAGIC, read_log, write_log
+from repro.darshan import binformat
+from repro.darshan.binformat import MAGIC, iter_sections, read_log, write_log
 from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
+from repro.ion.extractor import Extractor
 from repro.util.errors import DarshanFormatError
 
 
@@ -146,5 +150,255 @@ class TestCorruption:
     def test_magic_only_rejected(self, tmp_path):
         path = tmp_path / "short.darshan"
         path.write_bytes(MAGIC + struct.pack("<I", 3))
+        with pytest.raises(DarshanFormatError):
+            read_log(path)
+
+
+# -- columnar DXT, the v1 reader and the read_log contract -------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def v1_fixture_log():
+    """The log ``tests/data/v1-tiny.darshan`` was written from.
+
+    That file, and the CSVs under ``tests/data/v1-tiny/``, came from the
+    row-per-segment ``dxt`` writer that preceded the ``dxt2`` section.
+    """
+    log = DarshanLog(
+        job=JobRecord(
+            job_id=8, uid=1001, nprocs=2, start_time=0.0, end_time=4.0,
+            executable="fixture.x", metadata={"lib": "v1"},
+        )
+    )
+    paths = {
+        11: "/lustre/a,b",
+        12: '/lustre/say "hi"',
+        13: "/lustre/two\nlines",
+        14: "/lustre/résumé",
+        15: "",
+    }
+    for record_id, path in paths.items():
+        log.add_name(NameRecord(record_id, path))
+    for record_id in paths:
+        for rank in (0, 1):
+            log.add_record(
+                ModuleRecord(
+                    module="POSIX", record_id=record_id, rank=rank,
+                    counters={"POSIX_WRITES": 2, "POSIX_BYTES_WRITTEN": 300},
+                    fcounters={"POSIX_F_WRITE_TIME": 0.125 * (rank + 1)},
+                )
+            )
+    log.add_record(
+        ModuleRecord(
+            module="MPI-IO", record_id=11, rank=0,
+            counters={"MPIIO_COLL_WRITES": 2},
+        )
+    )
+    hosts = ("node0", "node1", "nœud-2")
+    now = 0.0
+    for step in range(2):
+        for record_id in paths:
+            for rank in (0, 1):
+                if record_id == 11 and rank == 0:
+                    log.add_dxt(
+                        DxtSegment(
+                            "X_MPIIO", record_id, rank, "write",
+                            step * 150, 150, now, now + 0.01, hosts[rank],
+                        )
+                    )
+                log.add_dxt(
+                    DxtSegment(
+                        "X_POSIX", record_id, rank,
+                        "write" if step == 0 else "read",
+                        step * 150, 150, now, now + 0.0123456789,
+                        hosts[(rank + step + record_id) % 3],
+                    )
+                )
+                now += 0.03125
+    return log
+
+
+def frame(sections):
+    """A log file holding ``sections`` with valid CRCs."""
+    out = bytearray(MAGIC + struct.pack("<I", len(sections)))
+    for name, payload in sections:
+        compressed = zlib.compress(payload)
+        out += struct.pack("<H", len(name)) + name.encode("utf-8")
+        out += struct.pack("<QI", len(compressed), zlib.crc32(compressed))
+        out += compressed
+    return bytes(out)
+
+
+def dxt_log():
+    log = sample_log()
+    log.add_dxt(DxtSegment("X_MPIIO", 20, 1, "write", 7, 93, 1.0, 1.5, "node7"))
+    log.add_dxt(DxtSegment("X_POSIX", 20, 1, "write", 100, 3, 1.25, 1.5, "node7"))
+    return log
+
+
+class TestColumnarDxt:
+    def test_dxt2_round_trip_is_exact(self, tmp_path):
+        log = dxt_log()
+        back = read_log(write_log(log, tmp_path / "log.darshan"))
+        assert back == log
+        assert back.dxt.hostnames == ["node0", "node7"]
+        assert [s.hostname for s in back.dxt_segments] == ["node0", "node7", "node7"]
+
+    def test_writer_emits_dxt2_only(self):
+        names = [name for name, _ in iter_sections(dxt_log())]
+        assert names == ["job", "names", "mod:POSIX", "mod:MPI-IO", "mod:LUSTRE", "dxt2"]
+
+    def test_v1_fixture_reads_to_the_same_log(self):
+        assert read_log(DATA / "v1-tiny.darshan") == v1_fixture_log()
+
+    def test_v1_fixture_extracts_to_the_same_csvs(self, tmp_path):
+        result = Extractor().extract_file(DATA / "v1-tiny.darshan", tmp_path)
+        expected = sorted(p.name for p in (DATA / "v1-tiny").iterdir())
+        assert sorted(p.name for p in result.csv_paths.values()) == expected
+        for name in expected:
+            assert (tmp_path / name).read_bytes() == (
+                DATA / "v1-tiny" / name
+            ).read_bytes(), name
+
+    def test_v1_and_dxt2_extract_identically(self, tmp_path):
+        log = read_log(DATA / "v1-tiny.darshan")
+        v2 = read_log(write_log(log, tmp_path / "v2.darshan"))
+        first = Extractor().extract(log, tmp_path / "v1")
+        second = Extractor().extract(v2, tmp_path / "v2")
+        for module, path in first.csv_paths.items():
+            assert path.read_bytes() == second.csv_paths[module].read_bytes()
+
+
+def dxt2_payload(log):
+    return dict(iter_sections(log))["dxt2"]
+
+
+def with_payload(log, name, payload):
+    return frame([(n, payload if n == name else p) for n, p in iter_sections(log)])
+
+
+class TestReadContract:
+    """``read_log`` raises DarshanFormatError, and nothing else, on bad input."""
+
+    def _read_or_format_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.darshan"
+        path.write_bytes(data)
+        try:
+            read_log(path)
+        except DarshanFormatError:
+            pass
+
+    def test_section_length_beyond_file_rejected(self, tmp_path):
+        data = bytearray(frame(list(iter_sections(dxt_log()))))
+        # The first section's compressed length follows its 2-byte name
+        # length and the name "job".
+        offset = len(MAGIC) + 4 + 2 + 3
+        data[offset : offset + 8] = struct.pack("<Q", 2**62)
+        path = tmp_path / "huge.darshan"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DarshanFormatError, match="truncated"):
+            read_log(path)
+
+    def test_inflated_size_bounded(self, tmp_path, monkeypatch):
+        path = write_log(dxt_log(), tmp_path / "log.darshan")
+        monkeypatch.setattr(binformat, "MAX_SECTION_BYTES", 64)
+        with pytest.raises(DarshanFormatError, match="inflates past 64"):
+            read_log(path)
+
+    def test_dxt2_count_mismatch_rejected(self, tmp_path):
+        log = dxt_log()
+        payload = bytearray(dxt2_payload(log))
+        payload[0:4] = struct.pack("<I", len(log.dxt) + 1)
+        path = tmp_path / "count.darshan"
+        path.write_bytes(with_payload(log, "dxt2", bytes(payload)))
+        with pytest.raises(DarshanFormatError, match="dxt2 column 'module'"):
+            read_log(path)
+
+    def test_dxt2_bad_row_rejected(self, tmp_path):
+        log = dxt_log()
+        log.dxt.end[0] = log.dxt.start[0] - 1.0
+        path = tmp_path / "row.darshan"
+        path.write_bytes(with_payload(log, "dxt2", dxt2_payload(log)))
+        with pytest.raises(DarshanFormatError, match="ends before it starts"):
+            read_log(path)
+
+    def test_dxt2_unknown_record_rejected(self, tmp_path):
+        log = dxt_log()
+        log.dxt.record_id[0] = 999
+        path = tmp_path / "rid.darshan"
+        path.write_bytes(with_payload(log, "dxt2", dxt2_payload(log)))
+        with pytest.raises(DarshanFormatError, match="unknown record id"):
+            read_log(path)
+
+    def test_bad_utf8_name_rejected(self, tmp_path):
+        payload = dict(iter_sections(sample_log()))["names"].replace(
+            b"/lustre/a", b"/lustre/\xff"
+        )
+        path = tmp_path / "utf8.darshan"
+        path.write_bytes(with_payload(sample_log(), "names", payload))
+        with pytest.raises(DarshanFormatError, match="utf-8"):
+            read_log(path)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_bit_flips_in_the_file(self, tmp_path, data):
+        raw = bytearray(frame(list(iter_sections(dxt_log()))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            bit = data.draw(st.integers(0, len(raw) * 8 - 1))
+            raw[bit // 8] ^= 1 << (bit % 8)
+        self._read_or_format_error(tmp_path, bytes(raw))
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_crc_valid_payload_damage(self, tmp_path, data):
+        sections = list(iter_sections(dxt_log()))
+        index = data.draw(st.integers(0, len(sections) - 1))
+        name, payload = sections[index]
+        payload = bytearray(payload)
+        if data.draw(st.booleans()):
+            del payload[data.draw(st.integers(0, len(payload))) :]
+        else:
+            bit = data.draw(st.integers(0, len(payload) * 8 - 1))
+            payload[bit // 8] ^= 1 << (bit % 8)
+        sections[index] = (name, bytes(payload))
+        self._read_or_format_error(tmp_path, frame(sections))
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(count=st.integers(0, 2**32 - 1))
+    def test_dxt2_count_never_mismatches_silently(self, tmp_path, count):
+        log = dxt_log()
+        payload = bytearray(dxt2_payload(log))
+        payload[0:4] = struct.pack("<I", count)
+        path = tmp_path / "count.darshan"
+        path.write_bytes(with_payload(log, "dxt2", bytes(payload)))
+        if count == len(log.dxt):
+            assert read_log(path) == log
+        else:
+            with pytest.raises(DarshanFormatError):
+                read_log(path)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cut=st.integers(0, 10_000))
+    def test_truncation_at_any_byte(self, tmp_path, cut):
+        raw = frame(list(iter_sections(dxt_log())))
+        path = tmp_path / "cut.darshan"
+        path.write_bytes(raw[: cut % len(raw)])
         with pytest.raises(DarshanFormatError):
             read_log(path)

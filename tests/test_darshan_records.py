@@ -13,7 +13,8 @@ from repro.darshan.counters import (
     fcounters_for,
     known_modules,
 )
-from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord
+from repro.darshan.records import DxtSegment, DxtTable, JobRecord, ModuleRecord
+from repro.util.errors import DarshanValidationError
 from repro.util.ids import file_record_id
 
 
@@ -133,3 +134,76 @@ class TestDxtSegment:
     def test_time_travel_rejected(self):
         with pytest.raises(ValueError):
             self._segment(start_time=2.0, end_time=1.0)
+
+
+class TestDxtTable:
+    ROW = dict(
+        module="X_POSIX", record_id=1, rank=0, operation="write",
+        offset=0, length=100, start=0.0, end=1.0,
+    )
+
+    def _table(self, **overrides):
+        table = DxtTable()
+        table.append(**{**self.ROW, **overrides})
+        return table
+
+    def test_rows_view_as_segments(self):
+        table = self._table(hostname="n3")
+        table.append(**{**self.ROW, "module": "X_MPIIO", "operation": "read"})
+        assert len(table) == 2
+        assert table[0] == DxtSegment("X_POSIX", 1, 0, "write", 0, 100, 0.0, 1.0, "n3")
+        assert [s.module for s in table] == ["X_POSIX", "X_MPIIO"]
+        assert table.hostnames == ["n3", "node0"]
+        assert list(table.host) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"operation": "stat"},
+            {"module": "X_NFS"},
+            {"offset": -1},
+            {"length": -1},
+            {"start": 2.0, "end": 1.0},
+        ],
+    )
+    def test_append_checks_like_segment(self, overrides):
+        with pytest.raises(ValueError):
+            self._table(**overrides)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("module", 2, "module/op code"),
+            ("op", 7, "module/op code"),
+            ("offset", -5, "non-negative"),
+            ("length", -5, "non-negative"),
+            ("end", -1.0, "ends before it starts"),
+            ("host", 4, "hostname index"),
+        ],
+    )
+    def test_check_runs_over_columns(self, column, value, message):
+        table = self._table()
+        getattr(table, column)[0] = value
+        with pytest.raises(ValueError, match=message):
+            table.check({1})
+
+    def test_check_rejects_unknown_record_id(self):
+        with pytest.raises(DarshanValidationError, match="unknown record id 0x1"):
+            self._table().check({2})
+
+    def test_check_rejects_ragged_columns(self):
+        table = self._table()
+        table.rank.append(3)
+        with pytest.raises(ValueError, match="differ in length"):
+            table.check({1})
+
+    def test_segment_indices_count_per_stream(self):
+        table = DxtTable()
+        for module, rank in [("X_POSIX", 0), ("X_MPIIO", 0), ("X_POSIX", 0), ("X_POSIX", 1)]:
+            table.append(**{**self.ROW, "module": module, "rank": rank})
+        assert table.segment_indices() == [0, 0, 1, 0]
+
+    def test_equality_compares_contents(self):
+        assert self._table() == self._table()
+        assert self._table() != self._table(length=5)
+        assert self._table() != self._table(hostname="other")

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import JobRecord
-from repro.ion.extractor import Extractor
-from repro.util.csvio import read_rows
+from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
+from repro.ion.extractor import DXT_COLUMNS, Extractor
+from repro.util.csvio import read_rows, write_rows
 from repro.util.errors import ExtractionError
 from repro.util.units import MIB
 
@@ -93,3 +99,101 @@ class TestExtraction:
         assert result.has_module("MPI-IO")
         rows = read_rows(result.path_for("MPI-IO"))
         assert any(int(r["MPIIO_COLL_WRITES"]) > 0 for r in rows)
+
+
+def dict_writer_dxt_csv(log, path):
+    """DXT.csv as csv.DictWriter writes it, one dict per segment."""
+    index: Counter = Counter()
+    rows = []
+    for seg in log.dxt_segments:
+        key = (seg.module, seg.record_id, seg.rank)
+        rows.append(
+            {
+                "module": seg.module,
+                "rank": seg.rank,
+                "operation": seg.operation,
+                "segment": index[key],
+                "offset": seg.offset,
+                "length": seg.length,
+                "start": f"{seg.start_time:.9f}",
+                "end": f"{seg.end_time:.9f}",
+                "file_id": seg.record_id,
+                "file": log.path_for(seg.record_id),
+            }
+        )
+        index[key] += 1
+    write_rows(path, DXT_COLUMNS, rows)
+    return path.read_bytes()
+
+
+def traced_log(paths, hosts=("node0",)):
+    log = DarshanLog(
+        job=JobRecord(job_id=1, uid=1, nprocs=2, start_time=0.0, end_time=9.0)
+    )
+    for record_id, path in enumerate(paths, start=1):
+        log.add_name(NameRecord(record_id, path))
+        log.add_record(ModuleRecord(module="POSIX", record_id=record_id, rank=0))
+    now = 0.0
+    for step in range(3):
+        for record_id in range(1, len(paths) + 1):
+            for rank in (0, 1):
+                for module in ("X_MPIIO", "X_POSIX"):
+                    log.add_dxt(
+                        DxtSegment(
+                            module, record_id, rank, ("read", "write")[step % 2],
+                            step * 4096 + rank, 4096 - rank, now, now + 1 / 3,
+                            hosts[(step + rank) % len(hosts)],
+                        )
+                    )
+                    now += 0.0625
+    return log
+
+
+class TestDxtCsvBytes:
+    """DXT.csv is byte-identical to what csv.DictWriter writes."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/lustre/a,b",
+            '/lustre/say "hi"',
+            "/lustre/two\nlines",
+            "/lustre/cr\rhere",
+            "/lustre/résumé/数据",
+            "",
+            " /lustre/padded ",
+        ],
+    )
+    def test_awkward_paths(self, tmp_path, path):
+        log = traced_log([path, "/lustre/plain"])
+        result = Extractor().extract(log, tmp_path / "new")
+        assert result.csv_paths["DXT"].read_bytes() == dict_writer_dxt_csv(
+            log, tmp_path / "old.csv"
+        )
+
+    def test_interleaved_modules_and_hosts(self, tmp_path):
+        log = traced_log(["/lustre/x", "/lustre/y"], hosts=("n0", "n1", "n2"))
+        assert len(log.dxt.hostnames) == 3
+        result = Extractor().extract(log, tmp_path / "new")
+        assert result.row_counts["DXT"] == len(log.dxt) == 24
+        assert result.csv_paths["DXT"].read_bytes() == dict_writer_dxt_csv(
+            log, tmp_path / "old.csv"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(paths=st.lists(st.text(max_size=12), min_size=1, max_size=3))
+    def test_any_path_text(self, paths):
+        log = traced_log(paths)
+        with tempfile.TemporaryDirectory() as out:
+            out = Path(out)
+            result = Extractor().extract(log, out / "new")
+            assert result.csv_paths["DXT"].read_bytes() == dict_writer_dxt_csv(
+                log, out / "old.csv"
+            )
+
+    def test_registry_trace(self, hard_bundle, tmp_path):
+        log = hard_bundle.log
+        result = Extractor().extract(log, tmp_path / "new")
+        assert result.csv_paths["DXT"].read_bytes() == dict_writer_dxt_csv(
+            log, tmp_path / "old.csv"
+        )

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.csvio import coerce_cell, read_rows, read_typed_rows, write_rows
+from repro.util.csvio import (
+    LINE_END,
+    coerce_cell,
+    csv_field,
+    read_rows,
+    read_typed_rows,
+    write_lines,
+    write_rows,
+)
 from repro.util.ids import file_record_id, short_id
 
 
@@ -61,6 +69,22 @@ class TestCsvIo:
         assert row == {"i": 3, "f": 2.5, "s": "abc"}
         assert isinstance(row["i"], int)
         assert isinstance(row["f"], float)
+
+    @given(cells=st.lists(st.text(max_size=8), min_size=2, max_size=4))
+    def test_write_lines_matches_write_rows(self, tmp_path_factory, cells):
+        out = tmp_path_factory.mktemp("lines")
+        names = [f"c{i}" for i in range(len(cells))]
+        write_rows(out / "rows.csv", names, [dict(zip(names, cells))] * 3)
+        line = ",".join(csv_field(cell) for cell in cells) + LINE_END
+        assert write_lines(out / "lines.csv", names, iter([line] * 3)) == 3
+        assert (out / "lines.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        ("cell", "quoted"),
+        [("plain", "plain"), ("a,b", '"a,b"'), ('x"y', '"x""y"'), ("", "")],
+    )
+    def test_csv_field(self, cell, quoted):
+        assert csv_field(cell) == quoted
 
     @pytest.mark.parametrize(
         ("cell", "expected"),
