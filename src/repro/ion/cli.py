@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.ion.analyzer import AnalyzerConfig
+from repro.ion.analyzer import AnalyzerConfig, ResilienceConfig
 from repro.ion.pipeline import IoNavigator
 from repro.ion.report import render_report
 from repro.obs.cli import add_tracing_args, emit_telemetry, tracer_from_args
@@ -28,12 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("trace", help="path to a binary Darshan log")
-    parser.add_argument(
-        "--strategy",
-        choices=("divide", "monolithic"),
-        default="divide",
-        help="prompting strategy (default: divide-and-conquer)",
-    )
     parser.add_argument(
         "--no-context",
         action="store_true",
@@ -67,6 +61,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the diagnosis through counters-only and "
              "monolithic variants and report disagreements",
     )
+    add_pipeline_args(parser)
+    return parser
+
+
+def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
+    """Add the flags ``ion``, ``ion-batch`` and ``ion-journey`` share.
+
+    Prompting strategy, the per-query retry budget and deadline, fault
+    injection, the static code guard, and the tracing flags.
+    """
+    parser.add_argument(
+        "--strategy",
+        choices=("divide", "monolithic"),
+        default="divide",
+        help="prompting strategy (default: divide-and-conquer)",
+    )
     parser.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="retry budget per LLM query (default: 3)",
@@ -83,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'malformed:0.5:seed=7', 'interpreter_crash', 'guard_reject' "
              "(failed queries degrade to Drishti heuristics)",
     )
-    add_guard_arg(parser)
-    add_tracing_args(parser)
-    return parser
-
-
-def add_guard_arg(parser: argparse.ArgumentParser) -> None:
-    """Add the shared ``--guard`` flag (static code vetting policy)."""
     parser.add_argument(
         "--guard",
         choices=("off", "warn", "enforce"),
@@ -98,24 +101,37 @@ def add_guard_arg(parser: argparse.ArgumentParser) -> None:
              "(default: enforce; 'warn' counts violations but executes, "
              "'off' disables the guard)",
     )
+    add_tracing_args(parser)
 
 
-def resilience_from_args(args: argparse.Namespace):
-    """Build the analyzer ResilienceConfig the CLI flags describe."""
-    from repro.ion.analyzer import ResilienceConfig
-
+def analyzer_config_from_args(
+    args: argparse.Namespace, **extra
+) -> AnalyzerConfig:
+    """The AnalyzerConfig the shared flags describe, plus ``extra``."""
     overrides = {}
     if args.max_attempts is not None:
         overrides["max_attempts"] = args.max_attempts
     if args.query_deadline is not None:
         overrides["query_deadline"] = args.query_deadline
-    return ResilienceConfig(**overrides)
+    return AnalyzerConfig(
+        strategy=args.strategy,
+        resilience=ResilienceConfig(**overrides),
+        guard=args.guard,
+        **extra,
+    )
 
 
-def fault_injection_from_args(args: argparse.Namespace):
-    """``(wrap_client, interpreter_factory)`` for ``--inject-faults``."""
+def client_from_args(args: argparse.Namespace):
+    """``(client, interpreter_factory)`` for ``--inject-faults``.
+
+    The client is the simulated expert, wrapped when LLM faults are
+    asked for; the factory is None unless interpreter faults are.
+    """
+    from repro.llm.expert.model import SimulatedExpertLLM
+
+    client = SimulatedExpertLLM()
     if args.inject_faults is None:
-        return (lambda client: client), None
+        return client, None
     from repro.llm.faults import (
         INTERPRETER_FAULT_KINDS,
         FaultPlan,
@@ -127,34 +143,26 @@ def fault_injection_from_args(args: argparse.Namespace):
 
     plan = FaultPlan.parse(args.inject_faults)
     if parse_fault_kind(args.inject_faults) in INTERPRETER_FAULT_KINDS:
-        guard = getattr(args, "guard", "enforce")
-        return (lambda client: client), (
-            lambda workdir: FaultyCodeInterpreter(
-                CodeInterpreter(workdir, guard=guard), plan
-            )
+        return client, lambda workdir: FaultyCodeInterpreter(
+            CodeInterpreter(workdir, guard=args.guard), plan
         )
-    return (lambda client: FaultyLLMClient(client, plan)), None
+    return FaultyLLMClient(client, plan), None
 
 
 @suppress_broken_pipe
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = AnalyzerConfig(
-            strategy=args.strategy,
-            include_context=not args.no_context,
-            resilience=resilience_from_args(args),
-            guard=args.guard,
+        config = analyzer_config_from_args(
+            args, include_context=not args.no_context
         )
-        wrap_client, interpreter_factory = fault_injection_from_args(args)
+        client, interpreter_factory = client_from_args(args)
     except ReproError as exc:
         print(f"ion: error: {exc}", file=sys.stderr)
         return 1
-    from repro.llm.expert.model import SimulatedExpertLLM
-
     tracer = tracer_from_args(args)
     with IoNavigator(
-        client=wrap_client(SimulatedExpertLLM()),
+        client=client,
         config=config,
         workdir=args.workdir,
         interpreter_factory=interpreter_factory,

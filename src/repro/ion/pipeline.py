@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -29,6 +30,7 @@ from repro.ion.interactive import IonSession
 from repro.ion.issues import DiagnosisReport
 from repro.llm.client import LLMClient
 from repro.llm.expert.model import SimulatedExpertLLM
+from repro.llm.resilience import CircuitBreaker
 from repro.obs.trace import NULL_TRACER
 from repro.util.metrics import MetricsRegistry
 from repro.util.units import MIB
@@ -48,7 +50,11 @@ class IonResult:
 
 
 class IoNavigator:
-    """End-to-end ION pipeline over a Darshan trace."""
+    """End-to-end ION pipeline over a Darshan trace.
+
+    The only code that reads a log, extracts and analyzes: the batch
+    and journey navigators compose one and call :meth:`run`.
+    """
 
     def __init__(
         self,
@@ -60,6 +66,7 @@ class IoNavigator:
         metrics: MetricsRegistry | None = None,
         interpreter_factory=None,
         tracer=None,
+        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.client = client or SimulatedExpertLLM()
         self.config = config or AnalyzerConfig()
@@ -68,17 +75,20 @@ class IoNavigator:
         self.extractor = Extractor(
             rpc_size=rpc_size, metrics=self.metrics, tracer=self.tracer
         )
+        # Shared by concurrent callers: the Analyzer's only mutable
+        # state is its seeded backoff-jitter generator.
         self.analyzer = Analyzer(
             client=self.client,
             config=self.config,
             metrics=self.metrics,
             interpreter_factory=interpreter_factory,
+            breaker=breaker,
             tracer=self.tracer,
         )
         self.cache = cache
         self._workdir = Path(workdir) if workdir else None
         self._scratch: Path | None = None
-        self._closed = False
+        self._scratch_lock = threading.Lock()
 
     # -- scratch ownership --------------------------------------------
 
@@ -87,16 +97,13 @@ class IoNavigator:
             path = self._workdir / trace_name
             path.mkdir(parents=True, exist_ok=True)
             return path
-        if self._scratch is None:
-            self._scratch = Path(tempfile.mkdtemp(prefix="ion-"))
-        # Uniquify so two traces sharing a name cannot cross-pollute.
-        path = self._scratch / trace_name
-        suffix = 1
-        while path.exists():
-            suffix += 1
-            path = self._scratch / f"{trace_name}-{suffix}"
-        path.mkdir(parents=True)
-        return path
+        with self._scratch_lock:
+            if self._scratch is None:
+                self._scratch = Path(tempfile.mkdtemp(prefix="ion-"))
+            root = self._scratch
+        # A fresh directory per extraction, so two traces sharing a
+        # name (or two threads) cannot cross-pollute.
+        return Path(tempfile.mkdtemp(prefix=f"{trace_name}-", dir=root))
 
     def close(self) -> None:
         """Remove the navigator's private scratch directory.
@@ -105,10 +112,10 @@ class IoNavigator:
         alone — the navigator only deletes what it created.  Safe to
         call more than once.
         """
-        self._closed = True
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
-            self._scratch = None
+        with self._scratch_lock:
+            scratch, self._scratch = self._scratch, None
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
     def __enter__(self) -> "IoNavigator":
         return self
@@ -118,54 +125,39 @@ class IoNavigator:
 
     # -- diagnosis ----------------------------------------------------
 
-    def diagnose(self, log: DarshanLog, trace_name: str = "trace") -> IonResult:
-        """Diagnose an in-memory Darshan log."""
-        with self.tracer.span(
-            "pipeline.diagnose", attributes={"trace": trace_name}
-        ) as span:
-            with self.metrics.timer("pipeline.diagnose.seconds").time():
-                extraction, hit = self._extract(log, trace_name)
-                span.set_attribute("cache.hit", hit)
-                return self._analyze(
-                    extraction, trace_name, log=log, cache_hit=hit
-                )
-
-    def diagnose_file(self, log_path: str | Path) -> IonResult:
-        """Diagnose a binary Darshan log file."""
-        log_path = Path(log_path)
-        trace_name = log_path.stem
-        log = read_log(log_path)
-        with self.tracer.span(
-            "pipeline.diagnose", attributes={"trace": trace_name}
-        ) as span:
-            with self.metrics.timer("pipeline.diagnose.seconds").time():
-                extraction, hit = self._extract(log, trace_name)
-                span.set_attribute("cache.hit", hit)
-                return self._analyze(
-                    extraction, trace_name, log=log, cache_hit=hit
-                )
-
-    def _extract(
-        self, log: DarshanLog, trace_name: str
-    ) -> tuple[ExtractionResult, bool]:
-        if self.cache is not None:
-            return self.cache.get_or_extract(log, self.extractor)
-        return self.extractor.extract(log, self._extraction_dir(trace_name)), False
-
-    def _analyze(
-        self,
-        extraction: ExtractionResult,
-        trace_name: str,
-        log: DarshanLog | None = None,
-        cache_hit: bool = False,
+    def run(
+        self, log: DarshanLog | str | Path, trace_name: str = "trace"
     ) -> IonResult:
+        """Read (if given a path), extract and analyze; opens no span."""
+        if not isinstance(log, DarshanLog):
+            log = read_log(log)
+        if self.cache is not None:
+            extraction, hit = self.cache.get_or_extract(log, self.extractor)
+        else:
+            directory = self._extraction_dir(trace_name)
+            extraction, hit = self.extractor.extract(log, directory), False
         report = self.analyzer.analyze(extraction, trace_name, log=log)
-        session = IonSession(
-            report=report, client=self.client, tracer=self.tracer
-        )
         return IonResult(
             report=report,
             extraction=extraction,
-            session=session,
-            cache_hit=cache_hit,
+            session=IonSession(
+                report=report, client=self.client, tracer=self.tracer
+            ),
+            cache_hit=hit,
         )
+
+    def diagnose(
+        self, log: DarshanLog | str | Path, trace_name: str = "trace"
+    ) -> IonResult:
+        """Diagnose an in-memory Darshan log or a binary log file."""
+        with self.tracer.span(
+            "pipeline.diagnose", attributes={"trace": trace_name}
+        ) as span:
+            with self.metrics.timer("pipeline.diagnose.seconds").time():
+                result = self.run(log, trace_name)
+            span.set_attribute("cache.hit", result.cache_hit)
+            return result
+
+    def diagnose_file(self, log_path: str | Path) -> IonResult:
+        """Diagnose a binary Darshan log file."""
+        return self.diagnose(log_path, Path(log_path).stem)

@@ -18,15 +18,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.ion.analyzer import AnalyzerConfig
 from repro.ion.cli import (
-    add_guard_arg,
-    fault_injection_from_args,
-    resilience_from_args,
+    add_pipeline_args,
+    analyzer_config_from_args,
+    client_from_args,
 )
 from repro.journey.executor import JourneyConfig, JourneyNavigator
 from repro.journey.render import render_journey
-from repro.obs.cli import add_tracing_args, emit_telemetry, tracer_from_args
+from repro.obs.cli import emit_telemetry, tracer_from_args
 from repro.util.console import suppress_broken_pipe
 from repro.util.errors import ReproError
 from repro.workloads.cli import _parse_overrides
@@ -60,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a starting config knob (repeatable)",
     )
     parser.add_argument(
-        "--strategy",
-        choices=("divide", "monolithic"),
-        default="divide",
-        help="prompting strategy (default: divide-and-conquer)",
-    )
-    parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the journey report as JSON",
     )
@@ -73,23 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--html", default=None, metavar="PATH",
         help="also write the journey report as a self-contained HTML file",
     )
-    parser.add_argument(
-        "--max-attempts", type=int, default=None, metavar="N",
-        help="retry budget per LLM query (default: 3)",
-    )
-    parser.add_argument(
-        "--query-deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per LLM query including retries "
-             "(default: 30)",
-    )
-    parser.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help="chaos-testing aid: inject deterministic LLM/interpreter "
-        "faults (see `ion --help`); degraded diagnoses still drive "
-        "Drishti-heuristic recommendations",
-    )
-    add_guard_arg(parser)
-    add_tracing_args(parser)
+    add_pipeline_args(parser)
     return parser
 
 
@@ -97,26 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        analyzer_config = AnalyzerConfig(
-            strategy=args.strategy,
-            resilience=resilience_from_args(args),
-            guard=args.guard,
-        )
+        analyzer_config = analyzer_config_from_args(args)
         journey_config = JourneyConfig(
             max_steps=args.max_steps, scale=args.scale
         )
-        wrap_client, interpreter_factory = fault_injection_from_args(args)
+        client, interpreter_factory = client_from_args(args)
         workload = make_workload(
             args.workload, overrides=_parse_overrides(args.overrides)
         )
     except ReproError as exc:
         print(f"ion-journey: error: {exc}", file=sys.stderr)
         return 1
-    from repro.llm.expert.model import SimulatedExpertLLM
-
     tracer = tracer_from_args(args)
     with JourneyNavigator(
-        client=wrap_client(SimulatedExpertLLM()),
+        client=client,
         analyzer_config=analyzer_config,
         journey_config=journey_config,
         interpreter_factory=interpreter_factory,

@@ -25,15 +25,12 @@ snapshot-testable.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
-from repro.ion.analyzer import Analyzer, AnalyzerConfig
-from repro.ion.extractor import Extractor
+from repro.ion.analyzer import AnalyzerConfig
 from repro.ion.issues import DiagnosisReport
+from repro.ion.pipeline import IoNavigator
 from repro.journey.model import (
     JourneyReport,
     JourneyStatus,
@@ -44,12 +41,9 @@ from repro.journey.model import (
 from repro.journey.perf import PerfSnapshot
 from repro.journey.remedies import PlannedRemediation, plan_remedies
 from repro.llm.client import LLMClient
-from repro.llm.expert.model import SimulatedExpertLLM
-from repro.obs.trace import NULL_TRACER
+from repro.llm.resilience import CircuitBreaker
 from repro.util.errors import JourneyError, WorkloadConfigError
 from repro.util.metrics import MetricsRegistry
-from repro.llm.resilience import CircuitBreaker
-from repro.util.units import MIB
 from repro.workloads.base import (
     FieldChange,
     Workload,
@@ -116,45 +110,25 @@ class JourneyNavigator:
         metrics: MetricsRegistry | None = None,
         interpreter_factory: Callable | None = None,
         breaker: CircuitBreaker | None = None,
-        rpc_size: int = 4 * MIB,
         tracer=None,
     ) -> None:
-        self.client = client or SimulatedExpertLLM()
-        self.analyzer_config = analyzer_config or AnalyzerConfig()
         self.journey_config = journey_config or JourneyConfig()
-        self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
-        self.extractor = Extractor(
-            rpc_size=rpc_size, metrics=self.metrics, tracer=self.tracer
-        )
-        self.analyzer = Analyzer(
-            client=self.client,
-            config=self.analyzer_config,
-            metrics=self.metrics,
+        # Scratch-only: journeys re-simulate every observation, so
+        # there is no log file to read and no cache to share.
+        self.navigator = IoNavigator(
+            client=client,
+            config=analyzer_config,
+            metrics=metrics,
             interpreter_factory=interpreter_factory,
             breaker=breaker,
-            tracer=self.tracer,
+            tracer=tracer,
         )
-        self._scratch: Path | None = None
-
-    # -- scratch ownership --------------------------------------------
-
-    def _extraction_dir(self, trace_name: str) -> Path:
-        if self._scratch is None:
-            self._scratch = Path(tempfile.mkdtemp(prefix="ion-journey-"))
-        path = self._scratch / trace_name
-        suffix = 1
-        while path.exists():
-            suffix += 1
-            path = self._scratch / f"{trace_name}-{suffix}"
-        path.mkdir(parents=True)
-        return path
+        self.metrics = self.navigator.metrics
+        self.tracer = self.navigator.tracer
 
     def close(self) -> None:
         """Remove the navigator's private scratch directory."""
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
-            self._scratch = None
+        self.navigator.close()
 
     def __enter__(self) -> "JourneyNavigator":
         return self
@@ -297,14 +271,9 @@ class JourneyNavigator:
         ) as span:
             with self.tracer.span("simulate"):
                 bundle = workload.run(scale=self.journey_config.scale)
-            extraction = self.extractor.extract(
-                bundle.log, self._extraction_dir(trace_name)
-            )
-            # Passing the log enables the Drishti fallback, so degraded
-            # diagnoses still drive recommendations instead of crashing.
-            report = self.analyzer.analyze(
-                extraction, trace_name, log=bundle.log
-            )
+            # The analyzer sees the log, which enables the Drishti
+            # fallback: degraded diagnoses still drive recommendations.
+            report = self.navigator.run(bundle.log, trace_name).report
             span.set_attribute("issues", len(report.detected_issues))
             # Not named "degraded": that key is reserved for query spans
             # so trace summaries count each degraded query exactly once.

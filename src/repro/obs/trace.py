@@ -11,9 +11,10 @@ Context propagation uses :mod:`contextvars`: ``tracer.span(...)``
 parents new spans under the active one automatically within a thread.
 Worker pools do not inherit context, so code that fans out captures
 ``tracer.current_span()`` before submitting and passes it explicitly
-as ``parent=`` — the analyzer's prompt pool and the batch scheduler
-both do this (the batch scheduler starts a *new* trace per diagnosed
-trace instead, via ``new_trace=True``).
+as ``parent=`` — the analyzer's prompt pool does this.  The batch
+scheduler relies on the same fact the other way round: each job's
+``pipeline.diagnose`` opens on a pool thread with no active span, so
+it roots a new trace.
 
 Determinism: the clock and the ID source are constructor-injectable.
 The default ID source is a process-local sequential counter, so two

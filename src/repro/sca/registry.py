@@ -32,7 +32,6 @@ SPAN_NAMES = frozenset(
         "sca.vet",
         "session.ask",
         "simulate",
-        "trace.diagnose",
     }
 )
 

@@ -4,11 +4,11 @@ The single-trace :class:`~repro.ion.pipeline.IoNavigator` answers "what
 is wrong with this run?"; a production deployment answers that question
 for *queues* of traces — nightly sweeps over every job on a system,
 ablation campaigns, regression farms.  :class:`BatchNavigator`
-schedules N traces over a bounded thread pool, reusing one
-:class:`~repro.ion.analyzer.Analyzer` per worker, routing extraction
-through the shared content-addressed cache when one is attached, and
-collecting per-trace successes *and failures* without ever aborting
-the rest of the campaign.
+schedules N traces over a bounded thread pool, every worker diagnosing
+through one shared :class:`~repro.ion.pipeline.IoNavigator` (and so
+through the shared content-addressed cache when one is attached), and
+collects per-trace successes *and failures* without ever aborting the
+rest of the campaign.
 
 The result is a :class:`CampaignSummary`: per-trace timing, cache
 hits, issue counts and errors, plus a snapshot of every pipeline
@@ -17,28 +17,24 @@ metric.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.darshan.binformat import read_log
+# Unused here; kept bound because perfbench/layers.py wraps this name.
+from repro.darshan.binformat import read_log  # noqa: F401
 from repro.darshan.log import DarshanLog
-from repro.ion.analyzer import Analyzer, AnalyzerConfig
-from repro.ion.extractor import ExtractionResult, Extractor
+from repro.ion.analyzer import AnalyzerConfig
+from repro.ion.extractor import ExtractionResult
 from repro.ion.issues import DiagnosisReport
+from repro.ion.pipeline import IoNavigator
 from repro.llm.client import LLMClient
-from repro.llm.expert.model import SimulatedExpertLLM
-from repro.obs.trace import NULL_TRACER
 from repro.service.cache import CacheStats, ExtractionCache
 from repro.util.errors import BatchError
-from repro.util.metrics import MetricsRegistry
-from repro.util.units import MIB
+from repro.util.metrics import Counter, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.journey.executor import JourneyConfig
@@ -50,11 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class BatchConfig:
     """Tunables of a batch campaign."""
 
-    #: Bound on concurrently diagnosed traces (each worker holds one
-    #: Analyzer for its lifetime).
+    #: Bound on concurrently diagnosed traces (pool threads sharing
+    #: the campaign's one navigator).
     max_workers: int = 4
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
-    rpc_size: int = 4 * MIB
     #: Abort the whole campaign on the first per-trace failure instead
     #: of recording it and continuing.
     fail_fast: bool = False
@@ -65,24 +60,35 @@ class BatchConfig:
 
 
 @dataclass
-class TraceOutcome:
-    """What happened to one trace of the campaign."""
+class _Outcome:
+    """What happened to one job of a campaign."""
 
     index: int
     name: str
-    report: DiagnosisReport | None = None
-    extraction: ExtractionResult | None = None
     error: str | None = None
     #: Full worker traceback of a FAILED outcome (None on success) —
     #: ``error`` keeps the one-line summary for tables, this keeps the
     #: frames a post-mortem needs.
     traceback: str | None = None
     duration_seconds: float = 0.0
-    cache_hit: bool = False
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def fail(self, exc: Exception) -> None:
+        """Record ``exc``; call from inside the block handling it."""
+        self.error = f"{type(exc).__name__}: {exc}"
+        self.traceback = traceback_module.format_exc()
+
+
+@dataclass
+class TraceOutcome(_Outcome):
+    """What happened to one trace of the campaign."""
+
+    report: DiagnosisReport | None = None
+    extraction: ExtractionResult | None = None
+    cache_hit: bool = False
 
     @property
     def issue_count(self) -> int:
@@ -100,23 +106,29 @@ class TraceOutcome:
 
 
 @dataclass
-class CampaignSummary:
+class _Summary:
+    """Outcomes of one campaign, in submission order."""
+
+    outcomes: list
+    elapsed_seconds: float
+
+    @property
+    def succeeded(self) -> list:
+        return [o for o in self.outcomes if o.ok]
+
+    @property
+    def failed(self) -> list:
+        return [o for o in self.outcomes if not o.ok]
+
+
+@dataclass
+class CampaignSummary(_Summary):
     """Aggregate result of one :meth:`BatchNavigator.run` call."""
 
-    outcomes: list[TraceOutcome]
-    elapsed_seconds: float
     cache: CacheStats | None = None
     metrics: dict[str, float] = field(default_factory=dict)
     #: Final state of the circuit breaker shared by the worker pool.
     breaker_state: str = "closed"
-
-    @property
-    def succeeded(self) -> list[TraceOutcome]:
-        return [o for o in self.outcomes if o.ok]
-
-    @property
-    def failed(self) -> list[TraceOutcome]:
-        return [o for o in self.outcomes if not o.ok]
 
     @property
     def degraded(self) -> list[TraceOutcome]:
@@ -187,19 +199,10 @@ class CampaignSummary:
 
 
 @dataclass
-class JourneyOutcome:
+class JourneyOutcome(_Outcome):
     """What happened to one workload's optimization journey."""
 
-    index: int
-    name: str
     report: "JourneyReport | None" = None
-    error: str | None = None
-    traceback: str | None = None
-    duration_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
     @property
     def status(self) -> str:
@@ -216,21 +219,11 @@ class JourneyOutcome:
 
 
 @dataclass
-class JourneyCampaignSummary:
+class JourneyCampaignSummary(_Summary):
     """Aggregate result of one :meth:`BatchNavigator.run_journeys` call."""
 
-    outcomes: list[JourneyOutcome]
-    elapsed_seconds: float
     metrics: dict[str, float] = field(default_factory=dict)
     breaker_state: str = "closed"
-
-    @property
-    def succeeded(self) -> list[JourneyOutcome]:
-        return [o for o in self.outcomes if o.ok]
-
-    @property
-    def failed(self) -> list[JourneyOutcome]:
-        return [o for o in self.outcomes if not o.ok]
 
     def render(self) -> str:
         """One-line-per-workload campaign table plus totals."""
@@ -274,41 +267,25 @@ class BatchNavigator:
         interpreter_factory=None,
         tracer=None,
     ) -> None:
-        self.client = client or SimulatedExpertLLM()
         self.config = config or BatchConfig()
-        self.metrics = metrics or MetricsRegistry()
-        self.cache = cache
-        self.interpreter_factory = interpreter_factory
-        self.tracer = tracer or NULL_TRACER
-        # One breaker for the whole campaign: sustained LLM-backend
-        # failure trips every worker at once instead of each worker
-        # rediscovering it.
-        self.breaker = self.config.analyzer.resilience.breaker()
-        self.extractor = Extractor(
-            rpc_size=self.config.rpc_size,
-            metrics=self.metrics,
-            tracer=self.tracer,
+        # Shared by every worker, breaker included: sustained LLM-backend
+        # failure trips the whole pool at once.
+        self.navigator = IoNavigator(
+            client=client,
+            config=self.config.analyzer,
+            cache=cache,
+            metrics=metrics,
+            interpreter_factory=interpreter_factory,
+            tracer=tracer,
         )
-        self._local = threading.local()
-        self._scratch: Path | None = None
-        self._scratch_lock = threading.Lock()
-
-    # -- scratch ownership --------------------------------------------
-
-    def _extraction_dir(self, index: int, name: str) -> Path:
-        with self._scratch_lock:
-            if self._scratch is None:
-                self._scratch = Path(tempfile.mkdtemp(prefix="ion-batch-"))
-        # Index-prefixed so duplicate trace names stay isolated.
-        path = self._scratch / f"{index:04d}-{name}"
-        path.mkdir(parents=True)
-        return path
+        self.metrics = self.navigator.metrics
+        self.tracer = self.navigator.tracer
+        self.interpreter_factory = interpreter_factory
+        self.breaker = self.navigator.analyzer.breaker
 
     def close(self) -> None:
         """Remove the batch scratch space (cache entries are kept)."""
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
-            self._scratch = None
+        self.navigator.close()
 
     def __enter__(self) -> "BatchNavigator":
         return self
@@ -325,32 +302,18 @@ class BatchNavigator:
         ]
         if not jobs:
             raise BatchError("batch campaign received no traces")
-        started = time.perf_counter()
-        with self.tracer.span(
-            "batch.campaign",
+        outcomes, elapsed = self._campaign(
+            jobs,
+            self._run_one,
+            kind="trace",
+            counter=self.metrics.counter("batch.campaigns"),
             attributes={"traces": len(jobs)},
-            new_trace=True,
-        ) as campaign:
-            with ThreadPoolExecutor(
-                max_workers=self.config.max_workers,
-                thread_name_prefix="ion-batch",
-            ) as pool:
-                outcomes = list(pool.map(self._run_one, jobs))
-            campaign.set_attribute(
-                "failed", sum(1 for o in outcomes if not o.ok)
-            )
-        elapsed = time.perf_counter() - started
-        self.metrics.counter("batch.campaigns").inc()
-        if self.config.fail_fast:
-            for outcome in outcomes:
-                if not outcome.ok:
-                    raise BatchError(
-                        f"trace {outcome.name!r} failed: {outcome.error}"
-                    )
+            thread_name_prefix="ion-batch",
+        )
         return CampaignSummary(
             outcomes=outcomes,
             elapsed_seconds=elapsed,
-            cache=self.cache.stats if self.cache is not None else None,
+            cache=getattr(self.navigator.cache, "stats", None),
             metrics=self.metrics.snapshot(),
             breaker_state=self.breaker.state.value,
         )
@@ -386,38 +349,52 @@ class BatchNavigator:
             )
         if not jobs:
             raise BatchError("journey campaign received no workloads")
-        started = time.perf_counter()
-        with self.tracer.span(
-            "batch.campaign",
+        outcomes, elapsed = self._campaign(
+            jobs,
+            lambda job: self._run_one_journey(job, config),
+            kind="journey",
+            counter=self.metrics.counter("batch.journey_campaigns"),
             attributes={"kind": "journeys", "workloads": len(jobs)},
-            new_trace=True,
-        ) as campaign:
-            with ThreadPoolExecutor(
-                max_workers=self.config.max_workers,
-                thread_name_prefix="ion-journey",
-            ) as pool:
-                outcomes = list(
-                    pool.map(
-                        lambda job: self._run_one_journey(job, config), jobs
-                    )
-                )
-            campaign.set_attribute(
-                "failed", sum(1 for o in outcomes if not o.ok)
-            )
-        elapsed = time.perf_counter() - started
-        self.metrics.counter("batch.journey_campaigns").inc()
-        if self.config.fail_fast:
-            for outcome in outcomes:
-                if not outcome.ok:
-                    raise BatchError(
-                        f"journey {outcome.name!r} failed: {outcome.error}"
-                    )
+            thread_name_prefix="ion-journey",
+        )
         return JourneyCampaignSummary(
             outcomes=outcomes,
             elapsed_seconds=elapsed,
             metrics=self.metrics.snapshot(),
             breaker_state=self.breaker.state.value,
         )
+
+    def _campaign(
+        self,
+        jobs: list,
+        run_one: Callable,
+        kind: str,
+        counter: Counter,
+        attributes: dict,
+        thread_name_prefix: str,
+    ) -> tuple[list, float]:
+        """Run every job on the pool under one ``batch.campaign`` root."""
+        started = time.perf_counter()
+        with self.tracer.span(
+            "batch.campaign", attributes=attributes, new_trace=True
+        ) as campaign:
+            with ThreadPoolExecutor(
+                max_workers=self.config.max_workers,
+                thread_name_prefix=thread_name_prefix,
+            ) as pool:
+                outcomes = list(pool.map(run_one, jobs))
+            campaign.set_attribute(
+                "failed", sum(1 for o in outcomes if not o.ok)
+            )
+        elapsed = time.perf_counter() - started
+        counter.inc()
+        if self.config.fail_fast:
+            for outcome in outcomes:
+                if not outcome.ok:
+                    raise BatchError(
+                        f"{kind} {outcome.name!r} failed: {outcome.error}"
+                    )
+        return outcomes, elapsed
 
     def _run_one_journey(
         self, job: tuple[int, str, "Workload"], config: "JourneyConfig"
@@ -429,80 +406,39 @@ class BatchNavigator:
         started = time.perf_counter()
         try:
             with JourneyNavigator(
-                client=self.client,
+                client=self.navigator.client,
                 analyzer_config=self.config.analyzer,
                 journey_config=config,
                 metrics=self.metrics,
                 interpreter_factory=self.interpreter_factory,
                 breaker=self.breaker,
-                rpc_size=self.config.rpc_size,
                 tracer=self.tracer,
             ) as navigator:
                 outcome.report = navigator.navigate(workload)
             self.metrics.counter("batch.journeys.ok").inc()
         except Exception as exc:  # noqa: BLE001 — isolate per-journey faults
-            outcome.error = f"{type(exc).__name__}: {exc}"
-            outcome.traceback = traceback_module.format_exc()
+            outcome.fail(exc)
             self.metrics.counter("batch.journeys.failed").inc()
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
-
-    # -- workers ------------------------------------------------------
-
-    def _analyzer(self) -> Analyzer:
-        # One Analyzer per pool thread, built on first use and reused
-        # for every trace the worker picks up.
-        analyzer = getattr(self._local, "analyzer", None)
-        if analyzer is None:
-            analyzer = Analyzer(
-                client=self.client,
-                config=self.config.analyzer,
-                metrics=self.metrics,
-                interpreter_factory=self.interpreter_factory,
-                breaker=self.breaker,
-                tracer=self.tracer,
-            )
-            self._local.analyzer = analyzer
-        return analyzer
 
     def _run_one(self, job: tuple[int, str, "DarshanLog | Path"]) -> TraceOutcome:
         index, name, log = job
         outcome = TraceOutcome(index=index, name=name)
         started = time.perf_counter()
-        # ``new_trace=True``: pool threads are reused across traces, so
-        # a leftover ambient span from a previous job must never become
-        # this trace's parent — every trace gets its own root.
-        with self.tracer.span(
-            "trace.diagnose",
-            attributes={"trace": name, "index": index},
-            new_trace=True,
-        ) as span:
-            try:
-                if isinstance(log, Path):
-                    # File I/O is deferred to the worker so one unreadable
-                    # log is an outcome, not a campaign abort.
-                    log = read_log(log)
-                if self.cache is not None:
-                    extraction, hit = self.cache.get_or_extract(
-                        log, self.extractor
-                    )
-                else:
-                    extraction = self.extractor.extract(
-                        log, self._extraction_dir(index, name)
-                    )
-                    hit = False
-                span.set_attribute("cache.hit", hit)
-                outcome.extraction = extraction
-                outcome.cache_hit = hit
-                outcome.report = self._analyzer().analyze(
-                    extraction, name, log=log
-                )
-                self.metrics.counter("batch.traces.ok").inc()
-            except Exception as exc:  # noqa: BLE001 — isolate per-trace faults
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.traceback = traceback_module.format_exc()
-                span.set_status("error", outcome.error)
-                self.metrics.counter("batch.traces.failed").inc()
+        try:
+            # Pool threads start with an empty span context, so each
+            # trace's ``pipeline.diagnose`` is the root of its own
+            # trace.  A path is read on the worker, so one unreadable
+            # log is an outcome, not a campaign abort.
+            result = self.navigator.diagnose(log, name)
+            outcome.report = result.report
+            outcome.extraction = result.extraction
+            outcome.cache_hit = result.cache_hit
+            self.metrics.counter("batch.traces.ok").inc()
+        except Exception as exc:  # noqa: BLE001 — isolate per-trace faults
+            outcome.fail(exc)
+            self.metrics.counter("batch.traces.failed").inc()
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
 

@@ -19,10 +19,14 @@ import argparse
 import json
 import sys
 
-from repro.ion.analyzer import AnalyzerConfig
+from repro.ion.cli import (
+    add_pipeline_args,
+    analyzer_config_from_args,
+    client_from_args,
+)
 from repro.ion.report import render_report
 from repro.ion.serialize import report_to_dict
-from repro.obs.cli import add_tracing_args, emit_telemetry, tracer_from_args
+from repro.obs.cli import emit_telemetry, tracer_from_args
 from repro.service.batch import BatchConfig, BatchNavigator
 from repro.service.cache import ExtractionCache
 from repro.util.console import suppress_broken_pipe
@@ -60,12 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="worker pool size (default: 4)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=("divide", "monolithic"),
-        default="divide",
-        help="prompting strategy (default: divide-and-conquer)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -109,25 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="remediation budget per journey (default: 3; with --journey)",
     )
-    parser.add_argument(
-        "--max-attempts", type=int, default=None, metavar="N",
-        help="retry budget per LLM query (default: 3)",
-    )
-    parser.add_argument(
-        "--query-deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per LLM query including retries "
-             "(default: 30)",
-    )
-    parser.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help="chaos-testing aid: inject deterministic LLM/interpreter "
-             "faults, e.g. 'transient:0.3' (failed queries degrade to "
-             "Drishti heuristics; see `ion --help`)",
-    )
-    from repro.ion.cli import add_guard_arg
-
-    add_guard_arg(parser)
-    add_tracing_args(parser)
+    add_pipeline_args(parser)
     return parser
 
 
@@ -154,26 +134,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.journey and not args.workload:
         parser.error("--journey requires at least one --workload")
     try:
-        from repro.ion.cli import fault_injection_from_args, resilience_from_args
-        from repro.llm.expert.model import SimulatedExpertLLM
-
         cache = None
         if args.cache_dir is not None:
             max_bytes = parse_size(args.cache_size) if args.cache_size else None
             cache = ExtractionCache(args.cache_dir, max_bytes=max_bytes)
         config = BatchConfig(
             max_workers=args.workers,
-            analyzer=AnalyzerConfig(
-                strategy=args.strategy,
-                resilience=resilience_from_args(args),
-                guard=args.guard,
-            ),
+            analyzer=analyzer_config_from_args(args),
             fail_fast=args.fail_fast,
         )
-        wrap_client, interpreter_factory = fault_injection_from_args(args)
+        client, interpreter_factory = client_from_args(args)
         tracer = tracer_from_args(args)
         with BatchNavigator(
-            client=wrap_client(SimulatedExpertLLM()),
+            client=client,
             config=config,
             cache=cache,
             interpreter_factory=interpreter_factory,

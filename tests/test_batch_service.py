@@ -265,6 +265,18 @@ class TestScratchHygiene:
         # close() is idempotent.
         navigator.close()
 
+    def test_concurrent_same_name_extractions_stay_isolated(self):
+        bundle = make_fleet(1)[0]
+        navigator = BatchNavigator(config=BatchConfig(max_workers=4))
+        summary = navigator.run([bundle] * 4)
+        assert not summary.failed
+        directories = [o.extraction.directory for o in summary.outcomes]
+        assert len(set(directories)) == 4
+        reports = {render_report(o.report) for o in summary.outcomes}
+        assert len(reports) == 1
+        navigator.close()
+        assert not any(d.exists() for d in directories)
+
     def test_cached_entries_survive_navigator_close(self, tmp_path):
         cache = ExtractionCache(tmp_path / "cache")
         navigator = BatchNavigator(cache=cache)

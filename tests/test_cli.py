@@ -9,6 +9,7 @@ import pytest
 from repro.darshan.binformat import write_log
 from repro.drishti import cli as drishti_cli
 from repro.ion import cli as ion_cli
+from repro.journey import cli as journey_cli
 from repro.service import cli as batch_cli
 
 
@@ -16,6 +17,30 @@ from repro.service import cli as batch_cli
 def trace_path(easy_2k_bundle, tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli-traces")
     return str(write_log(easy_2k_bundle.log, directory / "easy.darshan"))
+
+
+#: Flag dest -> (default, choices), the same on every pipeline CLI.
+SHARED_FLAGS = {
+    "strategy": ("divide", ("divide", "monolithic")),
+    "max_attempts": (None, None),
+    "query_deadline": (None, None),
+    "inject_faults": (None, None),
+    "guard": ("enforce", ("off", "warn", "enforce")),
+    "trace_out": (None, None),
+    "metrics_out": (None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "cli", [ion_cli, batch_cli, journey_cli], ids=["ion", "batch", "journey"]
+)
+def test_shared_pipeline_flags(cli):
+    actions = {action.dest: action for action in cli.build_parser()._actions}
+    shared = {
+        dest: (actions[dest].default, actions[dest].choices)
+        for dest in SHARED_FLAGS
+    }
+    assert shared == SHARED_FLAGS
 
 
 class TestIonCli:

@@ -90,6 +90,24 @@ class TestPublicApi:
         assert exported == MIB
 
 
+class TestDiagnoseSpan:
+    def test_read_log_runs_inside_the_diagnose_span(self, tmp_path):
+        from repro.obs.trace import Tracer
+        from repro.util.errors import DarshanFormatError
+
+        corrupt = tmp_path / "corrupt.darshan"
+        corrupt.write_bytes(b"not a darshan log")
+        tracer = Tracer()
+        with IoNavigator(tracer=tracer) as navigator:
+            with pytest.raises(DarshanFormatError):
+                navigator.diagnose_file(corrupt)
+        (span,) = tracer.spans()
+        assert span.name == "pipeline.diagnose"
+        assert span.attributes["trace"] == "corrupt"
+        assert span.status == "error"
+        assert span.status_detail.startswith("DarshanFormatError")
+
+
 class TestScratchLifecycle:
     def test_close_leaves_nothing_behind(self, easy_2k_bundle, tmp_path, monkeypatch):
         # Point tempfile at a private root so "nothing left behind"

@@ -165,7 +165,7 @@ class TestPropagationUnderConcurrency:
         for members in by_trace.values():
             roots = [s for s in members if s.parent_id is None]
             assert len(roots) == 1
-            if roots[0].name == "trace.diagnose":
+            if roots[0].name == "pipeline.diagnose":
                 diagnose_roots += 1
             else:
                 assert roots[0].name == "batch.campaign"
@@ -176,7 +176,7 @@ class TestPropagationUnderConcurrency:
         roots = {
             span.trace_id: span.attributes["trace"]
             for span in spans
-            if span.parent_id is None and span.name == "trace.diagnose"
+            if span.parent_id is None and span.name == "pipeline.diagnose"
         }
         for span in spans:
             if span.name != "analyzer.analyze":
@@ -190,7 +190,7 @@ class TestPropagationUnderConcurrency:
         names = {
             span.attributes["trace"]: span.trace_id
             for span in spans
-            if span.name == "trace.diagnose"
+            if span.name == "pipeline.diagnose"
         }
         assert len(names) == 8
         assert len(set(names.values())) == 8
