@@ -56,14 +56,12 @@ from repro.llm.messages import Message
 from repro.llm.resilience import BackoffPolicy, CircuitBreaker
 from repro.obs.trace import NULL_TRACER
 from repro.util.errors import AnalysisError, CircuitOpenError, LLMError
-from repro.util.metrics import LATENCY_BUCKETS, SIZE_BUCKETS, MetricsRegistry
+from repro.util.metrics import SIZE_BUCKETS, MetricsRegistry
 
 _SEVERITY_RE = re.compile(r"\[severity=(\w+)\]")
 _MITIGATIONS_RE = re.compile(r"\[mitigations=([\w,\s]+)\]")
 _STEP_RE = re.compile(r"^\s*\d+\.\s+(.*\S)", flags=re.MULTILINE)
 _ISSUE_MARKER = "### ISSUE:"
-
-_TITLE_TO_ISSUE = {issue.title: issue for issue in IssueType}
 
 #: Failures the resilience envelope absorbs; anything else is a
 #: programming error and propagates.
@@ -76,11 +74,10 @@ class ResilienceConfig:
 
     #: Total tries per logical query (1 = no retries).
     max_attempts: int = 3
+    #: Backoff doubles from ``backoff_base`` up to ``backoff_max``, with
+    #: :class:`BackoffPolicy`'s default jitter.
     backoff_base: float = 0.05
-    backoff_multiplier: float = 2.0
     backoff_max: float = 1.0
-    #: Fraction of each capped delay that jitter may remove.
-    backoff_jitter: float = 0.1
     #: Wall-clock budget for one logical query including retries and
     #: their delays; None disables the deadline.
     query_deadline: float | None = 30.0
@@ -88,8 +85,6 @@ class ResilienceConfig:
     breaker_failure_threshold: int = 5
     #: Seconds the breaker stays open before letting a probe through.
     breaker_recovery_seconds: float = 30.0
-    #: Successful half-open probes required to close the breaker.
-    breaker_half_open_successes: int = 1
     #: True (default): a query that exhausts its budget yields a
     #: DEGRADED diagnosis (Drishti fallback when the trace is known).
     #: False: the failure propagates and aborts the report (strict
@@ -105,11 +100,7 @@ class ResilienceConfig:
         # CircuitBreaker so one validation story covers both layers.
         try:
             self.policy()
-            CircuitBreaker(
-                failure_threshold=self.breaker_failure_threshold,
-                recovery_time=self.breaker_recovery_seconds,
-                half_open_successes=self.breaker_half_open_successes,
-            )
+            self.breaker()
         except LLMError as exc:
             raise AnalysisError(f"invalid resilience config: {exc}") from exc
 
@@ -118,9 +109,7 @@ class ResilienceConfig:
         return BackoffPolicy(
             max_attempts=self.max_attempts,
             base_delay=self.backoff_base,
-            multiplier=self.backoff_multiplier,
             max_delay=max(self.backoff_max, self.backoff_base),
-            jitter=self.backoff_jitter,
             deadline=self.query_deadline,
         )
 
@@ -129,7 +118,6 @@ class ResilienceConfig:
         return CircuitBreaker(
             failure_threshold=self.breaker_failure_threshold,
             recovery_time=self.breaker_recovery_seconds,
-            half_open_successes=self.breaker_half_open_successes,
         )
 
 
@@ -245,26 +233,23 @@ class Analyzer:
             "analyzer.analyze",
             attributes={"trace": trace_name, "strategy": self.config.strategy},
         ) as span:
-            with self.metrics.timer("analyzer.analyze.seconds").time():
-                trips_before = self.breaker.trips
-                fallback = DrishtiFallback(log, trace_name)
-                if self.config.strategy == "divide":
-                    diagnoses, stats = self._analyze_divide(
-                        extraction, trace_name, fallback
-                    )
-                else:
-                    diagnoses, stats = self._analyze_monolithic(
-                        extraction, trace_name, fallback
-                    )
-                report = DiagnosisReport(
-                    trace_name=trace_name, diagnoses=diagnoses
+            trips_before = self.breaker.trips
+            fallback = DrishtiFallback(log, trace_name)
+            if self.config.strategy == "divide":
+                diagnoses, stats = self._analyze_divide(
+                    extraction, trace_name, fallback
                 )
-                if self.config.summarize:
-                    report.summary, summary_stats = self._summarize(
-                        trace_name, diagnoses
-                    )
-                    stats.append(summary_stats)
-                report.health = self._health_from(stats, trips_before)
+            else:
+                diagnoses, stats = self._analyze_monolithic(
+                    extraction, trace_name, fallback
+                )
+            report = DiagnosisReport(trace_name=trace_name, diagnoses=diagnoses)
+            if self.config.summarize:
+                report.summary, summary_stats = self._summarize(
+                    trace_name, diagnoses
+                )
+                stats.append(summary_stats)
+            report.health = self._health_from(stats, trips_before)
             span.set_attribute("queries", report.health.queries)
             span.set_attribute("retries", report.health.retries)
             span.set_attribute("degraded_queries", report.health.degraded)
@@ -342,6 +327,31 @@ class Analyzer:
             return value, attempts, ""
         return None, attempts, reason
 
+    def _query(self, span_context, label, prompt, attempt, on_failure):
+        """Run one logical query (issue, monolithic or summary) in a span.
+
+        ``span_context`` is the unopened ``tracer.span(...)`` the query
+        records into.  ``on_failure(reason)`` handles a query that
+        exhausted its budget: it raises in strict mode, or returns
+        ``(value, fallback)`` where ``fallback`` is the span's
+        ``fallback`` attribute (None sets none).
+        """
+        with span_context as span:
+            span.set_attribute("prompt.chars", len(prompt))
+            value, attempts, reason = self._with_resilience(label, attempt)
+            span.set_attribute("attempts", attempts)
+            stats = _QueryStats(label=label, attempts=attempts)
+            if value is None:
+                value, fallback = on_failure(reason)
+                stats.degraded = True
+                stats.fallback = fallback == "drishti"
+                stats.reason = reason
+                span.set_attribute("degraded", True)
+                if fallback is not None:
+                    span.set_attribute("fallback", fallback)
+                span.set_attribute("reason", reason)
+        return value, stats
+
     def _degrade_or_raise(
         self,
         issue: IssueType,
@@ -410,36 +420,18 @@ class Analyzer:
                 run = self._run_prompt(prompt, extraction)
                 return self._diagnosis_from_run(context.issue, run)
 
-            with self.tracer.span(
-                "analyzer.query",
-                attributes={"issue": context.issue.value},
-                parent=parent,
-            ) as span:
-                span.set_attribute("prompt.chars", len(prompt))
-                query_started = time.perf_counter()
-                diagnosis, attempts, reason = self._with_resilience(
-                    f"query:{context.issue.value}", attempt
-                )
-                self.metrics.histogram(
-                    "analyzer.query.seconds", LATENCY_BUCKETS
-                ).observe(time.perf_counter() - query_started)
-                span.set_attribute("attempts", attempts)
-                stats = _QueryStats(
-                    label=f"query:{context.issue.value}", attempts=attempts
-                )
-                if diagnosis is None:
-                    diagnosis = self._degrade_or_raise(
-                        context.issue, fallback, reason
-                    )
-                    stats.degraded = True
-                    stats.fallback = diagnosis.fallback_source == "drishti"
-                    stats.reason = reason
-                    span.set_attribute("degraded", True)
-                    span.set_attribute(
-                        "fallback", diagnosis.fallback_source or "none"
-                    )
-                    span.set_attribute("reason", reason)
-            return diagnosis, stats
+            def degrade(reason: str) -> tuple[Diagnosis, str]:
+                diagnosis = self._degrade_or_raise(context.issue, fallback, reason)
+                return diagnosis, diagnosis.fallback_source or "none"
+
+            return self._query(
+                self.tracer.span(
+                    "analyzer.query",
+                    attributes={"issue": context.issue.value},
+                    parent=parent,
+                ),
+                f"query:{context.issue.value}", prompt, attempt, degrade,
+            )
 
         if self.config.parallel_prompts > 1:
             with ThreadPoolExecutor(
@@ -489,35 +481,19 @@ class Analyzer:
                 )
             return diagnoses
 
-        with self.tracer.span(
-            "analyzer.query", attributes={"issue": "monolithic"}
-        ) as span:
-            span.set_attribute("prompt.chars", len(prompt))
-            query_started = time.perf_counter()
-            diagnoses, attempts, reason = self._with_resilience(
-                "query:monolithic", attempt
-            )
-            self.metrics.histogram(
-                "analyzer.query.seconds", LATENCY_BUCKETS
-            ).observe(time.perf_counter() - query_started)
-            span.set_attribute("attempts", attempts)
-            stats = _QueryStats(label="query:monolithic", attempts=attempts)
-            if diagnoses is None:
-                # The one combined query failed: every issue degrades.
-                diagnoses = [
-                    self._degrade_or_raise(issue, fallback, reason)
-                    for issue in self.config.issues
-                ]
-                stats.degraded = True
-                stats.fallback = any(
-                    d.fallback_source == "drishti" for d in diagnoses
-                )
-                stats.reason = reason
-                span.set_attribute("degraded", True)
-                span.set_attribute(
-                    "fallback", "drishti" if stats.fallback else "none"
-                )
-                span.set_attribute("reason", reason)
+        def degrade(reason: str) -> tuple[list[Diagnosis], str]:
+            # The one combined query failed: every issue degrades.
+            diagnoses = [
+                self._degrade_or_raise(issue, fallback, reason)
+                for issue in self.config.issues
+            ]
+            drishti = any(d.fallback_source == "drishti" for d in diagnoses)
+            return diagnoses, "drishti" if drishti else "none"
+
+        diagnoses, stats = self._query(
+            self.tracer.span("analyzer.query", attributes={"issue": "monolithic"}),
+            "query:monolithic", prompt, attempt, degrade,
+        )
         return diagnoses, [stats]
 
     # -- plumbing ---------------------------------------------------------------
@@ -649,30 +625,16 @@ class Analyzer:
         def attempt() -> str:
             return self.client.complete([Message.user(prompt)]).content
 
-        with self.tracer.span(
-            "analyzer.summarize", attributes={"prompt.chars": len(prompt)}
-        ) as span:
-            query_started = time.perf_counter()
-            summary, attempts, reason = self._with_resilience(
-                "query:summary", attempt
-            )
-            self.metrics.histogram(
-                "analyzer.query.seconds", LATENCY_BUCKETS
-            ).observe(time.perf_counter() - query_started)
-            span.set_attribute("attempts", attempts)
-            stats = _QueryStats(label="query:summary", attempts=attempts)
-            if summary is None:
-                if not self.config.resilience.degrade:
-                    raise AnalysisError(
-                        f"summarization query failed without degraded mode: "
-                        f"{reason}"
-                    )
-                self.metrics.counter("analyzer.queries.degraded").inc()
-                summary = compose_degraded_summary(
-                    trace_name, diagnoses, reason
+        def degrade(reason: str) -> tuple[str, None]:
+            if not self.config.resilience.degrade:
+                raise AnalysisError(
+                    f"summarization query failed without degraded mode: "
+                    f"{reason}"
                 )
-                stats.degraded = True
-                stats.reason = reason
-                span.set_attribute("degraded", True)
-                span.set_attribute("reason", reason)
-        return summary, stats
+            self.metrics.counter("analyzer.queries.degraded").inc()
+            return compose_degraded_summary(trace_name, diagnoses, reason), None
+
+        return self._query(
+            self.tracer.span("analyzer.summarize"),
+            "query:summary", prompt, attempt, degrade,
+        )

@@ -89,8 +89,7 @@ class Extractor:
     def extract(self, log: DarshanLog, out_dir: str | Path) -> ExtractionResult:
         """Extract CSVs for every module present in ``log``."""
         with self.tracer.span("extractor.extract") as span:
-            with self.metrics.timer("extractor.extract.seconds").time():
-                result = self._extract(log, out_dir)
+            result = self._extract(log, out_dir)
             for module in sorted(result.row_counts):
                 span.add_event(
                     "csv.emit", module=module, rows=result.row_counts[module]

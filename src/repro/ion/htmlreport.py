@@ -121,7 +121,7 @@ def _issue_section(diagnosis: Diagnosis) -> str:
     return "\n".join(parts)
 
 
-def _timings_table(timings) -> str:
+def timings_table(timings, css_class: str = "health") -> str:
     """The "Pipeline timings" section from per-stage span aggregates."""
     rows = "".join(
         f"<tr><td>{html.escape(row.name)}</td><td>{row.count}</td>"
@@ -131,7 +131,7 @@ def _timings_table(timings) -> str:
     )
     return (
         "<h2>Pipeline timings</h2>"
-        '<table class="health"><tr><th>stage</th><th>count</th>'
+        f'<table class="{css_class}"><tr><th>stage</th><th>count</th>'
         "<th>total (s)</th><th>mean (s)</th><th>max (s)</th></tr>"
         + rows
         + "</table>"
@@ -198,7 +198,7 @@ def render_html(
             )
             sections.append(f"<ul>{notes}</ul>")
     if timings:
-        sections.append(_timings_table(timings))
+        sections.append(timings_table(timings))
     if session is not None and session.history:
         sections.append('<h2>Interactive session</h2><div class="qa">')
         for exchange in session.history:

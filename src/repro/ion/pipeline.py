@@ -153,8 +153,7 @@ class IoNavigator:
         with self.tracer.span(
             "pipeline.diagnose", attributes={"trace": trace_name}
         ) as span:
-            with self.metrics.timer("pipeline.diagnose.seconds").time():
-                result = self.run(log, trace_name)
+            result = self.run(log, trace_name)
             span.set_attribute("cache.hit", result.cache_hit)
             return result
 

@@ -148,7 +148,7 @@ class JourneyNavigator:
             "journey.navigate",
             attributes={"workload": trace_name},
             new_trace=True,
-        ) as span, self.metrics.timer("journey.navigate.seconds").time():
+        ) as span:
             observation = self._observe(workload, trace_name)
             initial = observation
             steps: list[JourneyStep] = []

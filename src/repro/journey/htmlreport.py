@@ -12,6 +12,7 @@ from __future__ import annotations
 import html
 from pathlib import Path
 
+from repro.ion.htmlreport import timings_table
 from repro.journey.model import (
     JourneyReport,
     JourneyStatus,
@@ -132,23 +133,6 @@ def _step_section(step: JourneyStep) -> str:
     return "\n".join(parts)
 
 
-def _timings_table(timings) -> str:
-    """The "Pipeline timings" section from per-stage span aggregates."""
-    rows = "".join(
-        f"<tr><td>{html.escape(row.name)}</td><td>{row.count}</td>"
-        f"<td>{row.total:.6f}</td><td>{row.mean:.6f}</td>"
-        f"<td>{row.max:.6f}</td></tr>"
-        for row in timings
-    )
-    return (
-        "<h2>Pipeline timings</h2>"
-        '<table class="perf"><tr><th>stage</th><th>count</th>'
-        "<th>total (s)</th><th>mean (s)</th><th>max (s)</th></tr>"
-        + rows
-        + "</table>"
-    )
-
-
 def render_journey_html(report: JourneyReport, timings=None) -> str:
     """Render a journey report as one HTML document.
 
@@ -187,7 +171,7 @@ def render_journey_html(report: JourneyReport, timings=None) -> str:
         issues = ", ".join(sorted(issue.value for issue in remaining))
         sections.append(f"<p>Remaining issues: {html.escape(issues)}</p>")
     if timings:
-        sections.append(_timings_table(timings))
+        sections.append(timings_table(timings, css_class="perf"))
     body = "\n".join(sections)
     return f"""<!DOCTYPE html>
 <html lang="en">

@@ -45,14 +45,21 @@ def add_tracing_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the pipeline metrics registry as Prometheus text "
-        "exposition",
+        help="write the pipeline metrics registry, plus per-stage latency "
+        "histograms derived from spans, as Prometheus text exposition",
     )
 
 
 def tracer_from_args(args: argparse.Namespace):
-    """A real tracer when ``--trace-out`` was given, else the no-op."""
-    if getattr(args, "trace_out", None) is not None:
+    """A real tracer when ``--trace-out`` or ``--metrics-out`` was given.
+
+    The metrics file derives stage latency from spans, so it needs them
+    recorded too; with neither flag this is the no-op tracer.
+    """
+    if (
+        getattr(args, "trace_out", None) is not None
+        or getattr(args, "metrics_out", None) is not None
+    ):
         return Tracer()
     return NULL_TRACER
 
@@ -63,7 +70,7 @@ def emit_telemetry(args: argparse.Namespace, tracer, metrics) -> None:
         path = write_trace(tracer.spans(), args.trace_out)
         print(f"Trace written to {path} ({len(tracer.spans())} span(s))")
     if getattr(args, "metrics_out", None) is not None:
-        path = write_prometheus(metrics, args.metrics_out)
+        path = write_prometheus(metrics, args.metrics_out, tracer.spans())
         print(f"Metrics written to {path}")
 
 

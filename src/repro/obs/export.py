@@ -12,9 +12,10 @@ Three wire formats, each aimed at an existing tool chain:
   identity (trace/span/parent IDs) rides in ``args`` so the format
   round-trips through :func:`load_spans`.
 - **Prometheus text exposition** for a
-  :class:`~repro.util.metrics.MetricsRegistry`: counters, gauges,
-  timers (as ``_count``/``_sum``/``_min``/``_max``) and histograms
-  (cumulative ``_bucket{le=...}`` series).
+  :class:`~repro.util.metrics.MetricsRegistry`: counters, gauges and
+  histograms (cumulative ``_bucket{le=...}`` series), plus one
+  ``<span name>.seconds`` histogram per span name derived from the
+  recorded spans — stage latency has no other source.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable
 
 from repro.obs.trace import SpanEvent
 from repro.util.errors import ReproError
-from repro.util.metrics import MetricsRegistry
+from repro.util.metrics import LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 
 class TraceFormatError(ReproError):
@@ -340,10 +341,34 @@ def _prom_value(value: float) -> str:
     return repr(round(value, 9))
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Render every registry metric as Prometheus text exposition."""
+def _span_histograms(spans: Iterable) -> dict[str, Histogram]:
+    """One latency histogram of span durations per span name."""
+    histograms: dict[str, Histogram] = {}
+    for span in spans:
+        name = f"{span.name}.seconds"
+        if name not in histograms:
+            histograms[name] = Histogram(LATENCY_BUCKETS)
+        histograms[name].observe(span.duration)
+    return histograms
+
+
+def render_prometheus(registry: MetricsRegistry, spans: Iterable = ()) -> str:
+    """Render every registry metric as Prometheus text exposition.
+
+    ``spans`` (finished spans or span records) add one
+    ``<span name>.seconds`` histogram per span name.  A derived name
+    that is also a registry metric raises ``ValueError``.
+    """
+    derived = _span_histograms(spans)
+    metrics = registry.collect()
+    clashes = sorted(derived.keys() & {name for name, _, _ in metrics})
+    if clashes:
+        raise ValueError(
+            f"span-derived metric {clashes[0]!r} is already a registry metric"
+        )
+    metrics += [(name, "histogram", metric) for name, metric in derived.items()]
     lines: list[str] = []
-    for name, kind, metric in registry.collect():
+    for name, kind, metric in sorted(metrics, key=lambda item: item[0]):
         base = _prom_name(name)
         if kind == "counter":
             lines.append(f"# TYPE {base} counter")
@@ -351,15 +376,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         elif kind == "gauge":
             lines.append(f"# TYPE {base} gauge")
             lines.append(f"{base} {_prom_value(metric.value)}")
-        elif kind == "timer":
-            stats = registry.timer_stats(name)
-            lines.append(f"# TYPE {base} summary")
-            lines.append(f"{base}_count {stats.count}")
-            lines.append(f"{base}_sum {_prom_value(stats.total)}")
-            lines.append(f"# TYPE {base}_min gauge")
-            lines.append(f"{base}_min {_prom_value(stats.min)}")
-            lines.append(f"# TYPE {base}_max gauge")
-            lines.append(f"{base}_max {_prom_value(stats.max)}")
         elif kind == "histogram":
             lines.append(f"# TYPE {base} histogram")
             for edge, cumulative in metric.bucket_counts():
@@ -371,9 +387,11 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_prometheus(registry: MetricsRegistry, path: str | Path) -> Path:
-    """Write the registry's Prometheus exposition; returns the path."""
+def write_prometheus(
+    registry: MetricsRegistry, path: str | Path, spans: Iterable = ()
+) -> Path:
+    """Write the Prometheus exposition of registry and spans; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_prometheus(registry), encoding="utf-8")
+    path.write_text(render_prometheus(registry, spans), encoding="utf-8")
     return path

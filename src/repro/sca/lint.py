@@ -10,8 +10,9 @@ already relies on implicitly; ``ion-lint`` makes them enforceable:
     :data:`repro.sca.registry.SPAN_NAMES` — dynamic or misspelled
     names would silently fork the trace summary and dashboards.
 ``lint.metric-name``
-    Same contract for ``metrics.counter/gauge/timer/histogram`` and
-    :data:`repro.sca.registry.METRIC_NAMES`.
+    Same contract for ``metrics.counter/gauge/histogram`` and
+    :data:`repro.sca.registry.METRIC_NAMES`.  Stage durations are no
+    metric kind: the exporter derives them from span names.
 ``lint.raw-open``
     No bare ``open()`` / ``Path.write_text`` / ``Path.write_bytes``
     in pipeline layers outside the sanctioned helpers — pipeline I/O
@@ -54,7 +55,7 @@ PIPELINE_PACKAGES = (
 #: (the sandbox interpreter wraps ``open`` itself).
 SANCTIONED_IO_FILES = frozenset({"repro/llm/interpreter.py"})
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "timer", "histogram"})
+_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 
 #: Handler-body markers that count as "recording" a swallowed error.
 _RECORDING_MARKERS = ("metrics", "health", "record", "set_status")
@@ -105,7 +106,7 @@ class SpanNameRule(Rule):
 
 
 class MetricNameRule(Rule):
-    """``metrics.counter/gauge/timer/histogram`` names must be registered."""
+    """``metrics.counter/gauge/histogram`` names must be registered."""
 
     rule_id = LINT_METRIC_NAME
 

@@ -38,7 +38,6 @@ SPAN_NAMES = frozenset(
 #: Every metric name the pipeline may register.
 METRIC_NAMES = frozenset(
     {
-        "analyzer.analyze.seconds",
         "analyzer.breaker.opened",
         "analyzer.breaker.short_circuited",
         "analyzer.completion.chars",
@@ -48,7 +47,6 @@ METRIC_NAMES = frozenset(
         "analyzer.queries.attempts",
         "analyzer.queries.degraded",
         "analyzer.queries.retries",
-        "analyzer.query.seconds",
         "analyzer.reports",
         "batch.campaigns",
         "batch.journey_campaigns",
@@ -60,11 +58,8 @@ METRIC_NAMES = frozenset(
         "cache.evictions",
         "cache.hits",
         "cache.misses",
-        "extractor.extract.seconds",
         "extractor.extractions",
         "extractor.rows",
-        "journey.navigate.seconds",
-        "pipeline.diagnose.seconds",
         "sca.vet.blocked",
         "sca.vet.checks",
         "sca.vet.rejected",

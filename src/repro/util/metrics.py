@@ -1,14 +1,18 @@
-"""Pipeline observability: counters, gauges and timers.
+"""Pipeline observability: counters, gauges and histograms.
 
 Every stage of the ION pipeline (extraction, analysis, caching,
 batch scheduling) reports into a :class:`MetricsRegistry` so that
 campaigns can be audited after the fact: how many traces hit the
-extraction cache, how long each analyzer stage took, how many prompts
-were dispatched.  The registry is thread-safe — the batch scheduler
-and the analyzer's prompt pool both write to it concurrently.
+extraction cache, how many prompts were dispatched, how large they
+were.  The registry is thread-safe — the batch scheduler and the
+analyzer's prompt pool both write to it concurrently.
+
+Stage durations are not metrics: spans (:mod:`repro.obs.trace`) are
+the only stopwatch, and the Prometheus exporter derives one
+``<span>.seconds`` histogram per span name from them.
 
 Metrics are named with dotted paths (``cache.hits``,
-``extractor.extract.seconds``); :meth:`MetricsRegistry.snapshot`
+``analyzer.prompt.chars``); :meth:`MetricsRegistry.snapshot`
 flattens everything into one plain dict for JSON output or test
 assertions.
 """
@@ -17,10 +21,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
 
 
 class Counter:
@@ -66,54 +66,6 @@ class Gauge:
     def value(self) -> float:
         with self._lock:
             return self._value
-
-
-class Timer:
-    """Aggregated durations: count, total, min, max."""
-
-    __slots__ = ("_lock", "count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one measured duration."""
-        if seconds < 0:
-            raise ValueError("durations cannot be negative")
-        with self._lock:
-            self.count += 1
-            self.total += seconds
-            self.min = min(self.min, seconds)
-            self.max = max(self.max, seconds)
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager measuring the wrapped block."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - start)
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self.total / self.count if self.count else 0.0
-
-
-@dataclass(frozen=True)
-class TimerStats:
-    """Point-in-time read of one timer (``min`` is 0.0 when untouched)."""
-
-    count: int
-    total: float
-    mean: float
-    min: float
-    max: float
 
 
 #: Default histogram buckets, tuned for sub-second pipeline latencies.
@@ -212,7 +164,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- accessors ----------------------------------------------------
@@ -235,15 +186,6 @@ class MetricsRegistry:
                 metric = self._gauges[name] = Gauge()
             return metric
 
-    def timer(self, name: str) -> Timer:
-        """Get (or lazily create) the timer called ``name``."""
-        with self._lock:
-            metric = self._timers.get(name)
-            if metric is None:
-                self._require_free(name)
-                metric = self._timers[name] = Timer()
-            return metric
-
     def histogram(
         self, name: str, buckets: tuple[float, ...] | None = None
     ) -> Histogram:
@@ -263,12 +205,8 @@ class MetricsRegistry:
 
     def _require_free(self, name: str) -> None:
         # Called with the lock held, just before inserting ``name``.
-        if (
-            name in self._counters
-            or name in self._gauges
-            or name in self._timers
-            or name in self._histograms
-        ):
+        kinds = (self._counters, self._gauges, self._histograms)
+        if any(name in kind for kind in kinds):
             raise ValueError(
                 f"metric {name!r} already registered with a different type"
             )
@@ -287,37 +225,17 @@ class MetricsRegistry:
             metric = self._gauges.get(name)
         return metric.value if metric is not None else 0.0
 
-    def timer_stats(self, name: str) -> TimerStats:
-        """A consistent read of one timer (all zeros if never touched)."""
-        with self._lock:
-            metric = self._timers.get(name)
-        if metric is None:
-            return TimerStats(count=0, total=0.0, mean=0.0, min=0.0, max=0.0)
-        with metric._lock:
-            count = metric.count
-            total = metric.total
-            minimum = metric.min if count else 0.0
-            maximum = metric.max
-        return TimerStats(
-            count=count,
-            total=total,
-            mean=total / count if count else 0.0,
-            min=minimum,
-            max=maximum,
-        )
-
     def collect(self) -> list[tuple[str, str, object]]:
         """Every metric as sorted ``(name, kind, metric)`` triples.
 
-        ``kind`` is one of ``"counter"``, ``"gauge"``, ``"timer"``,
-        ``"histogram"`` — the typed view exporters need (the flat
-        :meth:`snapshot` loses the type).
+        ``kind`` is one of ``"counter"``, ``"gauge"``, ``"histogram"``
+        — the typed view exporters need (the flat :meth:`snapshot`
+        loses the type).
         """
         with self._lock:
             triples: list[tuple[str, str, object]] = [
                 *((name, "counter", m) for name, m in self._counters.items()),
                 *((name, "gauge", m) for name, m in self._gauges.items()),
-                *((name, "timer", m) for name, m in self._timers.items()),
                 *((name, "histogram", m) for name, m in self._histograms.items()),
             ]
         return sorted(triples, key=lambda item: item[0])
@@ -325,27 +243,18 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, float]:
         """Flatten every metric into one ``name -> number`` dict.
 
-        Timers expand into ``<name>.count`` / ``.total`` / ``.mean`` /
-        ``.min`` / ``.max`` entries (``.min`` is 0.0 while untouched so
-        ``inf`` never leaks into JSON); histograms into ``.count`` /
-        ``.sum`` / ``.p50`` / ``.p90`` / ``.p99``.
+        Histograms expand into ``<name>.count`` / ``.sum`` / ``.p50`` /
+        ``.p90`` / ``.p99`` entries.
         """
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
-            timers = dict(self._timers)
             histograms = dict(self._histograms)
         out: dict[str, float] = {}
         for name, counter in counters.items():
             out[name] = counter.value
         for name, gauge in gauges.items():
             out[name] = gauge.value
-        for name, timer in timers.items():
-            out[f"{name}.count"] = timer.count
-            out[f"{name}.total"] = round(timer.total, 9)
-            out[f"{name}.mean"] = round(timer.mean, 9)
-            out[f"{name}.min"] = round(timer.min, 9) if timer.count else 0.0
-            out[f"{name}.max"] = round(timer.max, 9)
         for name, histogram in histograms.items():
             out[f"{name}.count"] = histogram.count
             out[f"{name}.sum"] = round(histogram.sum, 9)
@@ -359,5 +268,4 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()

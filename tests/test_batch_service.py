@@ -142,9 +142,9 @@ class TestBatchCache:
             == extractions_after_first
         )
         assert second.cache.hits == 8
-        # Faster in work terms: extraction time per trace dropped to
-        # zero, so the total timer count stayed at the first run's.
-        assert metrics.timer_stats("extractor.extract.seconds").count == 8
+        # Faster in work terms: no trace was extracted a second time,
+        # so the extraction count stayed at the first run's 8.
+        assert metrics.counter_value("extractor.extractions") == 8
         # Reports are identical either way.
         for a, b in zip(first.outcomes, second.outcomes):
             assert render_report(a.report) == render_report(b.report)

@@ -9,6 +9,7 @@ import pytest
 from repro.darshan.binformat import write_log
 from repro.drishti import cli as drishti_cli
 from repro.ion import cli as ion_cli
+from repro.ion.analyzer import AnalyzerConfig
 from repro.journey import cli as journey_cli
 from repro.service import cli as batch_cli
 
@@ -80,6 +81,32 @@ class TestIonCli:
         workdir = tmp_path / "csvs"
         assert ion_cli.main([trace_path, "--workdir", str(workdir)]) == 0
         assert (workdir / "easy" / "POSIX.csv").exists()
+
+
+    def test_metrics_out_alone_carries_stage_latency(
+        self, trace_path, tmp_path, capsys
+    ):
+        # No --trace-out: the metrics file alone records the spans its
+        # per-stage latency histograms are derived from.
+        prom = tmp_path / "m.prom"
+        page = tmp_path / "report.html"
+        argv = [trace_path, "--metrics-out", str(prom), "--html", str(page)]
+        assert ion_cli.main(argv) == 0
+        assert "Trace written" not in capsys.readouterr().out
+        lines = prom.read_text(encoding="utf-8").splitlines()
+        assert "# TYPE pipeline_diagnose_seconds histogram" in lines
+        assert "pipeline_diagnose_seconds_count 1" in lines
+        assert "extractor_extract_seconds_count 1" in lines
+        issues = len(AnalyzerConfig().issues)
+        assert f"analyzer_query_seconds_count {issues}" in lines
+        assert "<h2>Pipeline timings</h2>" in page.read_text(encoding="utf-8")
+
+    def test_html_without_telemetry_flags_has_no_timings(
+        self, trace_path, tmp_path
+    ):
+        page = tmp_path / "report.html"
+        assert ion_cli.main([trace_path, "--html", str(page)]) == 0
+        assert "Pipeline timings" not in page.read_text(encoding="utf-8")
 
 
 class TestIonBatchCli:

@@ -43,29 +43,6 @@ class TestGauge:
         assert gauge.value == 6.5
 
 
-class TestTimer:
-    def test_observe_aggregates(self):
-        timer = MetricsRegistry().timer("t")
-        timer.observe(1.0)
-        timer.observe(3.0)
-        assert timer.count == 2
-        assert timer.total == 4.0
-        assert timer.min == 1.0
-        assert timer.max == 3.0
-        assert timer.mean == 2.0
-
-    def test_context_manager_records_one_sample(self):
-        timer = MetricsRegistry().timer("t")
-        with timer.time():
-            pass
-        assert timer.count == 1
-        assert timer.total >= 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().timer("t").observe(-0.1)
-
-
 class TestHistogram:
     def test_observations_land_in_buckets(self):
         histogram = Histogram(buckets=(1.0, 2.0, 4.0))
@@ -122,36 +99,19 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.gauge("shared.name")
         with pytest.raises(ValueError):
-            registry.timer("shared.name")
-        with pytest.raises(ValueError):
             registry.histogram("shared.name")
 
     def test_snapshot_flattens_all_metric_kinds(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
-        registry.timer("t").observe(2.0)
         registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
         snap = registry.snapshot()
         assert snap["c"] == 3
         assert snap["g"] == 1.5
-        assert snap["t.count"] == 1
-        assert snap["t.total"] == 2.0
-        assert snap["t.mean"] == 2.0
-        assert snap["t.min"] == 2.0
-        assert snap["t.max"] == 2.0
         assert snap["h.count"] == 1
         assert snap["h.sum"] == 0.5
         assert 0.0 < snap["h.p50"] <= 1.0
-
-    def test_untouched_timer_min_exports_as_zero(self):
-        # Regression: snapshot() used to drop min entirely, and a naive
-        # export would leak inf into JSON for untouched timers.
-        registry = MetricsRegistry()
-        registry.timer("t")
-        snap = registry.snapshot()
-        assert snap["t.min"] == 0.0
-        assert snap["t.count"] == 0
 
     def test_gauge_value_accessor(self):
         registry = MetricsRegistry()
@@ -159,29 +119,13 @@ class TestRegistry:
         registry.gauge("g").set(2.5)
         assert registry.gauge_value("g") == 2.5
 
-    def test_timer_stats_accessor(self):
-        registry = MetricsRegistry()
-        empty = registry.timer_stats("never.seen")
-        assert (empty.count, empty.total, empty.min, empty.max) == (
-            0, 0.0, 0.0, 0.0
-        )
-        registry.timer("t").observe(1.0)
-        registry.timer("t").observe(3.0)
-        stats = registry.timer_stats("t")
-        assert stats.count == 2
-        assert stats.total == 4.0
-        assert stats.mean == 2.0
-        assert stats.min == 1.0
-        assert stats.max == 3.0
-
     def test_collect_returns_typed_sorted_triples(self):
         registry = MetricsRegistry()
-        registry.timer("b").observe(1.0)
         registry.counter("a").inc()
         registry.histogram("c").observe(0.1)
         triples = registry.collect()
         assert [(name, kind) for name, kind, _ in triples] == [
-            ("a", "counter"), ("b", "timer"), ("c", "histogram"),
+            ("a", "counter"), ("c", "histogram"),
         ]
 
     def test_reset_clears_everything(self):
@@ -195,12 +139,10 @@ class TestRegistry:
     def test_concurrent_increments_do_not_lose_updates(self):
         registry = MetricsRegistry()
         counter = registry.counter("hot")
-        timer = registry.timer("hot.time")
 
         def hammer():
             for _ in range(1000):
                 counter.inc()
-                timer.observe(0.001)
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in threads:
@@ -208,4 +150,3 @@ class TestRegistry:
         for thread in threads:
             thread.join()
         assert counter.value == 8000
-        assert timer.count == 8000

@@ -301,3 +301,12 @@ class TestRepoInvariants:
             assert f'"{name}"' in sources or f"'{name}'" in sources, (
                 f"registry entry {name!r} has no call-site in src/"
             )
+
+    def test_span_latency_names_are_not_metric_names(self):
+        """``--metrics-out`` derives ``<span>.seconds`` per span name.
+
+        A registered metric of the same name would make the exporter
+        raise, so the two registries must never meet.
+        """
+        derived = {f"{name}.seconds" for name in SPAN_NAMES}
+        assert derived.isdisjoint(METRIC_NAMES)

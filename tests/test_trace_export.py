@@ -31,6 +31,11 @@ from repro.obs.trace import Tracer, ticking_clock
 from repro.util.metrics import MetricsRegistry
 
 
+def span_record(name: str, seconds: float) -> SpanRecord:
+    """A finished root span of ``seconds`` duration."""
+    return SpanRecord("t", name, None, name, start=0.0, end=seconds)
+
+
 def recorded_tracer() -> Tracer:
     """A tracer holding two traces with attributes, events and errors."""
     tracer = Tracer(clock=ticking_clock())
@@ -190,22 +195,24 @@ class TestPrometheus:
         registry = MetricsRegistry()
         registry.counter("batch.traces.ok").inc(3)
         registry.gauge("pool.size").set(4.5)
-        timer = registry.timer("analyzer.analyze.seconds")
-        timer.observe(1.0)
-        timer.observe(3.0)
         histogram = registry.histogram("query.seconds", buckets=(1.0, 2.0))
         histogram.observe(0.5)
         histogram.observe(10.0)
-        text = render_prometheus(registry)
+        spans = [
+            span_record("analyzer.analyze", 1.0),
+            span_record("analyzer.analyze", 3.0),
+        ]
+        text = render_prometheus(registry, spans)
         lines = text.splitlines()
         assert "# TYPE batch_traces_ok counter" in lines
         assert "batch_traces_ok 3" in lines
         assert "pool_size 4.5" in lines
-        assert "# TYPE analyzer_analyze_seconds summary" in lines
+        assert "# TYPE analyzer_analyze_seconds histogram" in lines
+        assert 'analyzer_analyze_seconds_bucket{le="1"} 1' in lines
+        assert 'analyzer_analyze_seconds_bucket{le="5"} 2' in lines
+        assert 'analyzer_analyze_seconds_bucket{le="+Inf"} 2' in lines
         assert "analyzer_analyze_seconds_count 2" in lines
         assert "analyzer_analyze_seconds_sum 4" in lines
-        assert "analyzer_analyze_seconds_min 1" in lines
-        assert "analyzer_analyze_seconds_max 3" in lines
         assert "# TYPE query_seconds histogram" in lines
         assert 'query_seconds_bucket{le="1"} 1' in lines
         assert 'query_seconds_bucket{le="2"} 1' in lines
@@ -213,15 +220,38 @@ class TestPrometheus:
         assert "query_seconds_sum 10.5" in lines
         assert "query_seconds_count 2" in lines
         assert text.endswith("\n")
-        written = write_prometheus(registry, tmp_path / "metrics.prom")
+        written = write_prometheus(registry, tmp_path / "metrics.prom", spans)
         assert written.read_text(encoding="utf-8") == text
 
-    def test_untouched_timer_exports_zero_min_not_inf(self):
+    def test_one_latency_histogram_per_span_name(self):
+        tracer = Tracer(clock=ticking_clock(step=1.0))
+        with tracer.span("pipeline.diagnose"):
+            for _ in range(3):
+                with tracer.span("analyzer.query"):
+                    pass
         registry = MetricsRegistry()
-        registry.timer("never.fired")
-        text = render_prometheus(registry)
-        assert "never_fired_min 0" in text
-        assert "Inf" not in text.replace('le="+Inf"', "")
+        registry.counter("analyzer.reports").inc()
+        text = render_prometheus(registry, tracer.spans())
+        lines = text.splitlines()
+        # Registry and span-derived series share one name-sorted order.
+        assert [line for line in lines if line.startswith("# TYPE")] == [
+            "# TYPE analyzer_query_seconds histogram",
+            "# TYPE analyzer_reports counter",
+            "# TYPE pipeline_diagnose_seconds histogram",
+        ]
+        assert "analyzer_query_seconds_count 3" in lines
+        assert "analyzer_query_seconds_sum 3" in lines
+        assert "pipeline_diagnose_seconds_count 1" in lines
+        assert "pipeline_diagnose_seconds_sum 7" in lines
+        assert render_prometheus(registry) == (
+            "# TYPE analyzer_reports counter\nanalyzer_reports 1\n"
+        )
+
+    def test_span_name_colliding_with_a_registry_metric_raises(self):
+        registry = MetricsRegistry()
+        registry.histogram("analyzer.query.seconds").observe(0.5)
+        with pytest.raises(ValueError, match="analyzer.query.seconds"):
+            render_prometheus(registry, [span_record("analyzer.query", 1.0)])
 
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""

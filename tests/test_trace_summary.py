@@ -85,8 +85,8 @@ class TestAcceptance:
         assert trace_cli.main([str(path), "--validate"]) == 0
 
     def test_prometheus_export_carries_pipeline_metrics(self, campaign, tmp_path):
-        _tracer, metrics, _summary = campaign
-        path = write_prometheus(metrics, tmp_path / "metrics.prom")
+        tracer, metrics, _summary = campaign
+        path = write_prometheus(metrics, tmp_path / "metrics.prom", tracer.spans())
         text = path.read_text(encoding="utf-8")
         assert "batch_traces_ok 8" in text
         assert "# TYPE analyzer_query_seconds histogram" in text
