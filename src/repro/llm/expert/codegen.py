@@ -184,14 +184,17 @@ def random_access_code(posix_path: Path, dxt_path: Path | None) -> str:
         + """
 streams = {}
 if DXT_PATH:
-    with open(DXT_PATH) as fh:
-        for row in csv.DictReader(fh):
-            if row["module"] != "X_POSIX":
+    with open(DXT_PATH, newline="") as fh:
+        reader = csv.reader(fh)
+        col = {name: i for i, name in enumerate(next(reader))}
+        MODULE, FILE_ID, RANK = col["module"], col["file_id"], col["rank"]
+        START, OFFSET, LENGTH, OP = col["start"], col["offset"], col["length"], col["operation"]
+        for row in reader:
+            if row[MODULE] != "X_POSIX":
                 continue
-            key = (row["file_id"], row["rank"])
+            key = (row[FILE_ID], row[RANK])
             streams.setdefault(key, []).append(
-                (float(row["start"]), int(row["offset"]), int(row["length"]),
-                 row["operation"])
+                (float(row[START]), int(row[OFFSET]), int(row[LENGTH]), row[OP])
             )
 classified = 0
 consecutive = 0
@@ -315,21 +318,26 @@ if LUSTRE_PATH:
 stripe_usage = {}
 shared_ops = 0
 if DXT_PATH and shared_files:
-    with open(DXT_PATH) as fh:
-        for row in csv.DictReader(fh):
-            if row["module"] != "X_POSIX" or row["file_id"] not in shared_files:
+    with open(DXT_PATH, newline="") as fh:
+        reader = csv.reader(fh)
+        col = {name: i for i, name in enumerate(next(reader))}
+        MODULE, FILE_ID, RANK, OP = col["module"], col["file_id"], col["rank"], col["operation"]
+        OFFSET, START, END = col["offset"], col["start"], col["end"]
+        for row in reader:
+            if row[MODULE] != "X_POSIX" or row[FILE_ID] not in shared_files:
                 continue
             shared_ops += 1
-            stripe = int(row["offset"]) // stripe_by_file.get(row["file_id"], DEFAULT_STRIPE)
-            key = (row["file_id"], stripe)
+            fid = row[FILE_ID]
+            stripe = int(row[OFFSET]) // stripe_by_file.get(fid, DEFAULT_STRIPE)
+            key = (fid, stripe)
             per_rank = stripe_usage.setdefault(key, {})
-            start, end = float(row["start"]), float(row["end"])
+            start, end = float(row[START]), float(row[END])
             # stats per rank: [ops, all_lo, all_hi, write_lo, write_hi]
-            stats = per_rank.setdefault(row["rank"], [0, start, end, None, None])
+            stats = per_rank.setdefault(row[RANK], [0, start, end, None, None])
             stats[0] += 1
             stats[1] = min(stats[1], start)
             stats[2] = max(stats[2], end)
-            if row["operation"] == "write":
+            if row[OP] == "write":
                 stats[3] = start if stats[3] is None else min(stats[3], start)
                 stats[4] = end if stats[4] is None else max(stats[4], end)
 contended_stripes = 0

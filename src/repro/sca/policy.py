@@ -11,7 +11,8 @@ Both enforcement layers consume this object:
 - :class:`repro.sca.guard.CodeGuard` rejects violations *statically*,
   before ``compile()`` ever runs;
 - :class:`repro.llm.interpreter.CodeInterpreter` derives its runtime
-  namespace stripping and import allow-list from the same frozen sets.
+  namespace stripping and import allow-list from the same frozen sets,
+  and its worker processes take their per-run budgets from it.
 
 Because both read the same frozen dataclass, the static and runtime
 views of the sandbox cannot drift apart (a test pins the identity).
@@ -67,6 +68,15 @@ class SandboxPolicy:
     escape_dunders: frozenset[str]
     #: Largest literal ``range`` the guard accepts (iterations).
     max_literal_range: int
+    #: Per-run budgets of a sandbox worker process: a wall-clock kill,
+    #: counted from when a worker takes the run, then ``RLIMIT_CPU``
+    #: seconds and ``RLIMIT_AS`` bytes.  The heaviest snippets of a
+    #: full-scale ``ior-hard`` diagnosis (800k DXT rows) use about a
+    #: tenth of the wall budget, an eighth of the CPU budget and a
+    #: quarter of the memory budget.
+    run_wall_seconds: float
+    run_cpu_seconds: int
+    run_memory_bytes: int
 
     def describe_allowed_modules(self) -> str:
         """The allow-list as a stable, human-readable string."""
@@ -111,4 +121,7 @@ SANDBOX_POLICY = SandboxPolicy(
         }
     ),
     max_literal_range=10_000_000,
+    run_wall_seconds=60.0,
+    run_cpu_seconds=40,
+    run_memory_bytes=1 << 30,
 )

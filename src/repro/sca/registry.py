@@ -29,6 +29,7 @@ SPAN_NAMES = frozenset(
         "llm.prompt",
         "llm.round",
         "pipeline.diagnose",
+        "sandbox.exec",
         "sca.vet",
         "session.ask",
         "simulate",

@@ -13,7 +13,9 @@ sustained failure, and both CLIs exit 0 under a 100% fault plan.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,10 @@ from repro.llm.faults import (
     FaultyCodeInterpreter,
     FaultyLLMClient,
 )
+from repro.llm import interpreter as interpreter_module
 from repro.llm.interpreter import CodeInterpreter
+from repro.llm.messages import CodeCall, Completion
+from repro.sca.policy import SANDBOX_POLICY
 from repro.service import cli as batch_cli
 from repro.util.errors import AnalysisError
 from repro.util.metrics import MetricsRegistry
@@ -277,6 +282,52 @@ class TestGuardRejectRecovery:
         assert code == 0
         assert "ION diagnosis report" in out
         assert "DEGRADED" not in out
+
+
+class RunawayModel:
+    """A model whose every analysis snippet loops without end.
+
+    The loop's bound is not a literal, so CodeGuard passes it: only
+    the sandbox worker's wall-clock budget can stop it.
+    """
+
+    def complete(self, messages):
+        return Completion(
+            content="I will now run the analysis code.",
+            code_call=CodeCall("for i in range(int('9' * 12)):\n    pass"),
+        )
+
+
+class TestRunawaySnippet:
+    def test_runaway_analysis_degrades_within_the_query_deadline(
+        self, easy_extraction, easy_2k_bundle, monkeypatch
+    ):
+        monkeypatch.setattr(
+            interpreter_module,
+            "SANDBOX_POLICY",
+            dataclasses.replace(SANDBOX_POLICY, run_wall_seconds=0.5),
+        )
+        resilience = fast_resilience(max_attempts=2)
+        analyzer = Analyzer(
+            client=RunawayModel(),
+            config=AnalyzerConfig(
+                issues=(IssueType.SMALL_IO,),
+                max_tool_rounds=2,
+                summarize=False,
+                resilience=resilience,
+            ),
+        )
+        started = time.perf_counter()
+        report = analyzer.analyze(
+            easy_extraction, "runaway", log=easy_2k_bundle.log
+        )
+        elapsed = time.perf_counter() - started
+        (diagnosis,) = report.diagnoses
+        assert diagnosis.degraded
+        assert diagnosis.fallback_source == "drishti"
+        assert "tool budget" in diagnosis.degraded_reason
+        assert report.health.attempts == 2
+        assert elapsed < resilience.query_deadline
 
 
 class TestCircuitBreaker:

@@ -154,6 +154,91 @@ class TestSharedFileCode:
         assert not metrics["dxt_available"]
 
 
+#: A path that a comma-splitting parser would cut into three cells.
+_AWKWARD_PATH = '/scratch/run,1/"out".h5'
+
+
+@pytest.fixture()
+def hand_built_dxt(tmp_path):
+    """A DXT.csv whose columns are out of extractor order.
+
+    One file, shared by ranks 0 and 1; rank 0 writes two consecutive
+    blocks then reads back inside them, rank 1 writes one block inside
+    rank 0's first stripe (256 bytes) while rank 0 writes, then one
+    strided block.  The MPI-IO row must be ignored.
+    """
+    quoted = '"' + _AWKWARD_PATH.replace('"', '""') + '"'
+    (tmp_path / "POSIX.csv").write_text(
+        f"file_id,rank,file\r\n7,0,{quoted}\r\n7,1,{quoted}\r\n"
+    )
+    rows = [
+        ("X_POSIX", 0, "write", 0, 100, 0.0, 1.0),
+        ("X_POSIX", 0, "write", 100, 100, 1.0, 2.0),
+        ("X_POSIX", 0, "read", 50, 10, 2.0, 2.5),
+        ("X_POSIX", 1, "write", 200, 100, 0.5, 1.5),
+        ("X_POSIX", 1, "write", 600, 100, 1.5, 2.5),
+        ("X_MPIIO", 0, "write", 0, 1000, 0.0, 3.0),
+    ]
+    lines = ["file,end,length,rank,segment,file_id,start,offset,operation,module"]
+    for index, (module, rank, op, offset, length, start, end) in enumerate(rows):
+        lines.append(
+            f"{quoted},{end:.9f},{length},{rank},{index},7,{start:.9f},"
+            f"{offset},{op},{module}"
+        )
+    (tmp_path / "DXT.csv").write_text("\r\n".join(lines) + "\r\n")
+    return tmp_path
+
+
+class TestHandBuiltDxt:
+    """The two DXT snippets find columns by header name, not position."""
+
+    def test_random_access_snippet(self, hand_built_dxt):
+        code = codegen.random_access_code(
+            hand_built_dxt / "POSIX.csv", hand_built_dxt / "DXT.csv"
+        )
+        stdout = CodeInterpreter(hand_built_dxt).run_or_raise(code)
+        assert json.loads(stdout) == {
+            "source": "dxt",
+            "classified_ops": 3,
+            "consecutive_fraction": 0.333333,
+            "strided_fraction": 0.333333,
+            "random_fraction": 0.333333,
+            "random_ops": 1,
+            "repeat_ops": 0,
+            "repeat_fraction": 0.0,
+            "random_reads": 1,
+            "random_writes": 0,
+            "total_reads": 1,
+            "total_writes": 4,
+            "random_read_fraction": 1.0,
+            "random_write_fraction": 0.0,
+            "random_bytes": 10,
+            "total_bytes": 410,
+            "random_bytes_fraction": 0.02439,
+            "ranks_with_random": 1,
+            "max_random_per_rank": 1,
+            "mean_random_per_rank": 1.0,
+        }
+
+    def test_shared_file_snippet(self, hand_built_dxt):
+        code = codegen.shared_file_code(
+            hand_built_dxt / "POSIX.csv", None, hand_built_dxt / "DXT.csv", 256
+        )
+        stdout = CodeInterpreter(hand_built_dxt).run_or_raise(code)
+        assert json.loads(stdout) == {
+            "shared_files": 1,
+            "shared_file_names": [_AWKWARD_PATH],
+            "max_ranks_per_file": 2,
+            "dxt_available": True,
+            "shared_ops": 5,
+            "contended_stripes": 1,
+            "contended_ops": 4,
+            "contended_fraction": 0.8,
+            "max_ranks_per_stripe": 2,
+            "boundary_only": True,
+        }
+
+
 class TestLoadAndRankZeroCode:
     def test_balanced_trace(self, easy_extraction):
         metrics = run_code(

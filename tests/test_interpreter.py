@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import threading
+import time
 
 import pytest
 
+from repro.llm import interpreter as interpreter_module
 from repro.llm.interpreter import CodeInterpreter
+from repro.obs.trace import Tracer
+from repro.sca.policy import SANDBOX_POLICY
 from repro.util.errors import CodeInterpreterError
+
+#: Passes CodeGuard (the bound is not a literal) and would run for hours.
+RUNAWAY = "for i in range(int('9' * 12)):\n    pass"
+
+
+def shrink_budgets(monkeypatch, **budgets) -> None:
+    """Run the sandbox under a policy with smaller per-run budgets."""
+    monkeypatch.setattr(
+        interpreter_module,
+        "SANDBOX_POLICY",
+        dataclasses.replace(SANDBOX_POLICY, **budgets),
+    )
+
+
+def last_line(result) -> str:
+    return result.error.splitlines()[-1]
 
 
 @pytest.fixture()
@@ -220,3 +242,104 @@ class TestConcurrency:
         for tag, stdout in outputs.items():
             lines = set(stdout.strip().splitlines())
             assert lines == {f"tag-{tag}"}
+
+
+class TestWorkerBudgets:
+    """The process layer: budgets preempt a run, and the pool heals."""
+
+    def test_runaway_snippet_is_killed_within_its_wall_budget(
+        self, interpreter, monkeypatch
+    ):
+        shrink_budgets(monkeypatch, run_wall_seconds=0.5)
+        assert interpreter.run("print('warm')").ok  # workers booted
+        started = time.perf_counter()
+        result = interpreter.run(RUNAWAY)
+        elapsed = time.perf_counter() - started
+        assert last_line(result) == (
+            "TimeoutError: analysis run exceeded its 0.5 s budget"
+        )
+        assert result.error.startswith("Traceback (most recent call last):")
+        assert result.stdout == ""
+        assert elapsed < 0.5 + 2.0
+
+    def test_cpu_budget_ends_a_runaway_snippet(self, interpreter, monkeypatch):
+        shrink_budgets(monkeypatch, run_cpu_seconds=1, run_wall_seconds=30.0)
+        result = interpreter.run(RUNAWAY)
+        assert last_line(result) == (
+            "TimeoutError: analysis run exceeded its 1 s CPU budget"
+        )
+
+    def test_huge_allocation_is_a_memory_error(self, interpreter):
+        result = interpreter.run("x = 'x' * (1 << 40)")
+        assert last_line(result) == "MemoryError"
+        assert '"<analysis>", line 1' in result.error
+
+    def test_memory_budget_comes_from_the_policy(self, interpreter, monkeypatch):
+        # 300 MiB is far below any host's memory, so only RLIMIT_AS at
+        # the policy's 256 MiB can refuse it.
+        shrink_budgets(monkeypatch, run_memory_bytes=256 << 20)
+        assert last_line(interpreter.run("x = 'x' * (300 << 20)")) == "MemoryError"
+        assert interpreter.run("x = 'x' * (16 << 20)\nprint(len(x))").stdout == (
+            f"{16 << 20}\n"
+        )
+
+    def test_next_run_succeeds_on_a_respawned_worker(
+        self, interpreter, monkeypatch
+    ):
+        shrink_budgets(monkeypatch, run_wall_seconds=0.3)
+        # One kill more than there are workers: every worker the pool
+        # held has been killed and replaced at least once.
+        for _ in range(len(os.sched_getaffinity(0)) + 1):
+            assert last_line(interpreter.run(RUNAWAY)).startswith("TimeoutError")
+        result = interpreter.run("print('respawned')")
+        assert result.ok, result.error
+        assert result.stdout == "respawned\n"
+
+    def test_exec_span_reports_the_worker(self, tmp_path, monkeypatch):
+        shrink_budgets(monkeypatch, run_wall_seconds=0.5)
+        tracer = Tracer()
+        interpreter = CodeInterpreter(tmp_path, tracer=tracer)
+        interpreter.run("total = sum(range(100000))")
+        interpreter.run(RUNAWAY)
+        interpreter.run("import os")  # refused by the guard: never dispatched
+        spans = [s for s in tracer.spans() if s.name == "sandbox.exec"]
+        assert len(spans) == 2
+        finished, killed = (span.attributes for span in spans)
+        assert finished["killed"] is False and killed["killed"] is True
+        assert finished["worker_cpu_s"] > 0
+        assert finished["worker_max_rss_mb"] > 1
+        assert finished["queue_wait_s"] >= 0 and killed["queue_wait_s"] >= 0
+
+    def test_kills_amid_concurrent_runs_keep_outputs_apart(
+        self, tmp_path, monkeypatch
+    ):
+        # More threads than cores share the pool while some of their
+        # runs are killed: every other run still gets its own output,
+        # and the pool ends at full strength.
+        shrink_budgets(monkeypatch, run_wall_seconds=0.3)
+        interpreter = CodeInterpreter(tmp_path)
+        results: dict[int, list] = {}
+
+        def work(tag: int) -> None:
+            code = f"for _ in range(50):\n    print('tag-{tag}')"
+            results[tag] = [
+                interpreter.run(RUNAWAY if tag % 3 == 0 else code)
+                for _ in range(3)
+            ]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for tag, runs in results.items():
+            for result in runs:
+                if tag % 3 == 0:
+                    assert last_line(result).startswith("TimeoutError")
+                else:
+                    assert set(result.stdout.split()) == {f"tag-{tag}"}
+        assert len(results) == 6
+        assert len(interpreter_module._POOL._workers) == len(
+            os.sched_getaffinity(0)
+        )

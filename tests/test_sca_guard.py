@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm.expert.codegen import strip_imports
-from repro.llm.interpreter import ALLOWED_MODULES, _BLOCKED_BUILTINS, CodeInterpreter
+from repro.llm.interpreter import (
+    ALLOWED_MODULES,
+    _BLOCKED_BUILTINS,
+    CodeInterpreter,
+    _namespace,
+)
 from repro.sca import CodeGuard, GuardPolicy, SANDBOX_POLICY
 from repro.sca.guard import (
     RULE_BUILTIN,
@@ -160,7 +165,8 @@ class TestPolicyDrift:
     def test_runtime_namespace_strips_every_policy_builtin(self, tmp_path):
         import io
 
-        namespace = CodeInterpreter(tmp_path)._namespace(io.StringIO())
+        # The namespace a sandbox worker builds for each run.
+        namespace = _namespace(str(tmp_path), tmp_path.resolve(), io.StringIO())
         safe_builtins = namespace["__builtins__"]
         for name in SANDBOX_POLICY.blocked_builtins:
             if name == "__import__":
