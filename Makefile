@@ -3,7 +3,8 @@
 #   make test        default suite (stress tests marked `slow` excluded)
 #   make test-slow   only the heavyweight stress tests
 #   make test-all    everything
-#   make golden      regenerate the golden report snapshots
+#   make golden      regenerate the golden report snapshots and the
+#                    simulated-log digests
 
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
@@ -20,4 +21,5 @@ test-all:
 	$(PYTEST) -q -m ""
 
 golden:
-	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py
+	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \
+		tests/test_log_digests.py

@@ -1,8 +1,10 @@
 """PERF2 — I/O simulator throughput.
 
 Measures simulated operations per second for the three layer types the
-workloads exercise.  These are sanity benchmarks for the substrate: a
-regression here makes paper-scale regeneration impractical.
+workloads exercise, and for the same POSIX stream submitted as one
+data-path run, so the per-op and the run-level costs both stay
+visible.  These are sanity benchmarks for the substrate: a regression
+here makes paper-scale regeneration impractical.
 """
 
 from __future__ import annotations
@@ -24,6 +26,25 @@ def run_posix_stream():
             job.posix(rank).pwrite(
                 fds[rank], 4 * KIB, (step * 4 + rank) * 4 * KIB
             )
+    for rank in range(4):
+        job.posix(rank).close(fds[rank])
+    return job.finalize()
+
+
+def run_posix_run():
+    """The stream of :func:`run_posix_stream` as one data-path run."""
+    job = SimulatedJob(nprocs=4)
+    fds = {}
+    for rank in range(4):
+        fds[rank] = job.posix(rank).open("/lustre/bench")
+    job.posix_run(
+        "write",
+        (
+            (rank, fds[rank], (step * 4 + rank) * 4 * KIB, 4 * KIB)
+            for step in range(OPS // 4)
+            for rank in range(4)
+        ),
+    )
     for rank in range(4):
         job.posix(rank).close(fds[rank])
     return job.finalize()
@@ -59,6 +80,12 @@ def run_metadata_churn():
 def test_posix_ops_per_second(benchmark):
     log = benchmark(run_posix_stream)
     assert len(log.dxt_segments) == OPS
+
+
+def test_posix_run_ops_per_second(benchmark):
+    log = benchmark(run_posix_run)
+    assert len(log.dxt_segments) == OPS
+    assert log.dxt == run_posix_stream().dxt
 
 
 def test_collective_rounds_per_second(benchmark):

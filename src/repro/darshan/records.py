@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.darshan.counters import counters_for, fcounters_for
@@ -123,13 +124,17 @@ _MODULE_CODES = {name: code for code, name in enumerate(DXT_MODULES)}
 _OP_CODES = {name: code for code, name in enumerate(DXT_OPS)}
 
 
-def _check_segment(
-    module: str, operation: str, offset: int, length: int, start: float, end: float
-) -> None:
+def _check_names(module: str, operation: str) -> None:
     if operation not in _OP_CODES:
         raise ValueError(f"bad DXT operation {operation!r}")
     if module not in _MODULE_CODES:
         raise ValueError(f"bad DXT module {module!r}")
+
+
+def _check_segment(
+    module: str, operation: str, offset: int, length: int, start: float, end: float
+) -> None:
+    _check_names(module, operation)
     if length < 0 or offset < 0:
         raise ValueError("DXT offset/length must be non-negative")
     if end < start:
@@ -183,12 +188,9 @@ class DxtTable:
     ) -> None:
         """Append one segment, with the checks :class:`DxtSegment` makes."""
         _check_segment(module, operation, offset, length, start, end)
-        host = self._host_codes.get(hostname)
-        if host is None:
-            host = self._host_codes[hostname] = len(self.hostnames)
-            self.hostnames.append(hostname)
-        self.module.append(_MODULE_CODES[module])
-        self.op.append(_OP_CODES[operation])
+        module_code, op_code, host = self.row_codes(module, operation, hostname)
+        self.module.append(module_code)
+        self.op.append(op_code)
         self.rank.append(rank)
         self.record_id.append(record_id)
         self.offset.append(offset)
@@ -196,6 +198,33 @@ class DxtTable:
         self.start.append(start)
         self.end.append(end)
         self.host.append(host)
+
+    def row_codes(
+        self, module: str, operation: str, hostname: str = "node0"
+    ) -> tuple[int, int, int]:
+        """The (module, op, host) codes of a row; interns ``hostname``.
+
+        Raises :class:`ValueError` for a module or operation name that
+        a :class:`DxtSegment` would reject.
+        """
+        _check_names(module, operation)
+        host = self._host_codes.get(hostname)
+        if host is None:
+            host = self._host_codes[hostname] = len(self.hostnames)
+            self.hostnames.append(hostname)
+        return _MODULE_CODES[module], _OP_CODES[operation], host
+
+    def pad(self, module: str, operation: str, hostname: str = "node0") -> None:
+        """Fill the module, op and host columns up to the row count.
+
+        A writer of a run of rows that share these three values appends
+        the other six columns row by row, then calls this once.
+        """
+        missing = len(self.rank) - len(self.module)
+        if missing > 0:
+            codes = self.row_codes(module, operation, hostname)
+            for column, code in zip((self.module, self.op, self.host), codes):
+                column.extend(repeat(code, missing))
 
     def check(self, known_ids: Iterable[int]) -> None:
         """Check every row as :meth:`append` and ``DarshanLog.add_dxt`` do.

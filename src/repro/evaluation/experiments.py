@@ -69,12 +69,12 @@ def run_figure2(
     bundles: list[TraceBundle] | None = None,
 ) -> list[Figure2Row]:
     """ION over the six controlled IO500 traces."""
-    navigator = IoNavigator(config=config)
     rows = []
     bundles = bundles or [generate_bundle(name) for name in names]
-    for bundle in bundles:
-        result = navigator.diagnose(bundle.log, bundle.name)
-        rows.append(Figure2Row(bundle=bundle, report=result.report))
+    with IoNavigator(config=config) as navigator:
+        for bundle in bundles:
+            result = navigator.diagnose(bundle.log, bundle.name)
+            rows.append(Figure2Row(bundle=bundle, report=result.report))
     return rows
 
 
@@ -86,20 +86,20 @@ def run_figure3(
     bundles: list[TraceBundle] | None = None,
 ) -> list[Figure3Row]:
     """ION and Drishti head to head over the real-application replays."""
-    navigator = IoNavigator()
     drishti = DrishtiAnalyzer()
     rows = []
     bundles = bundles or [generate_bundle(name) for name in names]
-    for bundle in bundles:
-        ion_result = navigator.diagnose(bundle.log, bundle.name)
-        drishti_report = drishti.analyze(bundle.log, bundle.name)
-        rows.append(
-            Figure3Row(
-                bundle=bundle,
-                ion_report=ion_result.report,
-                drishti_report=drishti_report,
+    with IoNavigator() as navigator:
+        for bundle in bundles:
+            ion_result = navigator.diagnose(bundle.log, bundle.name)
+            drishti_report = drishti.analyze(bundle.log, bundle.name)
+            rows.append(
+                Figure3Row(
+                    bundle=bundle,
+                    ion_report=ion_result.report,
+                    drishti_report=drishti_report,
+                )
             )
-        )
     return rows
 
 

@@ -1,13 +1,18 @@
 """The simulated MPI job: rank clocks, barriers, and layer factories.
 
 A :class:`SimulatedJob` owns one Lustre filesystem, one Darshan
-runtime, and a wall clock per rank.  Workloads obtain per-rank POSIX or
-STDIO layers (or the communicator-wide MPI-IO layer) from it, drive
-them in SPMD style, and call :meth:`finalize` to obtain the trace.
+runtime, and a wall clock per rank.  Workloads obtain
+per-rank POSIX or STDIO layers (or the communicator-wide MPI-IO layer)
+from it, drive them in SPMD style — or submit a whole phase of POSIX
+reads or writes across ranks with :meth:`posix_run` — and call
+:meth:`finalize` to obtain the trace.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from repro.iosim.datapath import execute_run
 from repro.iosim.runtime import DarshanRuntime
 from repro.lustre.filesystem import LustreConfig, LustreFilesystem
 from repro.util.errors import SimulationError
@@ -42,6 +47,7 @@ class SimulatedJob:
         # Layers are created lazily and cached so MPI-IO can reuse the
         # same POSIX layer (and its fd table) as direct POSIX callers.
         self._posix_layers: dict[int, object] = {}
+        self._fd_tables: dict[int, dict] = {}  # rank -> its POSIX fd table
         self._stdio_layers: dict[int, object] = {}
 
     # -- clock management ----------------------------------------------
@@ -77,19 +83,39 @@ class SimulatedJob:
 
     def posix(self, rank: int):
         """Per-rank POSIX layer (cached)."""
-        from repro.iosim.posix import PosixLayer
+        layer = self._posix_layers.get(rank)
+        if layer is None:
+            from repro.iosim.posix import PosixLayer
 
-        if rank not in self._posix_layers:
-            self._posix_layers[rank] = PosixLayer(self, rank)
-        return self._posix_layers[rank]
+            layer = self._posix_layers[rank] = PosixLayer(self, rank)
+            self._fd_tables[rank] = layer.files
+        return layer
 
     def stdio(self, rank: int):
         """Per-rank STDIO layer (cached)."""
-        from repro.iosim.stdio import StdioLayer
+        layer = self._stdio_layers.get(rank)
+        if layer is None:
+            from repro.iosim.stdio import StdioLayer
 
-        if rank not in self._stdio_layers:
-            self._stdio_layers[rank] = StdioLayer(self, rank)
-        return self._stdio_layers[rank]
+            layer = self._stdio_layers[rank] = StdioLayer(self, rank)
+        return layer
+
+    def posix_run(
+        self,
+        operation: str,
+        ops: Iterable[tuple[int, int, int, int]],
+        mem_aligned: bool = True,
+    ) -> None:
+        """Positioned POSIX reads or writes ``(rank, fd, offset, length)``.
+
+        The ops execute in the order given, exactly as the same calls to
+        ``posix(rank).pread``/``pwrite`` would, but in one data-path run.
+        Each fd must be open in ``posix(rank)``.
+        """
+        execute_run(
+            self.fs, self.runtime, operation, ops, self._fd_tables, self.clocks,
+            mem_aligned=mem_aligned,
+        )
 
     def mpiio(self, **kwargs):
         """Communicator-wide MPI-IO layer (a new one per call)."""

@@ -20,8 +20,10 @@ the filesystem as a few large aligned writes issued by a rank subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 from repro.iosim.job import SimulatedJob
+from repro.lustre.filesystem import Inode
 from repro.util.errors import SimulationError
 from repro.util.units import GIB
 
@@ -37,7 +39,7 @@ class Contribution:
 
 @dataclass
 class _Handle:
-    path: str
+    inode: Inode
     ranks: tuple[int, ...]
     fds: dict[int, int]  # rank -> posix fd
 
@@ -92,7 +94,7 @@ class MpiIoLayer:
             self.job.barrier(list(members))
         handle = self._next_handle
         self._next_handle += 1
-        self._handles[handle] = _Handle(path=path, ranks=members, fds=fds)
+        self._handles[handle] = _Handle(inode=inode, ranks=members, fds=fds)
         return handle
 
     def close(self, handle: int) -> None:
@@ -153,10 +155,10 @@ class MpiIoLayer:
             posix.pwrite(h.fds[rank], length, offset, mem_aligned=mem_aligned)
         else:
             posix.pread(h.fds[rank], length, offset, mem_aligned=mem_aligned)
-        inode = posix.inode(h.fds[rank])
         flavor = "nb" if nonblocking else "indep"
         self.job.runtime.mpiio_io(
-            inode, rank, flavor, operation, offset, length, start, self.job.now(rank)
+            h.inode, rank, flavor, operation, offset, length,
+            start, self.job.now(rank),
         )
 
     # -- collective operations --------------------------------------------
@@ -195,7 +197,6 @@ class MpiIoLayer:
             )
         members = list(h.ranks)
         entry = self.job.barrier(members)
-        starts = {rank: entry for rank in members}
 
         aggregators = self._aggregators(h)
         chunks = self._plan_chunks(h, contributions)
@@ -205,29 +206,24 @@ class MpiIoLayer:
             self.job.advance(
                 contribution.rank, self.job.now(contribution.rank) + cost
             )
-        # Phase 2: aggregators issue the filesystem transfers.
-        for index, (offset, length) in enumerate(chunks):
-            rank = aggregators[index % len(aggregators)]
-            posix = self.job.posix(rank)
-            if operation == "write":
-                posix.pwrite(h.fds[rank], length, offset)
-            else:
-                posix.pread(h.fds[rank], length, offset)
+        # Phase 2: aggregators issue the filesystem transfers, as one run.
+        self.job.posix_run(
+            operation,
+            (
+                (rank, h.fds[rank], offset, length)
+                for rank, (offset, length) in zip(cycle(aggregators), chunks)
+            ),
+        )
         exit_time = self.job.barrier(members)
         # Record the logical collective op on every participating rank.
-        for rank in members:
-            posix = self.job.posix(rank)
-            inode = posix.inode(h.fds[rank])
-            offset, length = by_rank.get(rank, (0, 0))
-            self.job.runtime.mpiio_io(
-                inode, rank, "coll", operation, offset, length,
-                starts[rank], exit_time,
-            )
+        self.job.runtime.mpiio_fold(
+            h.inode, "coll", operation,
+            [(rank, *by_rank.get(rank, (0, 0))) for rank in members],
+            entry, exit_time,
+        )
 
     def _aggregators(self, h: _Handle) -> list[int]:
-        posix = self.job.posix(h.ranks[0])
-        inode = posix.inode(h.fds[h.ranks[0]])
-        default = min(len(h.ranks), inode.layout.stripe_count)
+        default = min(len(h.ranks), h.inode.layout.stripe_count)
         count = self._cb_nodes or default
         count = max(1, min(count, len(h.ranks)))
         return list(h.ranks[:count])
@@ -238,11 +234,7 @@ class MpiIoLayer:
         """Coalesce contributions, then split on collective-buffer bounds."""
         if not contributions:
             return []
-        posix = self.job.posix(h.ranks[0])
-        inode = posix.inode(h.fds[h.ranks[0]])
-        cb_size = self._cb_buffer_size or max(
-            inode.layout.stripe_size, 1
-        )
+        cb_size = self._cb_buffer_size or max(h.inode.layout.stripe_size, 1)
         extents = sorted(
             (c.offset, c.length) for c in contributions if c.length > 0
         )

@@ -4,22 +4,17 @@ Mirrors the syscall surface Darshan's POSIX module wraps: ``open``,
 ``read``/``write`` (cursor-based), ``pread``/``pwrite`` (positioned),
 ``lseek``, ``stat``, ``fsync``, ``close``.  Every call advances the
 rank's clock by the cost the filesystem charges and reports the event
-to the Darshan runtime.
+to the Darshan runtime.  A read or write is a run of one over the job's
+data path (:mod:`repro.iosim.datapath`); a workload that issues a whole
+phase submits it with :meth:`SimulatedJob.posix_run` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.iosim.datapath import OpenFile, execute_run
 from repro.iosim.job import SimulatedJob
 from repro.lustre.filesystem import Inode
 from repro.util.errors import FilesystemError
-
-
-@dataclass
-class _OpenFile:
-    inode: Inode
-    position: int = 0
 
 
 class PosixLayer:
@@ -30,7 +25,8 @@ class PosixLayer:
             raise FilesystemError(f"rank {rank} out of range (nprocs={job.nprocs})")
         self.job = job
         self.rank = rank
-        self._files: dict[int, _OpenFile] = {}
+        #: fd -> open file; the data path resolves fds here.
+        self.files: dict[int, OpenFile] = {}
         self._next_fd = 3  # 0..2 are stdio, as on a real system
 
     # -- lifecycle ------------------------------------------------------
@@ -55,7 +51,7 @@ class PosixLayer:
         self.job.runtime.posix_open(inode, self.rank, start, completion)
         fd = self._next_fd
         self._next_fd += 1
-        self._files[fd] = _OpenFile(inode=inode)
+        self.files[fd] = OpenFile(inode=inode)
         return fd
 
     def close(self, fd: int) -> None:
@@ -65,7 +61,7 @@ class PosixLayer:
         completion = self.job.fs.close(open_file.inode, start)
         self.job.advance(self.rank, completion)
         self.job.runtime.posix_close(open_file.inode, self.rank, start, completion)
-        del self._files[fd]
+        del self.files[fd]
 
     # -- data -----------------------------------------------------------
 
@@ -132,9 +128,9 @@ class PosixLayer:
 
     # -- internals --------------------------------------------------------
 
-    def _lookup(self, fd: int) -> _OpenFile:
+    def _lookup(self, fd: int) -> OpenFile:
         try:
-            return self._files[fd]
+            return self.files[fd]
         except KeyError:
             raise FilesystemError(f"bad file descriptor {fd} on rank {self.rank}") from None
 
@@ -147,31 +143,14 @@ class PosixLayer:
         mem_aligned: bool,
         advance_cursor: bool,
     ) -> int:
-        if length < 0:
-            raise FilesystemError(f"{operation} length must be non-negative")
-        open_file = self._lookup(fd)
-        start = self.job.now(self.rank)
-        result = self.job.fs.io(
-            open_file.inode,
-            self.rank,
+        execute_run(
+            self.job.fs,
+            self.job.runtime,
             operation,
-            offset,
-            length,
-            start,
+            ((self.rank, fd, offset, length),),
+            {self.rank: self.files},
+            self.job.clocks,
             mem_aligned=mem_aligned,
+            cursor=advance_cursor,
         )
-        self.job.advance(self.rank, result.completion)
-        self.job.runtime.posix_io(
-            open_file.inode,
-            self.rank,
-            operation,
-            offset,
-            length,
-            start,
-            result.completion,
-            file_aligned=result.file_aligned,
-            mem_aligned=result.mem_aligned,
-        )
-        if advance_cursor:
-            open_file.position = offset + length
         return length

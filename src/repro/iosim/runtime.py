@@ -10,6 +10,7 @@ way the real Darshan runtime wraps libc/MPI calls.  At job end,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.darshan.counters import LUSTRE_MAX_OSTS
 from repro.darshan.log import DarshanLog
@@ -34,22 +35,29 @@ class _IoPhase:
     bins: list[int] = field(default_factory=lambda: [0] * len(SIZE_BIN_LABELS))
 
     def add(self, offset: int, length: int, start: float, end: float) -> None:
+        """Fold one operation in (the data path calls this per op)."""
         if self.ops == 0:
             self.start_ts = start
-        self.end_ts = max(self.end_ts, end)
+        if end > self.end_ts:
+            self.end_ts = end
         self.ops += 1
         self.bytes_moved += length
-        if length:
-            self.max_byte = max(self.max_byte, offset + length - 1)
+        if length and offset + length - 1 > self.max_byte:
+            self.max_byte = offset + length - 1
         duration = end - start
         self.total_time += duration
-        self.max_time = max(self.max_time, duration)
+        if duration > self.max_time:
+            self.max_time = duration
         self.bins[size_bin_index(length)] += 1
 
 
 @dataclass
 class _PosixAccumulator:
-    """Counters for one (POSIX, file, rank) record in flight."""
+    """Counters for one (POSIX, file, rank) record in flight.
+
+    The data path (:mod:`repro.iosim.datapath`) folds reads and writes
+    in: Darshan's sequencing, alignment and access-size counters.
+    """
 
     opens: int = 0
     seeks: int = 0
@@ -69,38 +77,6 @@ class _PosixAccumulator:
     next_offset: int = -1  # offset right after the previous access
     last_offset: int = -1  # start offset of the previous access
     accesses: CommonValueTracker = field(default_factory=CommonValueTracker)
-
-    def record_io(
-        self,
-        operation: str,
-        offset: int,
-        length: int,
-        start: float,
-        end: float,
-        file_aligned: bool,
-        mem_aligned: bool,
-    ) -> None:
-        phase = self.read if operation == "read" else self.write
-        # Darshan sequencing: "sequential" means at an offset no lower
-        # than the previous access; "consecutive" means immediately
-        # following it.  Both are per file per rank, across reads and
-        # writes of the same record.
-        if self.next_offset >= 0:
-            if offset == self.next_offset:
-                phase.consec += 1
-            if offset >= self.last_offset:
-                phase.seq += 1
-        if self.last_op and self.last_op != operation:
-            self.rw_switches += 1
-        self.last_op = operation
-        self.last_offset = offset
-        self.next_offset = offset + length
-        if not file_aligned:
-            self.file_not_aligned += 1
-        if not mem_aligned:
-            self.mem_not_aligned += 1
-        self.accesses.add(length)
-        phase.add(offset, length, start, end)
 
 
 @dataclass
@@ -176,14 +152,15 @@ class DarshanRuntime:
         self._job_id = job_id
         self._uid = uid
         self._executable = executable
-        self._enable_dxt = enable_dxt
+        self.enable_dxt = enable_dxt
         self._metadata = dict(metadata or {})
         self._posix: dict[tuple[int, int], _PosixAccumulator] = {}
         self._mpiio: dict[tuple[int, int], _MpiioAccumulator] = {}
         self._stdio: dict[tuple[int, int], _StdioAccumulator] = {}
         self._names: dict[int, str] = {}
         self._lustre_files: dict[int, Inode] = {}
-        self._dxt = DxtTable()
+        #: DXT rows, appended per op when ``enable_dxt``.
+        self.dxt = DxtTable()
 
     # -- registration hooks called by the I/O layers -------------------
 
@@ -191,20 +168,26 @@ class DarshanRuntime:
         self._names[inode.file_id] = inode.path
         self._lustre_files[inode.file_id] = inode
 
-    def _posix_acc(self, inode: Inode, rank: int) -> _PosixAccumulator:
+    def _record(self, records: dict, factory, inode: Inode, rank: int):
         self._register(inode)
-        return self._posix.setdefault((inode.file_id, rank), _PosixAccumulator())
+        key = (inode.file_id, rank)
+        acc = records.get(key)
+        if acc is None:
+            acc = records[key] = factory()
+        return acc
+
+    def posix_record(self, inode: Inode, rank: int) -> _PosixAccumulator:
+        """The (POSIX, file, rank) record in flight, created on first use."""
+        return self._record(self._posix, _PosixAccumulator, inode, rank)
 
     def _mpiio_acc(self, inode: Inode, rank: int) -> _MpiioAccumulator:
-        self._register(inode)
-        return self._mpiio.setdefault((inode.file_id, rank), _MpiioAccumulator())
+        return self._record(self._mpiio, _MpiioAccumulator, inode, rank)
 
     def _stdio_acc(self, inode: Inode, rank: int) -> _StdioAccumulator:
-        self._register(inode)
-        return self._stdio.setdefault((inode.file_id, rank), _StdioAccumulator())
+        return self._record(self._stdio, _StdioAccumulator, inode, rank)
 
     def posix_open(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self._posix_acc(inode, rank)
+        acc = self.posix_record(inode, rank)
         if acc.opens == 0:
             acc.open_start_ts = start
         acc.opens += 1
@@ -212,7 +195,7 @@ class DarshanRuntime:
         acc.meta_time += end - start
 
     def posix_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self._posix_acc(inode, rank)
+        acc = self.posix_record(inode, rank)
         if acc.close_start_ts == 0.0:
             acc.close_start_ts = start
         acc.close_end_ts = max(acc.close_end_ts, end)
@@ -221,7 +204,7 @@ class DarshanRuntime:
     def posix_meta(
         self, inode: Inode, rank: int, kind: str, start: float, end: float
     ) -> None:
-        acc = self._posix_acc(inode, rank)
+        acc = self.posix_record(inode, rank)
         if kind == "seek":
             acc.seeks += 1
         elif kind == "stat":
@@ -231,25 +214,6 @@ class DarshanRuntime:
         else:
             raise ValueError(f"unknown POSIX meta kind {kind!r}")
         acc.meta_time += end - start
-
-    def posix_io(
-        self,
-        inode: Inode,
-        rank: int,
-        operation: str,
-        offset: int,
-        length: int,
-        start: float,
-        end: float,
-        file_aligned: bool,
-        mem_aligned: bool,
-    ) -> None:
-        acc = self._posix_acc(inode, rank)
-        acc.record_io(operation, offset, length, start, end, file_aligned, mem_aligned)
-        if self._enable_dxt:
-            self._dxt.append(
-                "X_POSIX", inode.file_id, rank, operation, offset, length, start, end
-            )
 
     def mpiio_open(
         self, inode: Inode, rank: int, collective: bool, start: float, end: float
@@ -287,12 +251,32 @@ class DarshanRuntime:
         start: float,
         end: float,
     ) -> None:
-        acc = self._mpiio_acc(inode, rank)
-        acc.record_io(flavor, operation, offset, length, start, end)
-        if self._enable_dxt:
-            self._dxt.append(
-                "X_MPIIO", inode.file_id, rank, operation, offset, length, start, end
-            )
+        self.mpiio_fold(
+            inode, flavor, operation, ((rank, offset, length),), start, end
+        )
+
+    def mpiio_fold(
+        self,
+        inode: Inode,
+        flavor: str,
+        operation: str,
+        extents: Iterable[tuple[int, int, int]],
+        start: float,
+        end: float,
+    ) -> None:
+        """Record one MPI-IO op spanning ``start``..``end`` on many ranks.
+
+        ``extents`` holds ``(rank, offset, length)`` per participating
+        rank, in record order.
+        """
+        for rank, offset, length in extents:
+            acc = self._mpiio_acc(inode, rank)
+            acc.record_io(flavor, operation, offset, length, start, end)
+            if self.enable_dxt:
+                self.dxt.append(
+                    "X_MPIIO", inode.file_id, rank, operation, offset, length,
+                    start, end,
+                )
 
     def stdio_open(self, inode: Inode, rank: int, start: float, end: float) -> None:
         acc = self._stdio_acc(inode, rank)
@@ -356,7 +340,7 @@ class DarshanRuntime:
             log.add_record(self._finalize_stdio(file_id, rank, acc))
         for file_id, inode in sorted(self._lustre_files.items()):
             log.add_record(self._finalize_lustre(file_id, inode))
-        log.set_dxt(self._dxt)
+        log.set_dxt(self.dxt)
         return log
 
     def _finalize_posix(

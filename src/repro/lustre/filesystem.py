@@ -1,10 +1,13 @@
 """The simulated Lustre filesystem: namespace, layouts, and op costs.
 
 :class:`LustreFilesystem` owns the MDS, the OST array, the extent lock
-manager, and a namespace of striped files.  The I/O layers in
-:mod:`repro.iosim` call into it with (rank, op, offset, length, arrival
-time) and get back a completion time; all queueing, striping, locking
-and RPC math happens here.
+manager, and a namespace of striped files.  Metadata operations
+(create, open, close, stat, unlink) are priced here.  Reads and writes
+are executed in *runs* by the fused data path,
+:func:`repro.iosim.datapath.execute_run`, which prices stripe chunks,
+takes extent locks and queues the OSTs in one frame per run;
+:meth:`LustreFilesystem.io` is a run of one over it without Darshan
+instrumentation.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class LustreFilesystem:
 
     def __init__(self, config: LustreConfig | None = None) -> None:
         self.config = config or LustreConfig()
-        self.osts = OstArray(self.config.ost_count, self.config.costs)
+        self.osts = OstArray(self.config.ost_count)
         self.mds = MetadataServer(self.config.costs)
         self.locks = ExtentLockManager()
         self._files: dict[str, Inode] = {}
@@ -189,53 +192,27 @@ class LustreFilesystem:
 
         Per-stripe chunks proceed in parallel across OSTs; the op
         completes when the slowest chunk does.  Lock revocations charge
-        the affected OST before the transfer starts.
+        the affected OST before the transfer starts.  This is a run of
+        one over the data path, with no rank clock and no Darshan
+        records.
         """
-        if operation not in ("read", "write"):
-            raise FilesystemError(f"bad operation {operation!r}")
-        if operation == "read" and offset + length > inode.size:
-            raise FilesystemError(
-                f"read past EOF on {inode.path!r}: "
-                f"offset {offset} + length {length} > size {inode.size}"
-            )
-        costs = self.config.costs
-        start = arrival + costs.client_op_overhead
-        if not mem_aligned:
-            start += costs.mem_copy_penalty
-        completion = start
-        rpcs = 0
-        revocations = 0
-        stripes: list[int] = []
-        for chunk in inode.layout.chunks(offset, length):
-            stripes.append(chunk.stripe_index)
-            revoked = self.locks.acquire(
-                inode.file_id, chunk.stripe_index, rank, write=operation == "write"
-            )
-            chunk_arrival = start
-            if revoked:
-                revocations += revoked
-                chunk_arrival = self.osts.charge(
-                    chunk.ost, start, revoked * costs.lock_revocation
-                )
-            chunk_completion = self.osts.transfer(
-                chunk.ost,
-                inode.file_id,
-                chunk.offset,
-                chunk.length,
-                chunk_arrival,
-                self.config.rpc_size,
-            )
-            rpcs += max(1, -(-chunk.length // self.config.rpc_size))
-            completion = max(completion, chunk_completion)
-        if length == 0:
-            rpcs = 0
-        if operation == "write":
-            inode.size = max(inode.size, offset + length)
+        from repro.iosim.datapath import OpenFile, execute_run
+
+        clocks = {rank: arrival}
+        totals = execute_run(
+            self,
+            None,
+            operation,
+            ((rank, 0, offset, length),),
+            {rank: {0: OpenFile(inode)}},
+            clocks,
+            mem_aligned=mem_aligned,
+        )
         return IoResult(
-            completion=completion,
-            rpcs=rpcs,
-            stripes=tuple(stripes),
-            revocations=revocations,
-            file_aligned=offset % self.config.file_alignment == 0,
+            completion=clocks[rank],
+            rpcs=totals.rpcs,
+            stripes=tuple(inode.layout.stripes_touched(offset, length)),
+            revocations=totals.revocations,
+            file_aligned=not totals.misaligned,
             mem_aligned=mem_aligned,
         )

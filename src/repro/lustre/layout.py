@@ -4,24 +4,14 @@ A Lustre file is striped round-robin over ``stripe_count`` OSTs in
 units of ``stripe_size`` bytes, starting at OST index
 ``stripe_offset`` within the file's OST list.  Everything downstream —
 RPC accounting, lock conflicts, the LUSTRE Darshan module — is a pure
-function of this mapping, so it lives in one small, heavily-tested
-class.
+function of this mapping.  The data path (:mod:`repro.iosim.datapath`)
+splits each access into per-stripe chunks with the same arithmetic as
+:meth:`StripeLayout.stripe_index` and :meth:`StripeLayout.ost_for`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-
-@dataclass(frozen=True)
-class StripeChunk:
-    """A maximal sub-extent of an access that lies in one stripe."""
-
-    ost: int
-    stripe_index: int
-    offset: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -53,28 +43,6 @@ class StripeLayout:
     def ost_for(self, offset: int) -> int:
         """OST id storing byte ``offset``."""
         return self.ost_ids[self.stripe_index(offset) % self.stripe_count]
-
-    def chunks(self, offset: int, length: int) -> Iterator[StripeChunk]:
-        """Split an access into per-stripe chunks, in file order.
-
-        The chunks exactly tile ``[offset, offset + length)``; every
-        chunk lies entirely within one stripe on one OST.
-        """
-        if offset < 0 or length < 0:
-            raise ValueError("offset and length must be non-negative")
-        position = offset
-        end = offset + length
-        while position < end:
-            index = self.stripe_index(position)
-            stripe_end = (index + 1) * self.stripe_size
-            chunk_len = min(end, stripe_end) - position
-            yield StripeChunk(
-                ost=self.ost_ids[index % self.stripe_count],
-                stripe_index=index,
-                offset=position,
-                length=chunk_len,
-            )
-            position += chunk_len
 
     def stripes_touched(self, offset: int, length: int) -> list[int]:
         """Distinct stripe indices overlapped by an access."""

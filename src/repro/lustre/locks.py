@@ -11,7 +11,8 @@ trace reflect the pathology the way a real system's would.
 The model: one lock per (file, stripe).  A lock is held by a set of
 ranks; reads share, writes are exclusive.  Acquiring a write lock on a
 stripe held by other ranks (or a read lock on a write-held stripe)
-counts one conflict per displaced holder.
+revokes each displaced holder.  The manager owns the tables and the
+counters; the data path (:mod:`repro.iosim.datapath`) takes the locks.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
-class _StripeLock:
+@dataclass(slots=True)
+class StripeLock:
+    """The holders of one stripe's lock: shared readers or one writer."""
+
     readers: set[int] = field(default_factory=set)
     writer: int | None = None
 
@@ -38,39 +41,19 @@ class ExtentLockManager:
     """Per-file stripe lock table with conflict accounting."""
 
     def __init__(self) -> None:
-        self._tables: dict[int, dict[int, _StripeLock]] = {}
+        self._tables: dict[int, dict[int, StripeLock]] = {}
         self.stats = LockStats()
 
-    def _lock(self, file_id: int, stripe: int) -> _StripeLock:
-        table = self._tables.setdefault(file_id, {})
-        return table.setdefault(stripe, _StripeLock())
+    def table(self, file_id: int) -> dict[int, StripeLock]:
+        """The stripe -> lock table of one file, created on first use.
 
-    def acquire(self, file_id: int, stripe: int, rank: int, write: bool) -> int:
-        """Acquire a stripe lock for ``rank``; return revocations needed.
-
-        The returned count is how many other holders had to be displaced
-        — the caller charges a revocation round trip for each.
+        The data path (:mod:`repro.iosim.datapath`) takes and revokes
+        locks in this table and adds its counts to :attr:`stats`.
         """
-        lock = self._lock(file_id, stripe)
-        self.stats.acquisitions += 1
-        revoked = 0
-        if write:
-            if lock.writer is not None and lock.writer != rank:
-                revoked += 1
-                lock.writer = None
-            others = lock.readers - {rank}
-            revoked += len(others)
-            lock.readers.clear()
-            lock.writer = rank
-        else:
-            if lock.writer is not None and lock.writer != rank:
-                revoked += 1
-                lock.writer = None
-            lock.readers.add(rank)
-        if revoked:
-            self.stats.conflicts += 1
-            self.stats.revocations += revoked
-        return revoked
+        table = self._tables.get(file_id)
+        if table is None:
+            table = self._tables[file_id] = {}
+        return table
 
     def release_all(self, file_id: int) -> None:
         """Drop every lock on one file (called at last close)."""

@@ -35,7 +35,10 @@ class ServerCosts:
 
 
 @dataclass
-class _Server:
+class Server:
+    """One FIFO server; ``last_end_offset`` is where each file's last
+    access on it ended (the data path's seek test)."""
+
     available_at: float = 0.0
     busy_time: float = 0.0
     requests: int = 0
@@ -53,48 +56,20 @@ class _Server:
 class OstArray:
     """The object storage targets of one filesystem."""
 
-    def __init__(self, count: int, costs: ServerCosts) -> None:
+    def __init__(self, count: int) -> None:
         if count <= 0:
             raise ValueError(f"need at least one OST, got {count}")
-        self._costs = costs
-        self._osts = [_Server() for _ in range(count)]
+        #: One FIFO per OST.  The data path (:mod:`repro.iosim.datapath`)
+        #: prices each chunk and queues it with :meth:`Server.serve`.
+        self.servers = tuple(Server() for _ in range(count))
 
     @property
     def count(self) -> int:
-        return len(self._osts)
-
-    def transfer(
-        self,
-        ost: int,
-        file_id: int,
-        offset: int,
-        length: int,
-        arrival: float,
-        rpc_size: int,
-    ) -> float:
-        """Move ``length`` bytes to/from one OST; return completion time.
-
-        The extent is carved into RPCs of at most ``rpc_size`` bytes;
-        each RPC pays a round-trip latency plus streaming time, and the
-        first RPC pays a seek penalty if it is not contiguous with the
-        OST's previous access to this file.
-        """
-        server = self._osts[ost]
-        costs = self._costs
-        rpcs = max(1, -(-length // rpc_size)) if length else 1
-        service = rpcs * costs.rpc_latency + length / costs.ost_bandwidth
-        if server.last_end_offset.get(file_id) != offset:
-            service += costs.seek_penalty
-        server.last_end_offset[file_id] = offset + length
-        return server.serve(arrival, service)
-
-    def charge(self, ost: int, arrival: float, service: float) -> float:
-        """Charge a non-transfer cost (e.g. lock revocation) to an OST."""
-        return self._osts[ost].serve(arrival, service)
+        return len(self.servers)
 
     def utilization(self) -> list[float]:
         """Busy time per OST so far (for benchmarks and tests)."""
-        return [server.busy_time for server in self._osts]
+        return [server.busy_time for server in self.servers]
 
 
 class MetadataServer:
@@ -102,7 +77,7 @@ class MetadataServer:
 
     def __init__(self, costs: ServerCosts) -> None:
         self._costs = costs
-        self._server = _Server()
+        self._server = Server()
 
     def metadata_op(self, arrival: float, weight: float = 1.0) -> float:
         """Serve one metadata op; ``weight`` scales heavier ops (create)."""

@@ -32,11 +32,13 @@ rule id             sev    what it catches
 from __future__ import annotations
 
 import ast
+import hashlib
 import threading
+from collections import OrderedDict
 from pathlib import PurePosixPath
 
 from repro.sca.policy import SANDBOX_POLICY, SandboxPolicy
-from repro.sca.violations import GuardSeverity, GuardVerdict
+from repro.sca.violations import GuardSeverity, GuardVerdict, Violation
 from repro.sca.walker import Rule, WalkContext, run_rules
 
 # CPython 3.11's AST-object conversion keeps its recursion counter in
@@ -331,10 +333,23 @@ class RangeRule(Rule):
 
 
 class CodeGuard:
-    """Vets one snippet per call; stateless and thread-safe."""
+    """Vets one snippet per call; thread-safe.
+
+    Findings are memoized in a bounded LRU cache keyed by the SHA-256
+    of the code text: the expert re-sends the same snippets for every
+    trace, and a verdict is a pure function of the text and the policy.
+    Keying by digest keeps the snippets themselves out of the cache.
+    Each call returns a fresh :class:`GuardVerdict` over the cached,
+    immutable findings.
+    """
+
+    #: Distinct snippets whose findings are kept.
+    CACHE_SIZE = 256
 
     def __init__(self, policy: SandboxPolicy = SANDBOX_POLICY) -> None:
         self.policy = policy
+        self._findings: OrderedDict[bytes, tuple[Violation, ...]] = OrderedDict()
+        self._cache_lock = threading.Lock()
 
     def _rules(self) -> list[Rule]:
         return [
@@ -353,12 +368,26 @@ class CodeGuard:
         interpreter's ``compile()`` step already reports syntax
         errors with the traceback the model expects.
         """
+        key = hashlib.sha256(code.encode("utf-8", "surrogatepass")).digest()
+        with self._cache_lock:
+            findings = self._findings.get(key)
+            if findings is not None:
+                self._findings.move_to_end(key)
+        if findings is None:
+            findings = self._walk(code)
+            with self._cache_lock:
+                self._findings[key] = findings
+                if len(self._findings) > self.CACHE_SIZE:
+                    self._findings.popitem(last=False)
+        return GuardVerdict(violations=list(findings))
+
+    def _walk(self, code: str) -> tuple[Violation, ...]:
         try:
             tree = parse_source(code)
         except (SyntaxError, ValueError):
-            return GuardVerdict()
+            return ()
         except (RecursionError, SystemError):
             # Pathological nesting (or a CPython parser fault) — fail
             # open: the runtime sandbox still contains execution.
-            return GuardVerdict()
-        return GuardVerdict(violations=run_rules(tree, self._rules(), source=code))
+            return ()
+        return tuple(run_rules(tree, self._rules(), source=code))

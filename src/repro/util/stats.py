@@ -9,6 +9,7 @@ buffer operations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -103,10 +104,8 @@ def size_bin_index(size: int) -> int:
     """Return the Darshan histogram bin index for an access size."""
     if size < 0:
         raise ValueError(f"access size must be non-negative, got {size}")
-    for index, edge in enumerate(SIZE_BIN_EDGES):
-        if size < edge:
-            return index
-    return len(SIZE_BIN_EDGES)
+    # The index of the first edge above ``size``.
+    return bisect_right(SIZE_BIN_EDGES, size)
 
 
 @dataclass

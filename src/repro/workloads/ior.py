@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Sequence
 
 from repro.ion.issues import IssueType, MitigationNote
 from repro.iosim.job import SimulatedJob
@@ -97,11 +99,11 @@ class IorWorkload:
             executable=f"ior-{cfg.mode}",
             metadata={"workload": self.name, "api": cfg.api, "mode": cfg.mode},
         )
-        plan = self._plan(segments)
+        offsets, sizes = self._plan(segments)
         if cfg.api == "POSIX":
-            self._run_posix(job, plan, segments)
+            self._run_posix(job, offsets, sizes)
         else:
-            self._run_mpiio(job, plan, segments)
+            self._run_mpiio(job, offsets, sizes)
         log = job.finalize()
         truth = self.truth or self._default_truth()
         return TraceBundle(
@@ -133,42 +135,41 @@ class IorWorkload:
             for index in range(segments)
         ]
 
-    def _plan(self, segments: int) -> list[list[tuple[int, int]]]:
-        """Per-rank lists of (offset, size) pairs, one per segment."""
+    def _plan(self, segments: int) -> tuple[list[Sequence[int]], list[int]]:
+        """Per-rank offsets, one per segment, and the segment sizes.
+
+        Every rank moves the same sizes in the same order.  The hard
+        layout's offsets are ``range`` objects, so even its full-scale
+        plan costs no memory per operation.
+        """
         cfg = self.config
         ts = cfg.transfer_size
+        sizes = self._segment_sizes(segments)
         if cfg.mode == "easy":
-            sizes = self._segment_sizes(segments)
-            starts = []
-            position = 0
-            for size in sizes:
-                starts.append(position)
-                position += size
-            block = position
+            starts = list(accumulate(sizes, initial=0))
+            block = starts.pop()
             if cfg.file_per_process:
-                return [
-                    list(zip(starts, sizes)) for _ in range(cfg.nprocs)
-                ]
+                return [starts] * cfg.nprocs, sizes
             return [
-                [(rank * block + start, size) for start, size in zip(starts, sizes)]
+                [rank * block + start for start in starts]
                 for rank in range(cfg.nprocs)
-            ]
+            ], sizes
         if cfg.mode == "hard":
+            stride = cfg.nprocs * ts
             return [
-                [((i * cfg.nprocs + rank) * ts, ts) for i in range(segments)]
+                range(rank * ts, rank * ts + segments * stride, stride)
                 for rank in range(cfg.nprocs)
-            ]
+            ], sizes
         # random: one shared pool of slots, dealt to ranks, then shuffled
         # per rank with a deterministic seed.
         rng = random.Random(cfg.seed)
         total_slots = segments * cfg.nprocs
         slots = list(range(total_slots))
         rng.shuffle(slots)
-        plans = []
-        for rank in range(cfg.nprocs):
-            mine = slots[rank * segments : (rank + 1) * segments]
-            plans.append([(slot * ts, ts) for slot in mine])
-        return plans
+        return [
+            [slot * ts for slot in slots[rank * segments : (rank + 1) * segments]]
+            for rank in range(cfg.nprocs)
+        ], sizes
 
     # -- execution ---------------------------------------------------------
 
@@ -179,7 +180,7 @@ class IorWorkload:
         return [cfg.file_name] * cfg.nprocs
 
     def _run_posix(
-        self, job: SimulatedJob, plan: list[list[tuple[int, int]]], segments: int
+        self, job: SimulatedJob, offsets: list[Sequence[int]], sizes: list[int]
     ) -> None:
         cfg = self.config
         paths = self._paths()
@@ -190,29 +191,27 @@ class IorWorkload:
                 stripe_size=cfg.stripe_size,
                 stripe_count=cfg.stripe_count,
             )
-        for step in range(segments):
-            for rank in range(cfg.nprocs):
-                offset, size = plan[rank][step]
-                job.posix(rank).pwrite(
-                    fds[rank], size, offset, mem_aligned=cfg.mem_aligned
-                )
+
+        # Each phase is one data-path run, issued step-major like IOR.
+        def phase():
+            for step, size in enumerate(sizes):
+                for rank in range(cfg.nprocs):
+                    yield rank, fds[rank], offsets[rank][step], size
+
+        job.posix_run("write", phase(), mem_aligned=cfg.mem_aligned)
         job.barrier()
         if cfg.read_back:
-            for step in range(segments):
-                for rank in range(cfg.nprocs):
-                    offset, size = plan[rank][step]
-                    job.posix(rank).pread(
-                        fds[rank], size, offset, mem_aligned=cfg.mem_aligned
-                    )
+            job.posix_run("read", phase(), mem_aligned=cfg.mem_aligned)
         for rank in range(cfg.nprocs):
             job.posix(rank).close(fds[rank])
 
     def _run_mpiio(
-        self, job: SimulatedJob, plan: list[list[tuple[int, int]]], segments: int
+        self, job: SimulatedJob, offsets: list[Sequence[int]], sizes: list[int]
     ) -> None:
         from repro.iosim.mpiio import Contribution
 
         cfg = self.config
+        ranks = range(cfg.nprocs)
         mpi = job.mpiio()
         if cfg.file_per_process:
             raise WorkloadConfigError("MPIIO IOR runs use a shared file here")
@@ -221,36 +220,22 @@ class IorWorkload:
             stripe_size=cfg.stripe_size,
             stripe_count=cfg.stripe_count,
         )
-        for step in range(segments):
-            if cfg.collective:
-                contributions = [
-                    Contribution(rank, plan[rank][step][0], plan[rank][step][1])
-                    for rank in range(cfg.nprocs)
-                ]
-                mpi.write_at_all(handle, contributions)
-            else:
-                for rank in range(cfg.nprocs):
-                    offset, size = plan[rank][step]
-                    mpi.write_at(
-                        handle, rank, offset, size, mem_aligned=cfg.mem_aligned
-                    )
-        if cfg.read_back:
-            for step in range(segments):
+        for operation in ("write", "read") if cfg.read_back else ("write",):
+            writing = operation == "write"
+            collective = mpi.write_at_all if writing else mpi.read_at_all
+            independent = mpi.write_at if writing else mpi.read_at
+            for step, size in enumerate(sizes):
                 if cfg.collective:
-                    contributions = [
-                        Contribution(
-                            rank, plan[rank][step][0], plan[rank][step][1]
-                        )
-                        for rank in range(cfg.nprocs)
-                    ]
-                    mpi.read_at_all(handle, contributions)
-                else:
-                    for rank in range(cfg.nprocs):
-                        offset, size = plan[rank][step]
-                        mpi.read_at(
-                            handle, rank, offset, size,
-                            mem_aligned=cfg.mem_aligned,
-                        )
+                    collective(handle, [
+                        Contribution(rank, offsets[rank][step], size)
+                        for rank in ranks
+                    ])
+                    continue
+                for rank in ranks:
+                    independent(
+                        handle, rank, offsets[rank][step], size,
+                        mem_aligned=cfg.mem_aligned,
+                    )
         mpi.close(handle)
 
     # -- labels -------------------------------------------------------------

@@ -7,12 +7,30 @@ treat them as read-only.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.ion.extractor import Extractor
 from repro.lustre.filesystem import LustreConfig, LustreFilesystem
 from repro.util.units import KIB, MIB
 from repro.workloads.ior import IorConfig, IorWorkload
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_scratch_dirs():
+    """Fail a test that leaves a new ``ion-*`` directory in the temp dir.
+
+    ``IoNavigator`` makes one such scratch directory and removes it on
+    ``close()``; a test must use ``with IoNavigator() as navigator``.
+    """
+    root = Path(tempfile.gettempdir())
+    before = set(root.glob("ion-*"))
+    yield
+    leaked = sorted(str(path) for path in set(root.glob("ion-*")) - before)
+    if leaked:
+        pytest.fail(f"test leaked scratch directories: {leaked}")
 
 
 @pytest.fixture(scope="session")

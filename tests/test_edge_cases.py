@@ -32,7 +32,8 @@ class TestNoDxtTrace:
         for rank in range(4):
             job.posix(rank).close(fds[rank])
         log = job.finalize()
-        return IoNavigator().diagnose(log, "no-dxt").report
+        with IoNavigator() as navigator:
+            return navigator.diagnose(log, "no-dxt").report
 
     def test_counter_based_issues_still_detected(self, report):
         assert report.diagnosis_for(IssueType.SMALL_IO).detected
@@ -57,7 +58,8 @@ class TestSingleRankTrace:
         for index in range(32):
             posix.pwrite(fd, MIB, index * MIB)
         posix.close(fd)
-        return IoNavigator().diagnose(job.finalize(), "solo").report
+        with IoNavigator() as navigator:
+            return navigator.diagnose(job.finalize(), "solo").report
 
     def test_rank_dependent_issues_not_applicable(self, report):
         for issue in (
@@ -84,7 +86,8 @@ class TestStdioOnlyTrace:
         return job.finalize()
 
     def test_ion_degrades_gracefully(self, log):
-        report = IoNavigator().diagnose(log, "stdio-only").report
+        with IoNavigator() as navigator:
+            report = navigator.diagnose(log, "stdio-only").report
         # No POSIX module: analyses state the limitation, flag nothing.
         assert report.detected_issues == set()
         small = report.diagnosis_for(IssueType.SMALL_IO)
@@ -115,7 +118,8 @@ class TestMetadataOnlyTrace:
         for _ in range(200):
             for rank in range(2):
                 job.posix(rank).stat(f"/lustre/objs/r{rank}")
-        report = IoNavigator().diagnose(job.finalize(), "stats").report
+        with IoNavigator() as navigator:
+            report = navigator.diagnose(job.finalize(), "stats").report
         meta = report.diagnosis_for(IssueType.METADATA_LOAD)
         assert meta.detected
         assert meta.evidence["stats"] == 400

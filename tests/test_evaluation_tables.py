@@ -28,11 +28,11 @@ from repro.workloads.registry import workload_names
 
 @pytest.fixture(scope="module")
 def figure2_rows(easy_2k_bundle, random_bundle):
-    navigator = IoNavigator()
     rows = []
-    for bundle in (easy_2k_bundle, random_bundle):
-        report = navigator.diagnose(bundle.log, bundle.name).report
-        rows.append(Figure2Row(bundle=bundle, report=report))
+    with IoNavigator() as navigator:
+        for bundle in (easy_2k_bundle, random_bundle):
+            report = navigator.diagnose(bundle.log, bundle.name).report
+            rows.append(Figure2Row(bundle=bundle, report=report))
     return rows
 
 
@@ -56,8 +56,8 @@ class TestFigure2Table:
 
 class TestFigure3Table:
     def test_render(self, easy_2k_bundle):
-        navigator = IoNavigator()
-        ion_report = navigator.diagnose(easy_2k_bundle.log, "t").report
+        with IoNavigator() as navigator:
+            ion_report = navigator.diagnose(easy_2k_bundle.log, "t").report
         drishti_report = DrishtiAnalyzer().analyze(easy_2k_bundle.log, "t")
         table = render_figure3(
             [

@@ -111,6 +111,7 @@ class TestStdioLoggerWorkload:
         from repro.evaluation.matching import score_ion
         from repro.ion.pipeline import IoNavigator
 
-        report = IoNavigator().diagnose(bundle.log, bundle.name).report
+        with IoNavigator() as navigator:
+            report = navigator.diagnose(bundle.log, bundle.name).report
         score = score_ion(bundle.truth, report)
         assert score.recall == 1.0

@@ -77,9 +77,10 @@ class TestRenderHtml:
     def test_qa_transcript_included(self, easy_2k_bundle):
         from repro.ion.pipeline import IoNavigator
 
-        result = IoNavigator().diagnose(easy_2k_bundle.log, "easy")
-        result.session.ask("how many misaligned operations?")
-        page = render_html(result.report, session=result.session)
+        with IoNavigator() as navigator:
+            result = navigator.diagnose(easy_2k_bundle.log, "easy")
+            result.session.ask("how many misaligned operations?")
+            page = render_html(result.report, session=result.session)
         assert "Interactive session" in page
         assert "how many misaligned operations?" in page
 

@@ -48,8 +48,8 @@ class TestEasyTraceEndToEnd:
 class TestHardTraceEndToEnd:
     @pytest.fixture(scope="class")
     def reports(self, hard_bundle):
-        navigator = IoNavigator()
-        ion = navigator.diagnose(hard_bundle.log, hard_bundle.name).report
+        with IoNavigator() as navigator:
+            ion = navigator.diagnose(hard_bundle.log, hard_bundle.name).report
         drishti = DrishtiAnalyzer().analyze(hard_bundle.log, hard_bundle.name)
         return ion, drishti
 
@@ -75,7 +75,8 @@ class TestHardTraceEndToEnd:
 
 class TestRandomTraceEndToEnd:
     def test_random_flagged_without_mitigation(self, random_bundle):
-        report = IoNavigator().diagnose(random_bundle.log, "rnd").report
+        with IoNavigator() as navigator:
+            report = navigator.diagnose(random_bundle.log, "rnd").report
         random_diag = report.diagnosis_for(IssueType.RANDOM_ACCESS)
         assert random_diag.detected
         assert MitigationNote.LOW_VOLUME not in random_diag.mitigations
@@ -85,8 +86,10 @@ class TestRandomTraceEndToEnd:
 
 class TestDeterminism:
     def test_same_trace_same_report(self, easy_2k_bundle):
-        first = IoNavigator().diagnose(easy_2k_bundle.log, "t").report
-        second = IoNavigator().diagnose(easy_2k_bundle.log, "t").report
+        with IoNavigator() as navigator:
+            first = navigator.diagnose(easy_2k_bundle.log, "t").report
+        with IoNavigator() as navigator:
+            second = navigator.diagnose(easy_2k_bundle.log, "t").report
         for a, b in zip(first.diagnoses, second.diagnoses):
             assert a.issue == b.issue
             assert a.severity == b.severity

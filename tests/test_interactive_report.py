@@ -65,9 +65,10 @@ class TestDigest:
 class TestSessionWithExpert:
     @pytest.fixture(scope="class")
     def session(self, easy_extraction, easy_2k_bundle):
-        navigator = IoNavigator()
-        result = navigator.diagnose(easy_2k_bundle.log, "easy")
-        return result.session
+        # The session reads the extraction, so the navigator stays open
+        # until the class is done with it.
+        with IoNavigator() as navigator:
+            yield navigator.diagnose(easy_2k_bundle.log, "easy").session
 
     def test_ask_quantitative(self, session):
         answer = session.ask("How many misaligned operations are there?")

@@ -1,17 +1,62 @@
-"""Unit and property tests for Lustre striping math."""
+"""Unit and property tests for Lustre striping math.
+
+The data path splits each access into per-stripe chunks; the chunk
+tests observe that split from a run of one (``LustreFilesystem.io``),
+by logging where each chunk ends on its OST.
+"""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.lustre.filesystem import Inode, LustreConfig, LustreFilesystem
 from repro.lustre.layout import StripeLayout
 from repro.util.units import MIB
 
 
 def layout(stripe_size=MIB, osts=(0, 1, 2, 3)):
     return StripeLayout(stripe_size=stripe_size, ost_ids=tuple(osts))
+
+
+class Chunk(NamedTuple):
+    ost: int
+    stripe_index: int
+    offset: int
+    length: int
+
+
+class _ChunkEnds(dict):
+    """An OST's last-end-offset table that logs every chunk end."""
+
+    def __init__(self, ost: int, log: list[tuple[int, int]]) -> None:
+        super().__init__()
+        self.ost = ost
+        self.log = log
+
+    def __setitem__(self, file_id: int, end: int) -> None:
+        self.log.append((self.ost, end))
+        super().__setitem__(file_id, end)
+
+
+def run_chunks(lo: StripeLayout, offset: int, length: int) -> list[Chunk]:
+    """The chunks a one-op write of ``[offset, offset + length)`` makes."""
+    osts = max(lo.ost_ids) + 1
+    fs = LustreFilesystem(LustreConfig(ost_count=osts, default_stripe_count=1))
+    log: list[tuple[int, int]] = []
+    for ost, server in enumerate(fs.osts.servers):
+        server.last_end_offset = _ChunkEnds(ost, log)
+    fs.io(Inode(path="/lustre/chunks", file_id=1, layout=lo), 0, "write",
+          offset, length, 0.0)
+    found = []
+    position = offset
+    for ost, end in log:
+        found.append(Chunk(ost, position // lo.stripe_size, position, end - position))
+        position = end
+    return found
 
 
 class TestConstruction:
@@ -63,23 +108,23 @@ class TestMapping:
 
 class TestChunks:
     def test_single_stripe_access(self):
-        chunks = list(layout().chunks(10, 100))
+        chunks = run_chunks(layout(), 10, 100)
         assert len(chunks) == 1
         assert chunks[0].offset == 10
         assert chunks[0].length == 100
         assert chunks[0].ost == 0
 
     def test_boundary_split(self):
-        chunks = list(layout().chunks(MIB - 10, 20))
+        chunks = run_chunks(layout(), MIB - 10, 20)
         assert [c.length for c in chunks] == [10, 10]
         assert [c.ost for c in chunks] == [0, 1]
 
     def test_zero_length(self):
-        assert list(layout().chunks(100, 0)) == []
+        assert run_chunks(layout(), 100, 0) == []
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            list(layout().chunks(-1, 10))
+            run_chunks(layout(), -1, 10)
 
     @given(
         offset=st.integers(0, 64 * MIB),
@@ -89,10 +134,10 @@ class TestChunks:
     )
     def test_chunks_exactly_tile_the_extent(self, offset, length, stripe_size, nosts):
         lo = StripeLayout(stripe_size=stripe_size, ost_ids=tuple(range(nosts)))
-        chunks = list(lo.chunks(offset, length))
-        assert sum(c.length for c in chunks) == length
+        found = run_chunks(lo, offset, length)
+        assert sum(c.length for c in found) == length
         position = offset
-        for chunk in chunks:
+        for chunk in found:
             assert chunk.offset == position
             assert chunk.length > 0
             # Each chunk stays within one stripe on the right OST.
@@ -109,5 +154,5 @@ class TestChunks:
     )
     def test_stripes_touched_matches_chunks(self, offset, length):
         lo = layout()
-        chunk_stripes = [c.stripe_index for c in lo.chunks(offset, length)]
+        chunk_stripes = [c.stripe_index for c in run_chunks(lo, offset, length)]
         assert chunk_stripes == lo.stripes_touched(offset, length)

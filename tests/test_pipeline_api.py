@@ -51,8 +51,10 @@ class TestNavigatorConfig:
         assert (tmp_path / "mytrace" / "DXT.csv").exists()
 
     def test_temp_workdir_by_default(self, easy_2k_bundle):
-        result = IoNavigator().diagnose(easy_2k_bundle.log, "t")
-        assert result.extraction.directory.exists()
+        with IoNavigator() as navigator:
+            result = navigator.diagnose(easy_2k_bundle.log, "t")
+            assert result.extraction.directory.exists()
+        assert not result.extraction.directory.exists()
 
 
 class TestPublicApi:

@@ -13,7 +13,9 @@ from repro.llm.interpreter import (
     CodeInterpreter,
     _namespace,
 )
+from repro.obs.trace import Tracer
 from repro.sca import CodeGuard, GuardPolicy, SANDBOX_POLICY
+from repro.sca import guard as guard_module
 from repro.sca.guard import (
     RULE_BUILTIN,
     RULE_DUNDER,
@@ -24,6 +26,7 @@ from repro.sca.guard import (
     RULE_RANGE,
 )
 from repro.sca.violations import GuardSeverity
+from repro.util.metrics import MetricsRegistry
 
 GUARD = CodeGuard()
 
@@ -145,6 +148,49 @@ class TestCleanAndWarnVerdicts:
 
     def test_relative_open_is_literal_and_clean(self):
         assert not GUARD.vet("open('posix.csv')").blocked
+
+
+class TestVerdictCache:
+    """Verdicts are memoized by code text; the accounting is per run."""
+
+    def test_same_code_walks_the_ast_once(self, monkeypatch):
+        walks = []
+        real_run_rules = guard_module.run_rules
+
+        def counting_run_rules(*args, **kwargs):
+            walks.append(1)
+            return real_run_rules(*args, **kwargs)
+
+        monkeypatch.setattr(guard_module, "run_rules", counting_run_rules)
+        guard = CodeGuard()
+        code = "import os\nrows = open(name)"
+        first = guard.vet(code)
+        second = guard.vet(code)
+        assert len(walks) == 1
+        assert first == second
+        assert first.blocked and first.warnings
+
+    def test_text_that_is_not_utf8_still_vets(self):
+        guard = CodeGuard()
+        code = "x = '\ud800'"
+        assert guard.vet(code) == guard.vet(code)
+
+    def test_each_call_gets_its_own_verdict(self):
+        guard = CodeGuard()
+        first = guard.vet("import os")
+        first.violations.clear()
+        assert guard.vet("import os").blocked
+
+    def test_vet_span_and_metrics_fire_on_every_run(self, tmp_path):
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        interpreter = CodeInterpreter(tmp_path, metrics=metrics, tracer=tracer)
+        for _ in range(3):
+            assert interpreter.run("import os\nrows = open(name)").guard_blocked
+        assert metrics.counter_value("sca.vet.checks") == 3
+        assert metrics.counter_value("sca.vet.blocked") == 3
+        assert metrics.counter_value("sca.vet.warnings") == 3
+        assert [span.name for span in tracer.spans()].count("sca.vet") == 3
 
 
 class TestPolicyDrift:

@@ -77,7 +77,8 @@ class TestRoundTrip:
     def test_pipeline_report_serializes(self, easy_2k_bundle, tmp_path):
         from repro.ion.pipeline import IoNavigator
 
-        report = IoNavigator().diagnose(easy_2k_bundle.log, "easy").report
+        with IoNavigator() as navigator:
+            report = navigator.diagnose(easy_2k_bundle.log, "easy").report
         back = load_report(dump_report(report, tmp_path / "r.json"))
         assert back.detected_issues == report.detected_issues
         assert back.mitigation_notes == report.mitigation_notes
