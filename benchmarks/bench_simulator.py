@@ -1,9 +1,10 @@
 """PERF2 — I/O simulator throughput.
 
 Measures simulated operations per second for the three layer types the
-workloads exercise, and for the same POSIX stream submitted as one
-data-path run, so the per-op and the run-level costs both stay
-visible.  These are sanity benchmarks for the substrate: a regression
+workloads exercise, for the same POSIX stream submitted as one
+data-path run, and for an openPMD-shaped phase of independent MPI-IO
+calls submitted as one run, so the per-call and the run-level costs
+both stay visible (the collective rounds use the per-call API).  These are sanity benchmarks for the substrate: a regression
 here makes paper-scale regeneration impractical.
 """
 
@@ -50,6 +51,31 @@ def run_posix_run():
     return job.finalize()
 
 
+def run_independent_mpiio(as_run: bool = True):
+    """openPMD's shape: small unaligned ``write_at`` calls across ranks.
+
+    Each rank streams 6553-byte pieces past an odd header into its own
+    region; the phase is one independent run, or one call at a time.
+    """
+    job = SimulatedJob(nprocs=8)
+    mpi = job.mpiio()
+    handle = mpi.open("/lustre/indep", stripe_count=8)
+    piece, header = 6553, 3073
+    span = OPS // 8 * piece
+    calls = [
+        (rank, header + rank * span + step * piece, piece)
+        for step in range(OPS // 8)
+        for rank in range(8)
+    ]
+    if as_run:
+        mpi.independent_run(handle, "write", calls, mem_aligned=False)
+    else:
+        for rank, offset, length in calls:
+            mpi.write_at(handle, rank, offset, length, mem_aligned=False)
+    mpi.close(handle)
+    return job.finalize()
+
+
 def run_collective_rounds():
     job = SimulatedJob(nprocs=16)
     mpi = job.mpiio()
@@ -86,6 +112,12 @@ def test_posix_run_ops_per_second(benchmark):
     log = benchmark(run_posix_run)
     assert len(log.dxt_segments) == OPS
     assert log.dxt == run_posix_stream().dxt
+
+
+def test_independent_mpiio_ops_per_second(benchmark):
+    log = benchmark(run_independent_mpiio)
+    assert len(log.dxt_segments) == 2 * OPS
+    assert log.dxt == run_independent_mpiio(as_run=False).dxt
 
 
 def test_collective_rounds_per_second(benchmark):

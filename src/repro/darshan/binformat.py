@@ -26,7 +26,7 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.darshan.counters import counters_for, fcounters_for, known_modules
 from repro.darshan.log import DarshanLog
@@ -50,12 +50,11 @@ MAX_SECTION_BYTES = 1 << 30
 # -- low-level packing -------------------------------------------------
 
 
-def _pack_str(buffer: io.BytesIO, text: str) -> None:
+def _packed_str(text: str) -> bytes:
     data = text.encode("utf-8")
     if len(data) > 0xFFFF:
         raise DarshanFormatError(f"string too long to serialize ({len(data)} bytes)")
-    buffer.write(struct.pack("<H", len(data)))
-    buffer.write(data)
+    return struct.pack("<H", len(data)) + data
 
 
 class _Reader:
@@ -131,9 +130,9 @@ def _encode_names(names: dict[int, NameRecord]) -> bytes:
     for record_id in sorted(names):
         record = names[record_id]
         buffer.write(struct.pack("<Q", record.record_id))
-        _pack_str(buffer, record.path)
-        _pack_str(buffer, record.mount_point)
-        _pack_str(buffer, record.fs_type)
+        buffer.write(_packed_str(record.path))
+        buffer.write(_packed_str(record.mount_point))
+        buffer.write(_packed_str(record.fs_type))
     return buffer.getvalue()
 
 
@@ -203,15 +202,14 @@ def _little_endian(column: array) -> array:
     return swapped
 
 
-def _encode_dxt2(table: DxtTable) -> bytes:
-    buffer = io.BytesIO()
-    buffer.write(struct.pack("<II", len(table), len(table.hostnames)))
+def _dxt2_chunks(table: DxtTable) -> Iterator[bytes | array]:
+    """The ``dxt2`` payload in pieces; each column is one, uncopied."""
+    yield struct.pack("<II", len(table), len(table.hostnames))
     for hostname in table.hostnames:
-        _pack_str(buffer, hostname)
+        yield _packed_str(hostname)
     for column in table.columns():
-        buffer.write(struct.pack("<Q", len(column) * column.itemsize))
-        buffer.write(_little_endian(column))
-    return buffer.getvalue()
+        yield struct.pack("<Q", len(column) * column.itemsize)
+        yield _little_endian(column)
 
 
 def _decode_dxt2(data: bytes) -> DxtTable:
@@ -254,6 +252,25 @@ def _decode_dxt_v1(data: bytes) -> DxtTable:
 # -- file framing -------------------------------------------------------
 
 
+def _section_chunks(log: DarshanLog) -> list[tuple[str, Iterable]]:
+    """``(section name, payload pieces)`` for every section of ``log``.
+
+    The ``dxt2`` pieces are produced lazily, so no section's payload
+    need exist as one buffer.
+    """
+    sections: list[tuple[str, Iterable]] = [
+        ("job", (_encode_job(log.job, log.version),)),
+        ("names", (_encode_names(log.name_records),)),
+    ]
+    for module in known_modules():
+        records = log.records.get(module)
+        if records:
+            sections.append((f"mod:{module}", (_encode_module(module, records),)))
+    if log.has_dxt:
+        sections.append(("dxt2", _dxt2_chunks(log.dxt)))
+    return sections
+
+
 def iter_sections(log: DarshanLog) -> Iterator[tuple[str, bytes]]:
     """Yield ``(section name, payload)`` for every section of ``log``.
 
@@ -261,23 +278,25 @@ def iter_sections(log: DarshanLog) -> Iterator[tuple[str, bytes]]:
     before compression; :func:`repro.service.cache.log_digest` hashes
     the same payloads.
     """
-    yield "job", _encode_job(log.job, log.version)
-    yield "names", _encode_names(log.name_records)
-    for module in known_modules():
-        records = log.records.get(module)
-        if records:
-            yield f"mod:{module}", _encode_module(module, records)
-    if log.has_dxt:
-        yield "dxt2", _encode_dxt2(log.dxt)
+    for name, chunks in _section_chunks(log):
+        yield name, b"".join(chunks)
 
 
-def _write_section(handle, name: str, payload: bytes) -> None:
-    compressed = zlib.compress(payload, level=6)
+def _write_section(handle, name: str, chunks: Iterable) -> None:
+    # Deflate piece by piece: the output equals ``zlib.compress`` of the
+    # joined payload, and only the compressed bytes are held.
+    deflate = zlib.compressobj(6)
+    compressed = [deflate.compress(chunk) for chunk in chunks]
+    compressed.append(deflate.flush())
+    length = crc = 0
+    for piece in compressed:
+        length += len(piece)
+        crc = zlib.crc32(piece, crc)
     name_bytes = name.encode("utf-8")
     handle.write(struct.pack("<H", len(name_bytes)))
     handle.write(name_bytes)
-    handle.write(struct.pack("<QI", len(compressed), zlib.crc32(compressed)))
-    handle.write(compressed)
+    handle.write(struct.pack("<QI", length, crc))
+    handle.writelines(compressed)
 
 
 def _read_section(reader: _Reader) -> tuple[str, bytes]:
@@ -304,12 +323,12 @@ def write_log(log: DarshanLog, path: str | Path) -> Path:
     """Serialize ``log`` to ``path`` and return the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    sections = list(iter_sections(log))
+    sections = _section_chunks(log)
     with path.open("wb") as handle:
         handle.write(MAGIC)
         handle.write(struct.pack("<I", len(sections)))
-        for name, payload in sections:
-            _write_section(handle, name, payload)
+        for name, chunks in sections:
+            _write_section(handle, name, chunks)
     return path
 
 

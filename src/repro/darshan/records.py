@@ -214,17 +214,17 @@ class DxtTable:
             self.hostnames.append(hostname)
         return _MODULE_CODES[module], _OP_CODES[operation], host
 
-    def pad(self, module: str, operation: str, hostname: str = "node0") -> None:
-        """Fill the module, op and host columns up to the row count.
+    def pad(self, operation: str, hostname: str = "node0") -> None:
+        """Fill the op and host columns up to the row count.
 
-        A writer of a run of rows that share these three values appends
-        the other six columns row by row, then calls this once.
+        A writer of a run of rows that share these two values appends
+        the other seven columns row by row, then calls this once.
         """
-        missing = len(self.rank) - len(self.module)
+        missing = len(self.module) - len(self.op)
         if missing > 0:
-            codes = self.row_codes(module, operation, hostname)
-            for column, code in zip((self.module, self.op, self.host), codes):
-                column.extend(repeat(code, missing))
+            _, op_code, host = self.row_codes(DXT_MODULES[0], operation, hostname)
+            self.op.extend(repeat(op_code, missing))
+            self.host.extend(repeat(host, missing))
 
     def check(self, known_ids: Iterable[int]) -> None:
         """Check every row as :meth:`append` and ``DarshanLog.add_dxt`` do.

@@ -53,7 +53,7 @@ from repro.llm.expert.model import SimulatedExpertLLM, parse_conclusions
 from repro.llm.interpreter import CodeInterpreter
 from repro.sca.policy import GuardPolicy
 from repro.llm.messages import Message
-from repro.llm.resilience import BackoffPolicy, CircuitBreaker
+from repro.llm.resilience import BackoffPolicy, CircuitBreaker, query_deadline
 from repro.obs.trace import NULL_TRACER
 from repro.util.errors import AnalysisError, CircuitOpenError, LLMError
 from repro.util.metrics import SIZE_BUCKETS, MetricsRegistry
@@ -269,6 +269,9 @@ class Analyzer:
         policy = self.config.resilience.policy()
         span = self.tracer.current_span()
         started = time.perf_counter()
+        # The tool loop and the sandbox inside an attempt honour the
+        # deadline too, so one attempt cannot overrun it.
+        deadline_at = None if policy.deadline is None else started + policy.deadline
         attempts = 0
         reason = ""
         last_delay = 0.0
@@ -297,7 +300,8 @@ class Analyzer:
                 )
             self.metrics.counter("analyzer.queries.attempts").inc()
             try:
-                value = attempt_fn()
+                with query_deadline(deadline_at):
+                    value = attempt_fn()
             except _RETRYABLE as exc:
                 trips_before = self.breaker.trips
                 self.breaker.record_failure()

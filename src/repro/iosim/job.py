@@ -47,7 +47,8 @@ class SimulatedJob:
         # Layers are created lazily and cached so MPI-IO can reuse the
         # same POSIX layer (and its fd table) as direct POSIX callers.
         self._posix_layers: dict[int, object] = {}
-        self._fd_tables: dict[int, dict] = {}  # rank -> its POSIX fd table
+        #: rank -> its POSIX fd table; the data path resolves fds here.
+        self.fd_tables: dict[int, dict] = {}
         self._stdio_layers: dict[int, object] = {}
 
     # -- clock management ----------------------------------------------
@@ -88,7 +89,7 @@ class SimulatedJob:
             from repro.iosim.posix import PosixLayer
 
             layer = self._posix_layers[rank] = PosixLayer(self, rank)
-            self._fd_tables[rank] = layer.files
+            self.fd_tables[rank] = layer.files
         return layer
 
     def stdio(self, rank: int):
@@ -113,7 +114,7 @@ class SimulatedJob:
         Each fd must be open in ``posix(rank)``.
         """
         execute_run(
-            self.fs, self.runtime, operation, ops, self._fd_tables, self.clocks,
+            self.fs, self.runtime, operation, ops, self.fd_tables, self.clocks,
             mem_aligned=mem_aligned,
         )
 

@@ -5,12 +5,19 @@ Independent operations map one-to-one onto the caller's POSIX layer
 and POSIX modules).  Collective operations implement two-phase I/O:
 
 1. every rank enters (barrier),
-2. contributions are coalesced into contiguous runs and carved into
-   collective-buffer-sized, stripe-aligned chunks,
-3. the chunks are dealt round-robin to ``cb_nodes`` aggregator ranks,
-   which perform the actual POSIX transfers,
-4. data is shuffled between contributors and aggregators over the
-   interconnect model, and everyone leaves together (barrier).
+2. data is shuffled between contributors and aggregators over the
+   interconnect model,
+3. contributions are coalesced into contiguous runs and carved into
+   collective-buffer-sized chunks,
+4. the chunks are dealt round-robin to ``cb_nodes`` aggregator ranks,
+   which perform the actual POSIX transfers, and everyone leaves
+   together (barrier).
+
+A workload submits a whole phase of calls as one data-path run
+(:mod:`repro.iosim.datapath`): :meth:`MpiIoLayer.independent_run` for
+``write_at``/``read_at`` calls, :meth:`MpiIoLayer.collective_run` for
+``write_at_all``/``read_at_all`` calls.  The per-call methods are runs
+of one call or one step over the same code.
 
 This is what makes "the fix" for the paper's OpenPMD/E2E pathologies
 expressible: a collective write of many tiny per-rank pieces reaches
@@ -20,17 +27,17 @@ the filesystem as a few large aligned writes issued by a rank subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
+from typing import Iterable, NamedTuple, Sequence
 
+from repro.iosim.datapath import MpiioRun, execute_run
 from repro.iosim.job import SimulatedJob
 from repro.lustre.filesystem import Inode
 from repro.util.errors import SimulationError
 from repro.util.units import GIB
 
 
-@dataclass(frozen=True)
-class Contribution:
-    """One rank's share of a collective operation."""
+class Contribution(NamedTuple):
+    """One rank's share of a collective operation: ``(rank, offset, length)``."""
 
     rank: int
     offset: int
@@ -127,135 +134,93 @@ class MpiIoLayer:
         mem_aligned: bool = True, nonblocking: bool = False,
     ) -> None:
         """MPI_File_write_at (or iwrite when ``nonblocking``)."""
-        self._independent(handle, rank, "write", offset, length, mem_aligned, nonblocking)
+        self.independent_run(
+            handle, "write", ((rank, offset, length),), mem_aligned, nonblocking
+        )
 
     def read_at(
         self, handle: int, rank: int, offset: int, length: int,
         mem_aligned: bool = True, nonblocking: bool = False,
     ) -> None:
         """MPI_File_read_at (or iread when ``nonblocking``)."""
-        self._independent(handle, rank, "read", offset, length, mem_aligned, nonblocking)
+        self.independent_run(
+            handle, "read", ((rank, offset, length),), mem_aligned, nonblocking
+        )
 
-    def _independent(
+    def independent_run(
         self,
         handle: int,
-        rank: int,
         operation: str,
-        offset: int,
-        length: int,
-        mem_aligned: bool,
-        nonblocking: bool,
+        calls: Iterable[tuple[int, int, int]],
+        mem_aligned: bool = True,
+        nonblocking: bool = False,
     ) -> None:
+        """A phase of ``write_at``/``read_at`` calls ``(rank, offset, length)``.
+
+        The calls execute in the order given, exactly as the same calls
+        one at a time would, but in one data-path run.
+        """
         h = self._lookup(handle)
-        if rank not in h.fds:
-            raise SimulationError(f"rank {rank} did not open handle {handle}")
-        posix = self.job.posix(rank)
-        start = self.job.now(rank)
-        if operation == "write":
-            posix.pwrite(h.fds[rank], length, offset, mem_aligned=mem_aligned)
-        else:
-            posix.pread(h.fds[rank], length, offset, mem_aligned=mem_aligned)
         flavor = "nb" if nonblocking else "indep"
-        self.job.runtime.mpiio_io(
-            h.inode, rank, flavor, operation, offset, length,
-            start, self.job.now(rank),
+        self._execute(
+            operation, calls, MpiioRun(handle, h.inode, h.fds, flavor),
+            mem_aligned,
         )
 
     # -- collective operations --------------------------------------------
 
     def write_at_all(
-        self, handle: int, contributions: list[Contribution]
+        self, handle: int, contributions: Sequence[Contribution]
     ) -> None:
         """MPI_File_write_at_all: two-phase collective write."""
-        self._collective(handle, "write", contributions)
+        self.collective_run(handle, "write", (contributions,))
 
     def read_at_all(
-        self, handle: int, contributions: list[Contribution]
+        self, handle: int, contributions: Sequence[Contribution]
     ) -> None:
         """MPI_File_read_at_all: two-phase collective read."""
-        self._collective(handle, "read", contributions)
+        self.collective_run(handle, "read", (contributions,))
 
-    def _collective(
-        self, handle: int, operation: str, contributions: list[Contribution]
+    def collective_run(
+        self,
+        handle: int,
+        operation: str,
+        steps: Iterable[Sequence[tuple[int, int, int]]],
     ) -> None:
-        h = self._lookup(handle)
-        # A rank may contribute several extents in one call (a
-        # non-contiguous filetype); its single collective operation
-        # covers their combined length, anchored at the lowest offset.
-        by_rank: dict[int, tuple[int, int]] = {}
-        for contribution in contributions:
-            if contribution.rank not in h.fds:
-                raise SimulationError(
-                    f"rank {contribution.rank} did not open handle {handle}"
-                )
-            offset, length = by_rank.get(
-                contribution.rank, (contribution.offset, 0)
-            )
-            by_rank[contribution.rank] = (
-                min(offset, contribution.offset),
-                length + contribution.length,
-            )
-        members = list(h.ranks)
-        entry = self.job.barrier(members)
+        """A phase of ``write_at_all``/``read_at_all`` calls.
 
-        aggregators = self._aggregators(h)
-        chunks = self._plan_chunks(h, contributions)
-        # Phase 1: shuffle data between contributors and aggregators.
-        for contribution in contributions:
-            cost = self._net_latency + contribution.length / self._net_bandwidth
-            self.job.advance(
-                contribution.rank, self.job.now(contribution.rank) + cost
-            )
-        # Phase 2: aggregators issue the filesystem transfers, as one run.
-        self.job.posix_run(
-            operation,
-            (
-                (rank, h.fds[rank], offset, length)
-                for rank, (offset, length) in zip(cycle(aggregators), chunks)
+        Each step is one call's contributions ``(rank, offset, length)``
+        (a :class:`Contribution` is one).  A rank may contribute several
+        extents in one call (a non-contiguous filetype); its single
+        collective operation covers their combined length, anchored at
+        the lowest offset.  Ranks that contribute nothing record a
+        zero-length operation.
+        """
+        h = self._lookup(handle)
+        layout = h.inode.layout
+        count = self._cb_nodes or min(len(h.ranks), layout.stripe_count)
+        count = max(1, min(count, len(h.ranks)))
+        self._execute(
+            operation, steps,
+            MpiioRun(
+                handle, h.inode, h.fds, "coll",
+                members=h.ranks,
+                aggregators=h.ranks[:count],
+                cb_size=self._cb_buffer_size or max(layout.stripe_size, 1),
+                net_latency=self._net_latency,
+                net_bandwidth=self._net_bandwidth,
             ),
         )
-        exit_time = self.job.barrier(members)
-        # Record the logical collective op on every participating rank.
-        self.job.runtime.mpiio_fold(
-            h.inode, "coll", operation,
-            [(rank, *by_rank.get(rank, (0, 0))) for rank in members],
-            entry, exit_time,
-        )
 
-    def _aggregators(self, h: _Handle) -> list[int]:
-        default = min(len(h.ranks), h.inode.layout.stripe_count)
-        count = self._cb_nodes or default
-        count = max(1, min(count, len(h.ranks)))
-        return list(h.ranks[:count])
-
-    def _plan_chunks(
-        self, h: _Handle, contributions: list[Contribution]
-    ) -> list[tuple[int, int]]:
-        """Coalesce contributions, then split on collective-buffer bounds."""
-        if not contributions:
-            return []
-        cb_size = self._cb_buffer_size or max(h.inode.layout.stripe_size, 1)
-        extents = sorted(
-            (c.offset, c.length) for c in contributions if c.length > 0
+    def _execute(
+        self, operation: str, ops: Iterable, spec: MpiioRun,
+        mem_aligned: bool = True,
+    ) -> None:
+        job = self.job
+        execute_run(
+            job.fs, job.runtime, operation, ops, job.fd_tables, job.clocks,
+            mem_aligned=mem_aligned, mpiio=spec,
         )
-        runs: list[list[int]] = []
-        for offset, length in extents:
-            if runs and offset <= runs[-1][1]:
-                runs[-1][1] = max(runs[-1][1], offset + length)
-            else:
-                runs.append([offset, offset + length])
-        chunks: list[tuple[int, int]] = []
-        # File domains are carved relative to the start of each merged
-        # run (as ROMIO divides [min, max] among aggregators), so a run
-        # that begins at an unaligned offset — e.g. past a netCDF
-        # header — produces unaligned aggregator transfers.
-        for run_start, run_end in runs:
-            position = run_start
-            while position < run_end:
-                chunk_end = min(run_end, position + cb_size)
-                chunks.append((position, chunk_end - position))
-                position = chunk_end
-        return chunks
 
     def _lookup(self, handle: int) -> _Handle:
         try:

@@ -10,8 +10,6 @@ way the real Darshan runtime wraps libc/MPI calls.  At job end,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 from repro.darshan.counters import LUSTRE_MAX_OSTS
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DxtTable, JobRecord, ModuleRecord, NameRecord
@@ -81,7 +79,12 @@ class _PosixAccumulator:
 
 @dataclass
 class _MpiioAccumulator:
-    """Counters for one (MPI-IO, file, rank) record in flight."""
+    """Counters for one (MPI-IO, file, rank) record in flight.
+
+    The data path (:mod:`repro.iosim.datapath`) folds independent calls
+    and collective steps in: the flavor bucket, the read/write switch,
+    the access sizes and the phase.
+    """
 
     indep_opens: int = 0
     coll_opens: int = 0
@@ -100,24 +103,6 @@ class _MpiioAccumulator:
     close_start_ts: float = 0.0
     close_end_ts: float = 0.0
     accesses: CommonValueTracker = field(default_factory=CommonValueTracker)
-
-    def record_io(
-        self,
-        flavor: str,
-        operation: str,
-        offset: int,
-        length: int,
-        start: float,
-        end: float,
-    ) -> None:
-        bucket = getattr(self, flavor)
-        bucket[operation] += 1
-        if self.last_op and self.last_op != operation:
-            self.rw_switches += 1
-        self.last_op = operation
-        self.accesses.add(length)
-        phase = self.read if operation == "read" else self.write
-        phase.add(offset, length, start, end)
 
 
 @dataclass
@@ -180,7 +165,8 @@ class DarshanRuntime:
         """The (POSIX, file, rank) record in flight, created on first use."""
         return self._record(self._posix, _PosixAccumulator, inode, rank)
 
-    def _mpiio_acc(self, inode: Inode, rank: int) -> _MpiioAccumulator:
+    def mpiio_record(self, inode: Inode, rank: int) -> _MpiioAccumulator:
+        """The (MPI-IO, file, rank) record in flight, created on first use."""
         return self._record(self._mpiio, _MpiioAccumulator, inode, rank)
 
     def _stdio_acc(self, inode: Inode, rank: int) -> _StdioAccumulator:
@@ -218,7 +204,7 @@ class DarshanRuntime:
     def mpiio_open(
         self, inode: Inode, rank: int, collective: bool, start: float, end: float
     ) -> None:
-        acc = self._mpiio_acc(inode, rank)
+        acc = self.mpiio_record(inode, rank)
         if acc.coll_opens + acc.indep_opens == 0:
             acc.open_start_ts = start
         if collective:
@@ -229,54 +215,16 @@ class DarshanRuntime:
         acc.meta_time += end - start
 
     def mpiio_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self._mpiio_acc(inode, rank)
+        acc = self.mpiio_record(inode, rank)
         if acc.close_start_ts == 0.0:
             acc.close_start_ts = start
         acc.close_end_ts = max(acc.close_end_ts, end)
         acc.meta_time += end - start
 
     def mpiio_sync(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self._mpiio_acc(inode, rank)
+        acc = self.mpiio_record(inode, rank)
         acc.syncs += 1
         acc.meta_time += end - start
-
-    def mpiio_io(
-        self,
-        inode: Inode,
-        rank: int,
-        flavor: str,
-        operation: str,
-        offset: int,
-        length: int,
-        start: float,
-        end: float,
-    ) -> None:
-        self.mpiio_fold(
-            inode, flavor, operation, ((rank, offset, length),), start, end
-        )
-
-    def mpiio_fold(
-        self,
-        inode: Inode,
-        flavor: str,
-        operation: str,
-        extents: Iterable[tuple[int, int, int]],
-        start: float,
-        end: float,
-    ) -> None:
-        """Record one MPI-IO op spanning ``start``..``end`` on many ranks.
-
-        ``extents`` holds ``(rank, offset, length)`` per participating
-        rank, in record order.
-        """
-        for rank, offset, length in extents:
-            acc = self._mpiio_acc(inode, rank)
-            acc.record_io(flavor, operation, offset, length, start, end)
-            if self.enable_dxt:
-                self.dxt.append(
-                    "X_MPIIO", inode.file_id, rank, operation, offset, length,
-                    start, end,
-                )
 
     def stdio_open(self, inode: Inode, rank: int, start: float, end: float) -> None:
         acc = self._stdio_acc(inode, rank)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.llm.client import LLMClient
 from repro.llm.interpreter import CodeInterpreter, ExecutionResult
 from repro.llm.messages import Completion, Message
+from repro.llm.resilience import time_left
 from repro.obs.trace import NULL_TRACER
 from repro.util.errors import LLMError
 
@@ -120,11 +121,15 @@ class Assistant:
         Tool outputs (including failures, rendered as tracebacks) are
         appended to the thread, so the model can debug its own code.
         The run fails if the tool budget is exhausted while the model
-        still wants to execute code.
+        still wants to execute code, or once the calling query's
+        deadline (:func:`repro.llm.resilience.time_left`) has passed.
         """
         steps: list[RunStep] = []
         conversation = [Message.system(self.instructions), *thread.messages]
         for round_index in range(self.max_tool_rounds):
+            left = time_left()
+            if left is not None and left <= 0:
+                break
             with self.tracer.span(
                 "llm.round", attributes={"round": round_index}
             ) as span:

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, Pipe
 from pathlib import Path
 
+from repro.llm.resilience import time_left
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sca.guard import CodeGuard
 from repro.sca.policy import GuardPolicy, SANDBOX_POLICY
@@ -446,7 +447,12 @@ class _WorkerPool:
         return exitcode
 
     def run(self, job: tuple, policy) -> _Reply:
-        """Run ``job`` under ``policy``'s budgets on the next idle worker."""
+        """Run ``job`` under ``policy``'s budgets on the next idle worker.
+
+        The wall-clock budget shrinks to what is left of the calling
+        query's deadline (:func:`repro.llm.resilience.time_left`); with
+        none left the run does not start.
+        """
         if self._pid != os.getpid():
             self._start()
         waited = time.perf_counter()
@@ -457,9 +463,17 @@ class _WorkerPool:
             self._replace(worker)
             error = _killed("ChildProcessError", "the analysis worker failed to start")
             return _Reply("", error, queue_wait, killed=True)
+        wall = policy.run_wall_seconds
+        left = time_left()
+        if left is not None and left < wall:
+            wall = left
+            if wall <= 0:
+                self._idle.put(worker)
+                error = _killed("TimeoutError", "the query deadline passed first")
+                return _Reply("", error, queue_wait)
         try:
             worker.conn.send((*job, policy.run_cpu_seconds, policy.run_memory_bytes))
-            if worker.conn.poll(policy.run_wall_seconds):
+            if worker.conn.poll(wall):
                 stdout, error, cpu_s, max_rss_kb = worker.conn.recv()
                 self._idle.put(worker)
                 return _Reply(stdout, error, queue_wait, cpu_s, max_rss_kb)
@@ -473,7 +487,7 @@ class _WorkerPool:
         self._replace(worker)
         error = _killed(
             "TimeoutError",
-            f"analysis run exceeded its {policy.run_wall_seconds:g} s budget",
+            f"analysis run exceeded its {wall:g} s budget",
         )
         return _Reply("", error, queue_wait, killed=True)
 

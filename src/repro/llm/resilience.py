@@ -14,6 +14,10 @@ the analyzer's resilience layer is made of:
   open / half-open) with an injectable clock, so heavy sustained
   failure stops burning retries and heals itself after a cooldown.
 
+A third, :func:`query_deadline`, scopes a query's wall-clock deadline
+to the calling context; the assistant's tool loop and the sandbox
+read :func:`time_left` so that no single attempt outlives it.
+
 Neither class knows anything about LLMs; the analyzer wires them to
 its query loop and the metrics registry.
 """
@@ -24,8 +28,10 @@ import enum
 import random
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.util.errors import LLMError
 
@@ -204,3 +210,29 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._probe_successes = 0
         self._trips += 1
+
+
+#: The ``time.perf_counter()`` reading by which the current query must
+#: end; None when it has no deadline.
+_QUERY_DEADLINE: ContextVar[float | None] = ContextVar(
+    "query_deadline", default=None
+)
+
+
+@contextmanager
+def query_deadline(at: float | None) -> Iterator[None]:
+    """Make ``at``, a ``time.perf_counter()`` reading, this context's deadline.
+
+    None means no deadline.
+    """
+    token = _QUERY_DEADLINE.set(at)
+    try:
+        yield
+    finally:
+        _QUERY_DEADLINE.reset(token)
+
+
+def time_left() -> float | None:
+    """Seconds before the current query's deadline; None when unbounded."""
+    at = _QUERY_DEADLINE.get()
+    return None if at is None else at - time.perf_counter()

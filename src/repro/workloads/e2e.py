@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.ion.issues import IssueType, MitigationNote
 from repro.iosim.job import SimulatedJob
-from repro.iosim.mpiio import Contribution
 from repro.lustre.filesystem import LustreConfig, LustreFilesystem
 from repro.util.units import KIB, MIB
 from repro.workloads.base import GroundTruth, TraceBundle, scaled
@@ -98,24 +97,26 @@ class E2eBaseline:
         # Rank 0 writes fill values over every variable, alone — the
         # netCDF pre-fill pathology the paper's users disabled for a
         # 10x speedup.
-        position = NC4_HEADER
         end = NC4_HEADER + cfg.variables * variable_span
-        while position < end:
-            length = min(cfg.fill_chunk, end - position)
-            mpi.write_at(handle, 0, position, length)
-            position += length
+        mpi.independent_run(handle, "write", (
+            (0, position, min(cfg.fill_chunk, end - position))
+            for position in range(NC4_HEADER, end, cfg.fill_chunk)
+        ))
         # The enddef/sync barrier separates the pre-fill from the domain
         # writes, as netCDF's define/data mode switch does.
         job.barrier()
         # Every rank then overwrites its slab of each variable in small
         # unaligned pieces.
         piece = cfg.block_per_rank // writes_per_rank
-        for variable in range(cfg.variables):
-            base = NC4_HEADER + variable * variable_span
-            for step in range(writes_per_rank):
-                for rank in range(nprocs):
-                    offset = base + rank * cfg.block_per_rank + step * piece
-                    mpi.write_at(handle, rank, offset, piece, mem_aligned=False)
+        mpi.independent_run(handle, "write", (
+            (rank,
+             NC4_HEADER + variable * variable_span + rank * cfg.block_per_rank
+             + step * piece,
+             piece)
+            for variable in range(cfg.variables)
+            for step in range(writes_per_rank)
+            for rank in range(nprocs)
+        ), mem_aligned=False)
         mpi.close(handle)
         log = job.finalize()
         return TraceBundle(
@@ -150,21 +151,20 @@ class E2eOptimized:
         mpi = job.mpiio(cb_nodes=aggregators)
         handle = mpi.open(E2E_FILE, stripe_count=8)
         # Rank 0 writes the header/metadata in small odd pieces.
-        for index in range(header_writes):
-            mpi.write_at(
-                handle, 0, 37 + index * cfg.header_write_size,
-                cfg.header_write_size,
-            )
+        mpi.independent_run(handle, "write", (
+            (0, 37 + index * cfg.header_write_size, cfg.header_write_size)
+            for index in range(header_writes)
+        ))
         # The same domain as the baseline — one collective write per
         # variable, no pre-fill — lands on disk through the aggregators.
         slab = cfg.block_per_rank
-        for variable in range(cfg.variables):
-            base = NC4_HEADER + variable * nprocs * slab
-            contributions = [
-                Contribution(rank, base + rank * slab, slab)
+        mpi.collective_run(handle, "write", (
+            [
+                (rank, NC4_HEADER + variable * nprocs * slab + rank * slab, slab)
                 for rank in range(nprocs)
             ]
-            mpi.write_at_all(handle, contributions)
+            for variable in range(cfg.variables)
+        ))
         mpi.close(handle)
         log = job.finalize()
         return TraceBundle(

@@ -208,8 +208,6 @@ class IorWorkload:
     def _run_mpiio(
         self, job: SimulatedJob, offsets: list[Sequence[int]], sizes: list[int]
     ) -> None:
-        from repro.iosim.mpiio import Contribution
-
         cfg = self.config
         ranks = range(cfg.nprocs)
         mpi = job.mpiio()
@@ -220,22 +218,20 @@ class IorWorkload:
             stripe_size=cfg.stripe_size,
             stripe_count=cfg.stripe_count,
         )
+        # Each phase is one data-path run: one collective call per step,
+        # or every rank's independent call per step.
         for operation in ("write", "read") if cfg.read_back else ("write",):
-            writing = operation == "write"
-            collective = mpi.write_at_all if writing else mpi.read_at_all
-            independent = mpi.write_at if writing else mpi.read_at
-            for step, size in enumerate(sizes):
-                if cfg.collective:
-                    collective(handle, [
-                        Contribution(rank, offsets[rank][step], size)
-                        for rank in ranks
-                    ])
-                    continue
-                for rank in ranks:
-                    independent(
-                        handle, rank, offsets[rank][step], size,
-                        mem_aligned=cfg.mem_aligned,
-                    )
+            if cfg.collective:
+                mpi.collective_run(handle, operation, (
+                    [(rank, offsets[rank][step], size) for rank in ranks]
+                    for step, size in enumerate(sizes)
+                ))
+            else:
+                mpi.independent_run(handle, operation, (
+                    (rank, offsets[rank][step], size)
+                    for step, size in enumerate(sizes)
+                    for rank in ranks
+                ), mem_aligned=cfg.mem_aligned)
         mpi.close(handle)
 
     # -- labels -------------------------------------------------------------

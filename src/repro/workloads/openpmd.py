@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.ion.issues import IssueType, MitigationNote
 from repro.iosim.job import SimulatedJob
-from repro.iosim.mpiio import Contribution
 from repro.lustre.filesystem import LustreConfig, LustreFilesystem
 from repro.util.units import KIB, MIB
 from repro.workloads.base import GroundTruth, TraceBundle, scaled
@@ -122,24 +121,28 @@ class OpenPmdBaseline:
         for i, size in enumerate(sizes_main):
             starts_main[i] = acc
             acc += size
-        for step in range(writes_main):
-            size = sizes_main[step]
-            for rank in range(nprocs):
-                offset = HEADER_OFFSET + rank * rank_span_main + starts_main[step]
-                mpi.write_at(main, rank, offset, size, mem_aligned=False)
-        for step in range(writes_aux):
-            for rank in range(nprocs):
-                offset = HEADER_OFFSET + rank * rank_span_aux + step * cfg.small_size
-                mpi.write_at(aux, rank, offset, cfg.small_size, mem_aligned=False)
+        # Each loop below is one phase of independent calls, one run.
+        mpi.independent_run(main, "write", (
+            (rank, HEADER_OFFSET + rank * rank_span_main + starts_main[step],
+             sizes_main[step])
+            for step in range(writes_main)
+            for rank in range(nprocs)
+        ), mem_aligned=False)
+        mpi.independent_run(aux, "write", (
+            (rank, HEADER_OFFSET + rank * rank_span_aux + step * cfg.small_size,
+             cfg.small_size)
+            for step in range(writes_aux)
+            for rank in range(nprocs)
+        ), mem_aligned=False)
         job.barrier()
         # Read-back of the main file (verification pass the trace showed).
-        for step in range(reads):
-            size = sizes_main[step % writes_main]
-            for rank in range(nprocs):
-                offset = HEADER_OFFSET + rank * rank_span_main + starts_main[
-                    step % writes_main
-                ]
-                mpi.read_at(main, rank, offset, size, mem_aligned=False)
+        mpi.independent_run(main, "read", (
+            (rank,
+             HEADER_OFFSET + rank * rank_span_main + starts_main[step % writes_main],
+             sizes_main[step % writes_main])
+            for step in range(reads)
+            for rank in range(nprocs)
+        ), mem_aligned=False)
         mpi.close(main)
         mpi.close(aux)
         log = job.finalize()
@@ -181,31 +184,31 @@ class OpenPmdOptimized:
         # chunk per round; the merged extent starts on a stripe
         # boundary because the fixed HDF5 aligns dataset allocations.
         chunk = cfg.collective_chunk
-        for round_index in range(rounds):
-            base = round_index * nprocs * chunk
-            contributions = [
-                Contribution(rank, base + rank * chunk, chunk)
+        mpi.collective_run(main, "write", (
+            [
+                (rank, round_index * nprocs * chunk + rank * chunk, chunk)
                 for rank in range(nprocs)
             ]
-            mpi.write_at_all(main, contributions)
+            for round_index in range(rounds)
+        ))
         job.barrier()
         # Residual small reads: a minority population, mostly random.
         rng = random.Random(cfg.seed)
         file_span = rounds * nprocs * chunk
         slots = max(1, file_span // cfg.random_read_size)
-        for index in range(random_reads):
-            rank = index % reader_ranks
-            offset = rng.randrange(slots) * cfg.random_read_size + 1024
-            offset = min(offset, file_span - cfg.random_read_size)
-            mpi.read_at(main, rank, offset, cfg.random_read_size)
-        for index in range(seq_reads):
-            rank = index % reader_ranks
-            mpi.read_at(
-                main, rank,
-                (index // reader_ranks) * cfg.random_read_size
-                + rank * 64 * cfg.random_read_size,
-                cfg.random_read_size,
-            )
+        size = cfg.random_read_size
+        mpi.independent_run(main, "read", (
+            (index % reader_ranks,
+             min(rng.randrange(slots) * size + 1024, file_span - size),
+             size)
+            for index in range(random_reads)
+        ))
+        mpi.independent_run(main, "read", (
+            (index % reader_ranks,
+             (index // reader_ranks) * size + (index % reader_ranks) * 64 * size,
+             size)
+            for index in range(seq_reads)
+        ))
         mpi.close(main)
         log = job.finalize()
         return TraceBundle(

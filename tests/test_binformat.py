@@ -16,6 +16,7 @@ from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
 from repro.ion.extractor import Extractor
+from repro.iosim.job import SimulatedJob
 from repro.util.errors import DarshanFormatError
 
 
@@ -244,6 +245,20 @@ class TestColumnarDxt:
         assert back == log
         assert back.dxt.hostnames == ["node0", "node7"]
         assert [s.hostname for s in back.dxt_segments] == ["node0", "node7", "node7"]
+
+    def test_streamed_sections_equal_whole_payload_compression(self, tmp_path):
+        # write_log deflates each section piece by piece; the bytes must
+        # equal zlib.compress over each joined payload.
+        job = SimulatedJob(nprocs=3)
+        fds = [job.posix(rank).open("/lustre/stream") for rank in range(3)]
+        job.posix_run(
+            "write",
+            ((rank, fds[rank], (step * 3 + rank) * 5000, 5000)
+             for step in range(3000) for rank in range(3)),
+        )
+        for log in (dxt_log(), job.finalize()):
+            written = write_log(log, tmp_path / "log.darshan").read_bytes()
+            assert written == frame(list(iter_sections(log)))
 
     def test_writer_emits_dxt2_only(self):
         names = [name for name, _ in iter_sections(dxt_log())]

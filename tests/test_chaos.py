@@ -329,6 +329,37 @@ class TestRunawaySnippet:
         assert report.health.attempts == 2
         assert elapsed < resilience.query_deadline
 
+    def test_query_deadline_bounds_a_single_attempt(
+        self, easy_extraction, easy_2k_bundle, monkeypatch
+    ):
+        # Six rounds of 3 s snippets fit the tool budget, so only the
+        # query deadline can end the first attempt early.
+        monkeypatch.setattr(
+            interpreter_module,
+            "SANDBOX_POLICY",
+            dataclasses.replace(SANDBOX_POLICY, run_wall_seconds=3.0),
+        )
+        analyzer = Analyzer(
+            client=RunawayModel(),
+            config=AnalyzerConfig(
+                issues=(IssueType.SMALL_IO,),
+                max_tool_rounds=6,
+                summarize=False,
+                resilience=fast_resilience(max_attempts=3, query_deadline=1.0),
+            ),
+        )
+        started = time.perf_counter()
+        report = analyzer.analyze(
+            easy_extraction, "runaway", log=easy_2k_bundle.log
+        )
+        elapsed = time.perf_counter() - started
+        (diagnosis,) = report.diagnoses
+        assert diagnosis.degraded
+        assert diagnosis.fallback_source == "drishti"
+        assert "query deadline exhausted" in diagnosis.degraded_reason
+        assert report.health.attempts == 1
+        assert elapsed < 2.0
+
 
 class TestCircuitBreaker:
     def test_sustained_failure_trips_and_short_circuits(
