@@ -33,12 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
+from repro.darshan.records import DXT_MODULES
 from repro.lustre.filesystem import Inode, LustreFilesystem
 from repro.lustre.locks import StripeLock
 from repro.util.errors import FilesystemError, SimulationError
 
-#: Codes of the DXT module column (``DxtTable`` order).
-_X_POSIX, _X_MPIIO = 0, 1
+#: Codes of the DXT module column.
+_X_POSIX = DXT_MODULES.index("X_POSIX")
+_X_MPIIO = DXT_MODULES.index("X_MPIIO")
 
 
 @dataclass
