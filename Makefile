@@ -3,8 +3,9 @@
 #   make test        default suite (stress tests marked `slow` excluded)
 #   make test-slow   only the heavyweight stress tests
 #   make test-all    everything
-#   make golden      regenerate the golden report snapshots and the
-#                    simulated-log digests
+#   make golden      regenerate the golden report snapshots, the
+#                    simulated-log digests and the registry-report
+#                    digests
 
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
@@ -22,4 +23,4 @@ test-all:
 
 golden:
 	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \
-		tests/test_log_digests.py
+		tests/test_log_digests.py tests/test_report_digests.py
