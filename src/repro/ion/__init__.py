@@ -1,4 +1,4 @@
-"""ION core: extractor, issue contexts, analyzer, reports, interactivity."""
+"""ION core: extractor, issue registry, analyzer, reports, interactivity."""
 
 from repro.ion.analyzer import Analyzer, AnalyzerConfig
 from repro.ion.consistency import (
@@ -6,7 +6,6 @@ from repro.ion.consistency import (
     ConsistencyReport,
     IssueConsistency,
 )
-from repro.ion.contexts import IssueContext, all_contexts, context_for
 from repro.ion.extractor import ExtractionResult, Extractor
 from repro.ion.htmlreport import render_html, write_html
 from repro.ion.interactive import IonSession, build_digest
@@ -26,6 +25,7 @@ from repro.ion.serialize import (
     report_from_dict,
     report_to_dict,
 )
+from repro.ion.specs import IssueSpec, all_specs, spec_for
 
 __all__ = [
     "Analyzer",
@@ -41,16 +41,15 @@ __all__ = [
     "IonSession",
     "IoNavigator",
     "IssueConsistency",
-    "IssueContext",
+    "IssueSpec",
     "IssueType",
     "MitigationNote",
     "Passage",
     "Severity",
     "TfIdfIndex",
-    "all_contexts",
+    "all_specs",
     "build_digest",
     "build_knowledge_base",
-    "context_for",
     "dump_report",
     "load_report",
     "render_diagnosis",
@@ -58,5 +57,6 @@ __all__ = [
     "render_report",
     "report_from_dict",
     "report_to_dict",
+    "spec_for",
     "write_html",
 ]

@@ -20,7 +20,6 @@ report — it degrades to the deterministic Drishti heuristic fallback
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import time
@@ -30,7 +29,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.darshan.log import DarshanLog
-from repro.ion.contexts import IssueContext, context_for, default_issue_order
 from repro.ion.degraded import DrishtiFallback, compose_degraded_summary
 from repro.ion.extractor import ExtractionResult
 from repro.ion.issues import (
@@ -49,7 +47,12 @@ from repro.ion.prompts import (
 )
 from repro.llm.assistants import Assistant, Run, RunStatus, Thread
 from repro.llm.client import LLMClient
-from repro.llm.expert.model import SimulatedExpertLLM, parse_conclusions
+from repro.ion.specs import IssueSpec, spec_for
+from repro.llm.expert.model import (
+    SimulatedExpertLLM,
+    parse_conclusions,
+    parse_tool_output,
+)
 from repro.llm.interpreter import CodeInterpreter
 from repro.sca.policy import GuardPolicy
 from repro.llm.messages import Message
@@ -61,7 +64,6 @@ from repro.util.metrics import SIZE_BUCKETS, MetricsRegistry
 _SEVERITY_RE = re.compile(r"\[severity=(\w+)\]")
 _MITIGATIONS_RE = re.compile(r"\[mitigations=([\w,\s]+)\]")
 _STEP_RE = re.compile(r"^\s*\d+\.\s+(.*\S)", flags=re.MULTILINE)
-_ISSUE_MARKER = "### ISSUE:"
 
 #: Failures the resilience envelope absorbs; anything else is a
 #: programming error and propagates.
@@ -133,7 +135,7 @@ class AnalyzerConfig:
     context_source: str = "static"
     retrieval_k: int = 3
     issues: tuple[IssueType, ...] = field(
-        default_factory=lambda: tuple(default_issue_order())
+        default_factory=lambda: tuple(IssueType)
     )
     max_tool_rounds: int = 6
     #: Size of the thread pool dispatching per-issue prompts; 1 runs
@@ -390,7 +392,7 @@ class Analyzer:
 
     # -- strategies ----------------------------------------------------------
 
-    def _contexts(self, extraction: ExtractionResult) -> list[IssueContext]:
+    def _specs(self, extraction: ExtractionResult) -> list[IssueSpec]:
         if self.config.context_source == "retrieval":
             from repro.ion.retrieval import ContextRetriever
 
@@ -399,7 +401,7 @@ class Analyzer:
                 retriever.retrieve(issue, extraction, k=self.config.retrieval_k)
                 for issue in self.config.issues
             ]
-        return [context_for(issue) for issue in self.config.issues]
+        return [spec_for(issue) for issue in self.config.issues]
 
     def _analyze_divide(
         self,
@@ -407,43 +409,43 @@ class Analyzer:
         trace_name: str,
         fallback: DrishtiFallback,
     ) -> tuple[list[Diagnosis], list[_QueryStats]]:
-        contexts = self._contexts(extraction)
+        specs = self._specs(extraction)
         # Captured before the pool: worker threads have no ambient span
         # context, so the per-issue query spans take their parent by
         # explicit handoff across the thread boundary.
         parent = self.tracer.current_span()
 
-        def run_one(context: IssueContext) -> tuple[Diagnosis, _QueryStats]:
+        def run_one(spec: IssueSpec) -> tuple[Diagnosis, _QueryStats]:
             prompt = build_issue_prompt(
-                trace_name, context, extraction,
+                trace_name, spec, extraction,
                 include_context=self.config.include_context,
                 include_dxt=self.config.include_dxt,
             )
 
             def attempt() -> Diagnosis:
                 run = self._run_prompt(prompt, extraction)
-                return self._diagnosis_from_run(context.issue, run)
+                return self._diagnosis_from_run(spec.issue, run)
 
             def degrade(reason: str) -> tuple[Diagnosis, str]:
-                diagnosis = self._degrade_or_raise(context.issue, fallback, reason)
+                diagnosis = self._degrade_or_raise(spec.issue, fallback, reason)
                 return diagnosis, diagnosis.fallback_source or "none"
 
             return self._query(
                 self.tracer.span(
                     "analyzer.query",
-                    attributes={"issue": context.issue.value},
+                    attributes={"issue": spec.issue.value},
                     parent=parent,
                 ),
-                f"query:{context.issue.value}", prompt, attempt, degrade,
+                f"query:{spec.issue.value}", prompt, attempt, degrade,
             )
 
         if self.config.parallel_prompts > 1:
             with ThreadPoolExecutor(
                 max_workers=self.config.parallel_prompts
             ) as pool:
-                results = list(pool.map(run_one, contexts))
+                results = list(pool.map(run_one, specs))
         else:
-            results = [run_one(context) for context in contexts]
+            results = [run_one(spec) for spec in specs]
         return [d for d, _ in results], [s for _, s in results]
 
     def _analyze_monolithic(
@@ -452,9 +454,8 @@ class Analyzer:
         trace_name: str,
         fallback: DrishtiFallback,
     ) -> tuple[list[Diagnosis], list[_QueryStats]]:
-        contexts = self._contexts(extraction)
         prompt = build_monolithic_prompt(
-            trace_name, contexts, extraction,
+            trace_name, self._specs(extraction), extraction,
             include_context=self.config.include_context,
             include_dxt=self.config.include_dxt,
         )
@@ -585,31 +586,17 @@ class Analyzer:
         return []
 
     def _evidence_by_issue(self, run: Run) -> dict[IssueType, dict]:
-        """Recover per-issue metrics from the last successful tool output."""
+        """Recover per-issue metrics from the last successful tool output.
+
+        Metrics printed under no issue marker belong to the analyzed
+        issue when the analyzer runs exactly one.
+        """
+        issues = self.config.issues
+        default = issues[0] if len(issues) == 1 else None
         evidence: dict[IssueType, dict] = {}
         for step in run.steps:
-            if step.execution is None or not step.execution.ok:
-                continue
-            current: IssueType | None = None
-            single = len(self.config.issues) == 1
-            for line in step.execution.stdout.splitlines():
-                line = line.strip()
-                if line.startswith(_ISSUE_MARKER):
-                    title_value = line[len(_ISSUE_MARKER):].strip()
-                    current = next(
-                        (i for i in IssueType if i.value == title_value), None
-                    )
-                    continue
-                if not line.startswith("{"):
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if current is not None:
-                    evidence[current] = payload
-                elif single:
-                    evidence[self.config.issues[0]] = payload
+            if step.execution is not None and step.execution.ok:
+                evidence.update(parse_tool_output(step.execution.stdout, default))
         return evidence
 
     # -- summary -------------------------------------------------------------------

@@ -31,20 +31,9 @@ class IssueType(enum.Enum):
     @property
     def title(self) -> str:
         """Human-readable issue name used in prompts and reports."""
-        return _TITLES[self]
+        from repro.ion.specs import spec_for
 
-
-_TITLES = {
-    IssueType.SMALL_IO: "Small I/O Operations",
-    IssueType.MISALIGNED_IO: "Misaligned I/O",
-    IssueType.RANDOM_ACCESS: "Random Access Pattern",
-    IssueType.SHARED_FILE_CONTENTION: "Shared-File Contention",
-    IssueType.LOAD_IMBALANCE: "Imbalanced I/O Load",
-    IssueType.METADATA_LOAD: "Excessive Metadata Load",
-    IssueType.NO_MPIIO: "POSIX-only I/O Despite Multiple Ranks",
-    IssueType.NO_COLLECTIVE: "MPI-IO Without Collective Operations",
-    IssueType.RANK_ZERO_BOTTLENECK: "Rank 0 Bottleneck",
-}
+        return spec_for(self).title
 
 
 class MitigationNote(enum.Enum):

@@ -18,14 +18,9 @@ ablation.
 
 from __future__ import annotations
 
-from repro.ion.contexts import IssueContext
 from repro.ion.extractor import ExtractionResult
 from repro.ion.issues import IssueType
-
-#: Issues whose analysis benefits from per-operation DXT data.
-DXT_ISSUES = frozenset(
-    {IssueType.RANDOM_ACCESS, IssueType.SHARED_FILE_CONTENTION}
-)
+from repro.ion.specs import IssueSpec
 
 ASSISTANT_INSTRUCTIONS = """\
 You are ION, an expert high-performance-computing I/O performance
@@ -80,20 +75,24 @@ def _files_block(extraction: ExtractionResult, modules: list[str]) -> str:
 
 
 def modules_for_issue(
-    context: IssueContext,
+    spec: IssueSpec,
     extraction: ExtractionResult,
     include_dxt: bool = True,
 ) -> list[str]:
     """The module CSVs an issue's prompt should describe."""
-    modules = [m for m in context.required_modules if extraction.has_module(m)]
-    if include_dxt and context.issue in DXT_ISSUES and extraction.has_module("DXT"):
+    modules = [m for m in spec.modules if extraction.has_module(m)]
+    if include_dxt and spec.dxt and extraction.has_module("DXT"):
         modules.append("DXT")
     return modules
 
 
+def _context_block(spec: IssueSpec) -> str:
+    return f"## Issue Context: {spec.title}\n{spec.context}"
+
+
 def build_issue_prompt(
     trace_name: str,
-    context: IssueContext,
+    spec: IssueSpec,
     extraction: ExtractionResult,
     include_context: bool = True,
     include_dxt: bool = True,
@@ -102,15 +101,13 @@ def build_issue_prompt(
     parts = [
         "# ION I/O Diagnosis Request",
         f"Trace: {trace_name}",
-        f"## Target Issue: {context.title}",
+        f"## Target Issue: {spec.title}",
     ]
     if include_context:
-        parts.append(f"## Issue Context: {context.title}\n{context.text}")
+        parts.append(_context_block(spec))
     parts.append(_system_block(extraction))
     parts.append(
-        _files_block(
-            extraction, modules_for_issue(context, extraction, include_dxt)
-        )
+        _files_block(extraction, modules_for_issue(spec, extraction, include_dxt))
     )
     parts.append(OUTPUT_FORMAT)
     return "\n\n".join(parts)
@@ -118,24 +115,23 @@ def build_issue_prompt(
 
 def build_monolithic_prompt(
     trace_name: str,
-    contexts: list[IssueContext],
+    specs: list[IssueSpec],
     extraction: ExtractionResult,
     include_context: bool = True,
     include_dxt: bool = True,
 ) -> str:
     """The single voluminous prompt covering every issue (ABL1)."""
-    titles = ", ".join(context.title for context in contexts)
+    titles = ", ".join(spec.title for spec in specs)
     parts = [
         "# ION I/O Diagnosis Request",
         f"Trace: {trace_name}",
         f"## Target Issues: {titles}",
     ]
     if include_context:
-        for context in contexts:
-            parts.append(f"## Issue Context: {context.title}\n{context.text}")
+        parts.extend(_context_block(spec) for spec in specs)
     modules: list[str] = []
-    for context in contexts:
-        for module in modules_for_issue(context, extraction, include_dxt):
+    for spec in specs:
+        for module in modules_for_issue(spec, extraction, include_dxt):
             if module not in modules:
                 modules.append(module)
     parts.append(_system_block(extraction))

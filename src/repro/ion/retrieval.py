@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.ion.contexts import IssueContext, all_contexts
 from repro.ion.extractor import ExtractionResult
 from repro.ion.issues import IssueType
+from repro.ion.specs import IssueSpec, all_specs, spec_for
 
 _TOKEN_RE = re.compile(r"[a-z0-9_*]+")
 
@@ -115,15 +115,15 @@ class TfIdfIndex:
 def build_knowledge_base() -> list[Passage]:
     """Split every issue context into paragraph passages."""
     passages: list[Passage] = []
-    for context in all_contexts():
+    for spec in all_specs():
         paragraphs = [
             paragraph.strip()
-            for paragraph in context.text.split("\n\n")
+            for paragraph in spec.context.split("\n\n")
             if paragraph.strip()
         ]
         for ordinal, paragraph in enumerate(paragraphs):
             passages.append(
-                Passage(issue=context.issue, ordinal=ordinal, text=paragraph)
+                Passage(issue=spec.issue, ordinal=ordinal, text=paragraph)
             )
     return passages
 
@@ -144,36 +144,31 @@ class ContextRetriever:
         """
         issue_terms = f"{issue.title} {issue.value.replace('_', ' ')}"
         parts = [issue_terms]
-        # Module names are added only for the interface-usage issues,
-        # where they are the topic; elsewhere they drown the issue terms
-        # (every passage mentions POSIX counters somewhere).
-        if issue in (IssueType.NO_MPIIO, IssueType.NO_COLLECTIVE):
+        # Module names are added only for the issues that need MPI-IO,
+        # where interface usage is the topic; elsewhere they drown the
+        # issue terms (every passage mentions POSIX counters somewhere).
+        if "MPI-IO" in spec_for(issue).modules:
             parts.extend(sorted(extraction.csv_paths))
         return " ".join(parts)
 
     def retrieve(
         self, issue: IssueType, extraction: ExtractionResult, k: int = 3
-    ) -> IssueContext:
-        """Assemble an :class:`IssueContext` from the top-k passages.
+    ) -> IssueSpec:
+        """The issue's spec with its context built from the top-k passages.
 
-        The required-module mapping is inherited from the static context
-        (retrieval replaces the *knowledge text*, not the file routing,
-        which the paper describes as a separate predefined mapping).
+        Everything else is the registry's (retrieval replaces the
+        *knowledge text*, not the file routing, which the paper
+        describes as a separate predefined mapping).
         """
-        from repro.ion.contexts import context_for
-
         query = self.query_for(issue, extraction)
         hits = self._index.search(query, k)
         text = "\n\n".join(self.passages[index].text for index in hits)
-        static = context_for(issue)
-        return IssueContext(
-            issue=issue, text=text, required_modules=static.required_modules
-        )
+        return replace(spec_for(issue), context=text)
 
     def retrieval_accuracy(
         self, extraction: ExtractionResult, k: int = 3
     ) -> float:
-        """Fraction of issues whose top-k hits include both own passages.
+        """Fraction of issues whose top-k hits include an own passage.
 
         A diagnostic for the bench: quality degrades exactly when the
         passage carrying the key counter names is not retrieved.

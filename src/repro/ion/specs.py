@@ -1,29 +1,47 @@
-"""Per-issue analysis skills of the simulated expert model.
+"""The issue registry: one :class:`IssueSpec` per I/O issue type.
 
-A skill bundles, for one issue type: the chain-of-thought steps the
-model narrates, the analysis code it writes (primary and a counters-
-only fallback for when DXT data is missing or broken), and the verdict
-judgment that converts *measured* metrics into a severity, mitigation
-notes, and a conclusion in the style of the paper's Figure 2/3 ION
-outputs.
+A spec is everything ION and the simulated expert know about one issue:
 
-The judgment rules are the reproduction's stand-in for GPT-4's
+* the *I/O Performance Issue Context* — ION's replacement for
+  Drishti's fixed numeric triggers.  It describes the nature of the
+  issue and names the key metrics that reveal it, referencing system
+  facts (Lustre stripe size, RPC size) rather than expert-tuned
+  percentage thresholds;
+* the Darshan modules the analysis needs (the paper's "predefined
+  mapping of necessary modules for each issue type"), and whether the
+  prompt also lists the per-operation DXT trace;
+* the expert's analysis: the chain-of-thought steps it narrates, the
+  code it writes (and a counters-only fallback for when DXT data is
+  missing or broken), and the verdict that turns *measured* metrics
+  into a severity, mitigation notes and a conclusion in the style of
+  the paper's Figure 2/3 ION outputs;
+* the context markers the expert needs to see before it engages, the
+  recommendation the summary leads with, and the keywords that route a
+  follow-up question to the issue.
+
+The verdict rules are the reproduction's stand-in for GPT-4's
 reasoning.  They deliberately lean on system facts present in the
 prompt (RPC size, stripe size, rank count) and on relative dominance
 ("the majority of", "more than one standard deviation above") rather
 than on Drishti-style tuned thresholds — mirroring how the paper
 describes ION's contexts steering the model.
+
+Every consumer looks specs up at call time, so adding or changing an
+issue type is an edit to this module (plus an :class:`IssueType`
+member for a new one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.ion.issues import IssueType, MitigationNote, Severity
 from repro.llm.expert import codegen
-from repro.llm.expert.promptspec import PromptSpec
 from repro.util.units import MIB, format_count, format_percent, format_size
+
+if TYPE_CHECKING:
+    from repro.llm.expert.promptspec import PromptSpec
 
 
 @dataclass
@@ -36,29 +54,51 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class Skill:
-    """One issue-analysis capability."""
+class IssueSpec:
+    """Everything known about diagnosing one issue type."""
 
     issue: IssueType
+    title: str
+    #: The issue context: the prompt's domain knowledge for the issue.
+    context: str
+    #: Darshan modules whose CSVs the issue's prompt describes.
+    modules: tuple[str, ...]
     steps: Callable[[PromptSpec], list[str]]
     code: Callable[[PromptSpec], str]
-    fallback_code: Callable[[PromptSpec], str | None]
     verdict: Callable[[dict, PromptSpec], Verdict]
-    #: Counters the issue context must mention for the skill to engage;
-    #: without grounded context the expert only produces generic text.
-    context_markers: tuple[str, ...] = ()
+    #: Counters the prompt's context must mention for the expert to
+    #: engage; without grounded context it only produces generic text.
+    markers: tuple[str, ...]
+    #: The fix the summary recommends when this issue dominates.
+    recommendation: str
+    #: Words that route a follow-up question to this issue.
+    keywords: tuple[str, ...]
+    #: Whether the prompt also lists the DXT trace when it exists.
+    dxt: bool = False
+    #: Code retried after a failed run; None retries ``code``.
+    fallback_code: Callable[[PromptSpec], str] | None = None
 
 
-_SKILLS: dict[IssueType, Skill] = {}
+SPECS: dict[IssueType, IssueSpec] = {}
 
 
-def skill_for(issue: IssueType) -> Skill:
-    """Look up the skill implementing one issue analysis."""
-    return _SKILLS[issue]
+def spec_for(issue: IssueType) -> IssueSpec:
+    """The registry entry of one issue type."""
+    return SPECS[issue]
 
 
-def _register(skill: Skill) -> None:
-    _SKILLS[skill.issue] = skill
+def all_specs() -> list[IssueSpec]:
+    """Every spec, in taxonomy order."""
+    return [SPECS[issue] for issue in IssueType]
+
+
+def spec_titled(title: str) -> IssueSpec | None:
+    """The spec whose title is ``title``, if any."""
+    return next((spec for spec in SPECS.values() if spec.title == title), None)
+
+
+def _register(spec: IssueSpec) -> None:
+    SPECS[spec.issue] = spec
 
 
 def _stripe(spec: PromptSpec) -> int:
@@ -67,10 +107,6 @@ def _stripe(spec: PromptSpec) -> int:
 
 def _rpc(spec: PromptSpec) -> int:
     return spec.param_int("rpc_size", 4 * MIB)
-
-
-def _no_fallback(spec: PromptSpec) -> str | None:
-    return None
 
 
 # -- Small I/O ----------------------------------------------------------
@@ -160,13 +196,41 @@ def _small_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.SMALL_IO,
+        title="Small I/O Operations",
+        modules=("POSIX", "LUSTRE"),
+        context="""
+Parallel file systems move data in large remote procedure calls (RPCs);
+on Lustre the client RPC size is a system setting (typically 4 MiB) and
+the stripe size sets the unit of server-side locality. Requests much
+smaller than the RPC size underutilize each RPC, inflate per-operation
+overhead, and multiply server round trips. HOWEVER, small requests are
+not always harmful: when a rank issues them CONSECUTIVELY (each request
+starting exactly where the previous one ended), the client-side page
+cache and request aggregation can coalesce them into full-size RPCs
+before they reach the servers, mitigating most of the inefficiency.
+Small requests that are non-consecutive (strided or random) cannot be
+aggregated and realize the full penalty.
+
+Key metrics: the access-size histograms (POSIX_SIZE_READ_* and
+POSIX_SIZE_WRITE_*) relative to the system RPC size and stripe size;
+POSIX_CONSEC_READS / POSIX_CONSEC_WRITES and POSIX_SEQ_READS /
+POSIX_SEQ_WRITES relative to POSIX_READS / POSIX_WRITES to judge
+aggregatability; the most common access sizes (POSIX_ACCESS*_ACCESS);
+and the share of small requests per file to locate the worst offender.
+Distinguish requests below the stripe size (severe when unaggregatable)
+from requests between the stripe size and the RPC size (milder).
+""".strip(),
         steps=_small_steps,
         code=_small_code,
-        fallback_code=_no_fallback,
         verdict=_small_verdict,
-        context_markers=("POSIX_SIZE_READ_", "POSIX_CONSEC_"),
+        markers=("POSIX_SIZE_READ_", "POSIX_CONSEC_"),
+        recommendation=(
+            "restructure the dominant small requests into larger transfers, or "
+            "route them through MPI-IO collective buffering"
+        ),
+        keywords=("small", "tiny", "request size", "aggregat", "rpc"),
     )
 )
 
@@ -224,13 +288,37 @@ def _misaligned_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.MISALIGNED_IO,
+        title="Misaligned I/O",
+        modules=("POSIX", "LUSTRE"),
+        context="""
+Lustre stripes every file over object storage targets (OSTs) in
+stripe_size units. A request whose file offset is not a multiple of
+the file alignment (on Lustre, the stripe size reported in
+LUSTRE_STRIPE_SIZE) may straddle a stripe boundary, touching two OSTs,
+acquiring two extent locks, and splitting into extra RPCs. Pervasive
+misalignment amplifies lock traffic and server load, and commonly
+arises from odd-sized file headers (e.g. HDF5 superblocks or netCDF
+headers) shifting otherwise regular access patterns. Memory-buffer
+misalignment (POSIX_MEM_NOT_ALIGNED) additionally forces internal
+copies, a smaller but measurable cost.
+
+Key metrics: POSIX_FILE_NOT_ALIGNED relative to total operations
+(POSIX_READS + POSIX_WRITES); POSIX_FILE_ALIGNMENT and the per-file
+LUSTRE_STRIPE_SIZE to confirm what alignment means on this system;
+POSIX_MEM_NOT_ALIGNED for buffer alignment; and per-file breakdowns to
+identify whether misalignment is global or confined to one dataset.
+""".strip(),
         steps=_misaligned_steps,
         code=_misaligned_code,
-        fallback_code=_no_fallback,
         verdict=_misaligned_verdict,
-        context_markers=("POSIX_FILE_NOT_ALIGNED", "LUSTRE_STRIPE_SIZE"),
+        markers=("POSIX_FILE_NOT_ALIGNED", "LUSTRE_STRIPE_SIZE"),
+        recommendation=(
+            "align data extents with the Lustre stripe size (e.g. pad headers "
+            "or set H5Pset_alignment / stripe-aligned offsets)"
+        ),
+        keywords=("align", "misalign"),
     )
 )
 
@@ -257,7 +345,7 @@ def _random_code(spec: PromptSpec) -> str:
     return codegen.random_access_code(spec.file_path("POSIX"), spec.file_path("DXT"))
 
 
-def _random_fallback(spec: PromptSpec) -> str | None:
+def _random_fallback(spec: PromptSpec) -> str:
     return codegen.random_access_code(spec.file_path("POSIX"), None)
 
 
@@ -318,13 +406,41 @@ def _random_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.RANDOM_ACCESS,
+        title="Random Access Pattern",
+        modules=("POSIX", "LUSTRE"),
+        context="""
+Access patterns matter as much as request sizes. An access is
+CONSECUTIVE when it begins exactly where the previous access of the
+same rank on the same file ended, SEQUENTIAL when it begins at or past
+the previous end (possibly leaving a forward gap, i.e. strided), and
+RANDOM when it jumps backward. Random and strided patterns defeat
+client aggregation and server read-ahead, and on striped storage they
+scatter requests across OSTs and extent locks. The DXT trace (per-
+operation offsets, lengths and timestamps) gives the exact
+classification; without DXT, POSIX_SEQ_* and POSIX_CONSEC_* counters
+bound it. IMPORTANT: judge impact in context — a small population of
+random operations, a low per-rank random-operation count, or a small
+fraction of total bytes moved through random accesses means the
+pattern does not affect the application's overall I/O performance even
+though it is present.
+
+Key metrics: per-rank, per-file ordered DXT offsets; backward-jump
+fraction per direction (reads vs writes); bytes moved by random
+operations relative to total bytes; random operations per rank.
+""".strip(),
+        dxt=True,
         steps=_random_steps,
         code=_random_code,
         fallback_code=_random_fallback,
         verdict=_random_verdict,
-        context_markers=("DXT", "POSIX_SEQ_"),
+        markers=("DXT", "POSIX_SEQ_"),
+        recommendation=(
+            "reorder accesses toward sequential patterns or batch random "
+            "requests through collective I/O"
+        ),
+        keywords=("random", "strided", "access pattern"),
     )
 )
 
@@ -353,7 +469,7 @@ def _shared_code(spec: PromptSpec) -> str:
     )
 
 
-def _shared_fallback(spec: PromptSpec) -> str | None:
+def _shared_fallback(spec: PromptSpec) -> str:
     return codegen.shared_file_code(
         spec.file_path("POSIX"), spec.file_path("LUSTRE"), None, _stripe(spec)
     )
@@ -417,13 +533,42 @@ def _shared_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.SHARED_FILE_CONTENTION,
+        title="Shared-File Contention",
+        modules=("POSIX", "LUSTRE"),
+        context="""
+When multiple ranks write a single shared file, Lustre must serialize
+conflicting access within each stripe through distributed extent
+locks; ranks that touch the SAME stripe at the SAME time trigger lock
+revocations and OST-level serialization (lock ping-pong). Shared-file
+access by itself is NOT a problem: if every rank works in a disjoint
+set of stripes (e.g. large per-rank blocks aligned to the stripe
+size), no conflicts arise and shared-file I/O performs like
+file-per-process. Sharing only the single boundary stripe between
+adjacent ranks (a by-product of unaligned decompositions) is a mild,
+localized effect; many ranks interleaving within the same stripes
+continuously is severe.
+
+Key metrics: which files are accessed by more than one rank (per-rank
+records in POSIX data); mapping of DXT offsets to stripe indices via
+LUSTRE_STRIPE_SIZE; the number of distinct ranks per stripe; temporal
+overlap of different ranks' accesses to the same stripe; the fraction
+of operations that fall in rank-shared stripes.
+""".strip(),
+        dxt=True,
         steps=_shared_steps,
         code=_shared_code,
         fallback_code=_shared_fallback,
         verdict=_shared_verdict,
-        context_markers=("LUSTRE_STRIPE_SIZE", "stripe"),
+        markers=("LUSTRE_STRIPE_SIZE", "stripe"),
+        recommendation=(
+            "partition ranks into disjoint stripe-aligned regions or use "
+            "file-per-process / collective buffering"
+        ),
+        keywords=(
+            "shared", "contention", "lock", "conflict", "overlap",
+        ),
     )
 )
 
@@ -493,13 +638,37 @@ def _load_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.LOAD_IMBALANCE,
+        title="Imbalanced I/O Load",
+        modules=("POSIX",),
+        context="""
+Parallel I/O performs best when ranks move comparable amounts of data
+in comparable time; a few overloaded ranks stall everyone at the next
+synchronization point. Imbalance shows up as a skewed distribution of
+per-rank transferred bytes, operation counts, or per-rank I/O time.
+Interpretation requires care: a single overloaded rank (typically
+rank 0) usually indicates a serialization bug (e.g. one rank writing
+headers or fill values for everyone), while a REGULAR SUBSET of ranks
+doing nearly all filesystem operations (for instance a number of ranks
+matching the collective-buffering aggregator count) is usually an
+intentional aggregation topology inherent to the algorithm — worth
+reporting, but not necessarily a defect.
+
+Key metrics: per-rank sums of POSIX_BYTES_READ + POSIX_BYTES_WRITTEN
+and of POSIX_F_READ_TIME + POSIX_F_WRITE_TIME + POSIX_F_META_TIME; the
+imbalance ratio (max - mean) / max; how many ranks sit more than one
+standard deviation above the mean and what share of operations they
+carry; per-file variance counters (POSIX_F_VARIANCE_RANK_BYTES).
+""".strip(),
         steps=_load_steps,
         code=_load_code,
-        fallback_code=_no_fallback,
         verdict=_load_verdict,
-        context_markers=("POSIX_BYTES_", "imbalance"),
+        markers=("POSIX_BYTES_", "imbalance"),
+        recommendation=(
+            "redistribute I/O work across ranks or use collective aggregators"
+        ),
+        keywords=("imbalance", "balanc", "load", "skew"),
     )
 )
 
@@ -556,13 +725,32 @@ def _meta_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.METADATA_LOAD,
+        title="Excessive Metadata Load",
+        modules=("POSIX", "STDIO"),
+        context="""
+Every open, stat, seek and sync is a round trip to the metadata server
+(MDS), a single shared resource; applications that repeatedly reopen
+many small files, stat before every access, or sync aggressively can
+bottleneck on metadata while moving almost no data. The signature is a
+high ratio of metadata operations to data operations, metadata time
+rivaling or exceeding data-transfer time, and open counts far above
+the number of distinct files (open/close churn).
+
+Key metrics: POSIX_OPENS, POSIX_STATS, POSIX_SEEKS, POSIX_FSYNCS
+against POSIX_READS + POSIX_WRITES; POSIX_F_META_TIME against
+POSIX_F_READ_TIME + POSIX_F_WRITE_TIME; the number of distinct files;
+opens per file.
+""".strip(),
         steps=_meta_steps,
         code=_meta_code,
-        fallback_code=_no_fallback,
         verdict=_meta_verdict,
-        context_markers=("POSIX_OPENS", "POSIX_F_META_TIME"),
+        markers=("POSIX_OPENS", "POSIX_F_META_TIME"),
+        recommendation=(
+            "keep files open across iterations and batch metadata operations"
+        ),
+        keywords=("metadata", "mds", "open", "stat"),
     )
 )
 
@@ -609,13 +797,34 @@ def _no_mpiio_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.NO_MPIIO,
+        title="POSIX-only I/O Despite Multiple Ranks",
+        modules=("POSIX", "MPI-IO"),
+        context="""
+On HPC systems, multi-rank applications that perform their I/O through
+raw POSIX calls forgo every optimization the MPI-IO layer provides:
+collective buffering (two-phase I/O), data sieving, request
+aggregation across ranks, and filesystem-specific hints. The presence
+of POSIX activity from several ranks with no MPI-IO records at all
+indicates the application (or the I/O library configuration) bypasses
+MPI-IO; moving to MPI-IO collective or non-blocking operations is the
+standard recommendation, especially for shared files and small or
+strided requests.
+
+Key metrics: number of ranks issuing POSIX reads/writes; presence and
+operation counts of MPI-IO records (MPIIO_INDEP_*, MPIIO_COLL_*) for
+the same job.
+""".strip(),
         steps=_no_mpiio_steps,
         code=_no_mpiio_code,
-        fallback_code=_no_fallback,
         verdict=_no_mpiio_verdict,
-        context_markers=("MPIIO_INDEP_", "POSIX"),
+        markers=("MPIIO_INDEP_", "POSIX"),
+        recommendation=(
+            "adopt MPI-IO (or a high-level library such as HDF5/PnetCDF) for "
+            "multi-rank I/O"
+        ),
+        keywords=("mpi-io", "mpiio", "posix"),
     )
 )
 
@@ -672,13 +881,33 @@ def _no_coll_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.NO_COLLECTIVE,
+        title="MPI-IO Without Collective Operations",
+        modules=("MPI-IO",),
+        context="""
+Applications already using MPI-IO may still issue only INDEPENDENT
+operations (MPIIO_INDEP_READS / MPIIO_INDEP_WRITES), leaving collective
+buffering unused. Collective operations let a few aggregator ranks
+merge everyone's requests into large, aligned, stripe-friendly
+transfers — precisely the cure for many small or misaligned per-rank
+accesses on shared files. Independent-only MPI-IO with many ranks on a
+shared file is therefore a missed optimization; non-blocking
+operations (MPIIO_NB_*) can additionally overlap I/O with computation.
+
+Key metrics: MPIIO_COLL_READS + MPIIO_COLL_WRITES versus
+MPIIO_INDEP_READS + MPIIO_INDEP_WRITES + MPIIO_NB_*; number of ranks;
+whether files are shared across ranks.
+""".strip(),
         steps=_no_coll_steps,
         code=_no_coll_code,
-        fallback_code=_no_fallback,
         verdict=_no_coll_verdict,
-        context_markers=("MPIIO_COLL_", "MPIIO_INDEP_"),
+        markers=("MPIIO_COLL_", "MPIIO_INDEP_"),
+        recommendation=(
+            "switch independent MPI-IO operations to their collective "
+            "counterparts"
+        ),
+        keywords=("collective",),
     )
 )
 
@@ -724,12 +953,30 @@ def _rank0_verdict(m: dict, spec: PromptSpec) -> Verdict:
 
 
 _register(
-    Skill(
+    IssueSpec(
         issue=IssueType.RANK_ZERO_BOTTLENECK,
+        title="Rank 0 Bottleneck",
+        modules=("POSIX",),
+        context="""
+A common serialization anti-pattern funnels I/O work through rank 0:
+writing file headers, pre-filling datasets with fill values, or
+gathering and writing everyone's data. The job then runs at the speed
+of one rank. The signature is rank 0 moving far more bytes, issuing
+far more operations, or spending far more I/O time than the average of
+all other ranks — often orders of magnitude more.
+
+Key metrics: rank 0's POSIX_BYTES_WRITTEN + POSIX_BYTES_READ and
+summed I/O time versus the mean over the other ranks; rank 0's share
+of total operations; which files rank 0 dominates.
+""".strip(),
         steps=_rank0_steps,
         code=_rank0_code,
-        fallback_code=_no_fallback,
         verdict=_rank0_verdict,
-        context_markers=("rank 0", "POSIX_BYTES_"),
+        markers=("rank 0", "POSIX_BYTES_"),
+        recommendation=(
+            "eliminate rank-0 serialization (e.g. disable dataset pre-fill or "
+            "parallelize header writes)"
+        ),
+        keywords=("rank 0", "rank0", "rank zero"),
     )
 )

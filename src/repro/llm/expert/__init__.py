@@ -1,19 +1,20 @@
-"""The simulated GPT-4 I/O expert (prompt parsing, skills, narration)."""
+"""The simulated GPT-4 I/O expert (prompt parsing, analysis, narration)."""
 
 from repro.llm.expert.attention import ATTENTION_BUDGET_CHARS, attended_issues
-from repro.llm.expert.model import SimulatedExpertLLM, parse_conclusions
+from repro.llm.expert.model import (
+    SimulatedExpertLLM,
+    parse_conclusions,
+    parse_tool_output,
+)
 from repro.llm.expert.promptspec import FileRef, PromptSpec, parse_prompt
-from repro.llm.expert.skills import Skill, Verdict, skill_for
 
 __all__ = [
     "ATTENTION_BUDGET_CHARS",
     "FileRef",
     "PromptSpec",
     "SimulatedExpertLLM",
-    "Skill",
-    "Verdict",
     "attended_issues",
     "parse_conclusions",
     "parse_prompt",
-    "skill_for",
+    "parse_tool_output",
 ]

@@ -2,7 +2,7 @@
 
 :class:`SimulatedExpertLLM` implements the :class:`LLMClient` protocol
 deterministically.  It reads the prompt the way ION wrote it, selects
-analysis skills based on the *issue contexts present in the prompt*
+analyses based on the *issue contexts present in the prompt*
 (no context → only vacuous generalities, reproducing the paper's
 observation), narrates chain-of-thought steps, emits real analysis
 code, debugs it when an execution fails, and grounds every conclusion
@@ -19,16 +19,17 @@ from __future__ import annotations
 import json
 import re
 
+from repro.ion import specs
 from repro.ion.issues import IssueType
 from repro.llm.expert import narrator
 from repro.llm.expert.codegen import strip_imports
 from repro.llm.expert.attention import ATTENTION_BUDGET_CHARS, attended_issues
 from repro.llm.expert.promptspec import PromptSpec, parse_prompt
-from repro.llm.expert.skills import Verdict, skill_for
 from repro.llm.messages import CodeCall, Completion, Message, Role
 from repro.util.errors import LLMError
 
-_ISSUE_MARKER = "### ISSUE:"
+#: Printed by the analysis code before each issue's metrics.
+ISSUE_MARKER = "### ISSUE:"
 
 #: Matches the guard's ``[sca.import] line N: module 'x'`` feedback
 #: lines (see :meth:`repro.sca.violations.GuardVerdict.render_feedback`).
@@ -94,14 +95,19 @@ class SimulatedExpertLLM:
         context = spec.contexts.get(issue, "")
         if not context:
             return False
-        markers = skill_for(issue).context_markers
+        markers = specs.spec_for(issue).markers
         lowered = context.lower()
         return any(marker.lower() in lowered for marker in markers)
 
     def _analyzable(self, spec: PromptSpec, issue: IssueType) -> bool:
-        if issue == IssueType.NO_COLLECTIVE:
-            return True  # handles an absent MPI-IO module itself
-        return spec.file_path("POSIX") is not None
+        # Absent non-POSIX modules are handled by the analysis code.
+        return (
+            "POSIX" not in specs.spec_for(issue).modules
+            or spec.file_path("POSIX") is not None
+        )
+
+    def _section(self, issue: IssueType, code: str) -> str:
+        return f'print("{ISSUE_MARKER} {issue.value}")\n' + code
 
     # -- turn builders -----------------------------------------------------
 
@@ -112,17 +118,15 @@ class SimulatedExpertLLM:
         step_number = 1
         code_sections: list[str] = []
         for issue in issues:
-            skill = skill_for(issue)
+            issue_spec = specs.spec_for(issue)
             if not self._analyzable(spec, issue):
                 continue
             if len(issues) > 1:
                 lines.append(f"[{issue.title}]")
-            for step in skill.steps(spec):
+            for step in issue_spec.steps(spec):
                 lines.append(f"{step_number}. {step}")
                 step_number += 1
-            code_sections.append(
-                f'print("{_ISSUE_MARKER} {issue.value}")\n' + skill.code(spec)
-            )
+            code_sections.append(self._section(issue, issue_spec.code(spec)))
         if not code_sections:
             return self._unanalyzable_completion(spec, issues)
         lines.append("")
@@ -148,9 +152,9 @@ class SimulatedExpertLLM:
         for issue in issues:
             if not self._analyzable(spec, issue):
                 continue
-            skill = skill_for(issue)
-            code = skill.fallback_code(spec) or skill.code(spec)
-            sections.append(f'print("{_ISSUE_MARKER} {issue.value}")\n' + code)
+            issue_spec = specs.spec_for(issue)
+            code = (issue_spec.fallback_code or issue_spec.code)(spec)
+            sections.append(self._section(issue, code))
         if not sections:
             return Completion(content=self._failure_conclusions(issues, error_text))
         return Completion(
@@ -181,8 +185,8 @@ class SimulatedExpertLLM:
         for issue in issues:
             if not self._analyzable(spec, issue):
                 continue
-            code = strip_imports(skill_for(issue).code(spec), banned)
-            sections.append(f'print("{_ISSUE_MARKER} {issue.value}")\n' + code)
+            code = strip_imports(specs.spec_for(issue).code(spec), banned)
+            sections.append(self._section(issue, code))
         if not sections:
             return Completion(content=self._failure_conclusions(issues, error_text))
         listed = ", ".join(sorted(banned))
@@ -199,7 +203,9 @@ class SimulatedExpertLLM:
     def _conclusion_turn(
         self, spec: PromptSpec, issues: list[IssueType], stdout: str
     ) -> Completion:
-        metrics_by_issue = self._parse_tool_output(stdout, issues)
+        metrics_by_issue = parse_tool_output(
+            stdout, issues[0] if len(issues) == 1 else None
+        )
         lines: list[str] = []
         for issue in issues:
             metrics = metrics_by_issue.get(issue)
@@ -209,34 +215,13 @@ class SimulatedExpertLLM:
                     "metrics for this issue. [severity=ok]"
                 )
                 continue
-            verdict: Verdict = skill_for(issue).verdict(metrics, spec)
+            verdict = specs.spec_for(issue).verdict(metrics, spec)
             tag = f"[severity={verdict.severity.value}]"
             if verdict.mitigations:
                 notes = ",".join(note.value for note in verdict.mitigations)
                 tag += f" [mitigations={notes}]"
             lines.append(f"Conclusion ({issue.title}): {verdict.conclusion} {tag}")
         return Completion(content="\n\n".join(lines))
-
-    def _parse_tool_output(
-        self, stdout: str, issues: list[IssueType]
-    ) -> dict[IssueType, dict]:
-        by_value = {issue.value: issue for issue in issues}
-        result: dict[IssueType, dict] = {}
-        current: IssueType | None = issues[0] if len(issues) == 1 else None
-        for line in stdout.splitlines():
-            line = line.strip()
-            if line.startswith(_ISSUE_MARKER):
-                current = by_value.get(line[len(_ISSUE_MARKER) :].strip())
-                continue
-            if not line.startswith("{"):
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if current is not None:
-                result[current] = payload
-        return result
 
     # -- degenerate completions ------------------------------------------------
 
@@ -302,3 +287,35 @@ def parse_conclusions(text: str) -> dict[str, str]:
         match.group("title").strip(): match.group("body").strip()
         for match in _CONCLUSION_RE.finditer(text)
     }
+
+
+def parse_tool_output(
+    stdout: str, default: IssueType | None = None
+) -> dict[IssueType, dict]:
+    """Split analysis-code output into per-issue metric payloads.
+
+    Each JSON line belongs to the issue named by the last
+    ``ISSUE_MARKER`` line above it; lines under no marker, or under an
+    unknown one, belong to ``default``.  Shared with the ION analyzer.
+    """
+    result: dict[IssueType, dict] = {}
+    current: IssueType | None = None
+    for line in stdout.splitlines():
+        line = line.strip()
+        if line.startswith(ISSUE_MARKER):
+            value = line[len(ISSUE_MARKER) :].strip()
+            try:
+                current = IssueType(value)
+            except ValueError:
+                current = None
+            continue
+        if not line.startswith("{"):
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        owner = current or default
+        if owner is not None:
+            result[owner] = payload
+    return result

@@ -10,64 +10,11 @@ from __future__ import annotations
 import json
 import re
 
+from repro.ion import specs
 from repro.ion.issues import IssueType, Severity
 from repro.llm.expert.promptspec import PromptSpec
 
 _SEVERITY_RE = re.compile(r"\[severity=(\w+)\]")
-
-_RECOMMENDATIONS: dict[str, str] = {
-    IssueType.SMALL_IO.value: (
-        "restructure the dominant small requests into larger transfers, or "
-        "route them through MPI-IO collective buffering"
-    ),
-    IssueType.MISALIGNED_IO.value: (
-        "align data extents with the Lustre stripe size (e.g. pad headers "
-        "or set H5Pset_alignment / stripe-aligned offsets)"
-    ),
-    IssueType.RANDOM_ACCESS.value: (
-        "reorder accesses toward sequential patterns or batch random "
-        "requests through collective I/O"
-    ),
-    IssueType.SHARED_FILE_CONTENTION.value: (
-        "partition ranks into disjoint stripe-aligned regions or use "
-        "file-per-process / collective buffering"
-    ),
-    IssueType.LOAD_IMBALANCE.value: (
-        "redistribute I/O work across ranks or use collective aggregators"
-    ),
-    IssueType.METADATA_LOAD.value: (
-        "keep files open across iterations and batch metadata operations"
-    ),
-    IssueType.NO_MPIIO.value: (
-        "adopt MPI-IO (or a high-level library such as HDF5/PnetCDF) for "
-        "multi-rank I/O"
-    ),
-    IssueType.NO_COLLECTIVE.value: (
-        "switch independent MPI-IO operations to their collective "
-        "counterparts"
-    ),
-    IssueType.RANK_ZERO_BOTTLENECK.value: (
-        "eliminate rank-0 serialization (e.g. disable dataset pre-fill or "
-        "parallelize header writes)"
-    ),
-}
-
-_KEYWORDS: dict[str, tuple[str, ...]] = {
-    IssueType.SMALL_IO.value: ("small", "tiny", "request size", "aggregat", "rpc"),
-    IssueType.MISALIGNED_IO.value: ("align", "misalign"),
-    IssueType.RANDOM_ACCESS.value: ("random", "strided", "access pattern"),
-    IssueType.SHARED_FILE_CONTENTION.value: (
-        "shared", "contention", "lock", "conflict", "overlap",
-    ),
-    IssueType.LOAD_IMBALANCE.value: ("imbalance", "balanc", "load", "skew"),
-    IssueType.METADATA_LOAD.value: ("metadata", "mds", "open", "stat"),
-    IssueType.NO_MPIIO.value: ("mpi-io", "mpiio", "posix"),
-    IssueType.NO_COLLECTIVE.value: ("collective",),
-    IssueType.RANK_ZERO_BOTTLENECK.value: ("rank 0", "rank0", "rank zero"),
-}
-
-_TITLES = {issue.title: issue for issue in IssueType}
-
 
 def _severity_of(text: str) -> Severity:
     match = _SEVERITY_RE.search(text)
@@ -109,13 +56,9 @@ def compose_summary(spec: PromptSpec) -> str:
         ok_titles = ", ".join(title for title, _ in buckets[Severity.OK])
         parts.append(f"Examined and found unproblematic: {ok_titles}.")
     if dominating:
-        issue = _TITLES.get(dominating[0][0])
-        if issue is not None:
-            parts.append(
-                "Most impactful recommendation: "
-                + _RECOMMENDATIONS[issue.value]
-                + "."
-            )
+        top = specs.spec_titled(dominating[0][0])
+        if top is not None:
+            parts.append(f"Most impactful recommendation: {top.recommendation}.")
     return "\n\n".join(parts)
 
 
@@ -172,10 +115,10 @@ def answer_question(spec: PromptSpec) -> str:
     question = spec.question.lower()
     blocks = _digest_blocks(spec.digest)
     scores: dict[str, int] = {}
-    for key, keywords in _KEYWORDS.items():
-        if key not in blocks:
-            continue
-        scores[key] = sum(1 for kw in keywords if kw in question)
+    for issue_spec in specs.all_specs():
+        key = issue_spec.issue.value
+        if key in blocks:
+            scores[key] = sum(1 for kw in issue_spec.keywords if kw in question)
     best_key = max(scores, key=lambda k: (scores[k], k), default=None)
     wants_fix = any(phrase in question for phrase in _FIX_INTENT)
     if best_key is None or scores.get(best_key, 0) == 0:
@@ -215,8 +158,7 @@ def answer_question(spec: PromptSpec) -> str:
             )
             answer.append(f"Measured values: {facts}.")
     if wants_fix:
-        answer.append(
-            f"Recommendation: {_RECOMMENDATIONS[best_key]}."
-        )
+        recommendation = specs.spec_for(IssueType(best_key)).recommendation
+        answer.append(f"Recommendation: {recommendation}.")
     answer.append(f"(severity assessed: {block['severity']})")
     return " ".join(answer)

@@ -3,7 +3,7 @@
 A real LLM reads the prompt as text; the simulated expert does the
 equivalent explicitly: it locates the target issue(s), the issue
 context sections, the system parameters, and the available trace
-files, producing a :class:`PromptSpec` the analysis skills consume.
+files, producing a :class:`PromptSpec` the issue specs' analyses consume.
 Parsing failures raise :class:`PromptFormatError` — a prompt the model
 cannot interpret is a pipeline bug, not something to paper over.
 """
@@ -14,10 +14,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.ion import specs
 from repro.ion.issues import IssueType
 from repro.util.errors import PromptFormatError
-
-_TITLE_TO_ISSUE = {issue.title: issue for issue in IssueType}
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,10 @@ def _parse_issue_titles(raw: str) -> list[IssueType]:
         title = title.strip()
         if not title:
             continue
-        try:
-            issues.append(_TITLE_TO_ISSUE[title])
-        except KeyError:
-            raise PromptFormatError(f"unknown issue title {title!r}") from None
+        issue_spec = specs.spec_titled(title)
+        if issue_spec is None:
+            raise PromptFormatError(f"unknown issue title {title!r}")
+        issues.append(issue_spec.issue)
     return issues
 
 
@@ -153,11 +152,11 @@ def parse_prompt(text: str) -> PromptSpec:
             spec.issues = _parse_issue_titles(header.split(":", 1)[1])
         elif header.startswith("Issue Context:"):
             title = header.split(":", 1)[1].strip()
-            issue = _TITLE_TO_ISSUE.get(title)
-            if issue is None:
+            issue_spec = specs.spec_titled(title)
+            if issue_spec is None:
                 raise PromptFormatError(f"context for unknown issue {title!r}")
-            spec.contexts[issue] = body
-            spec.context_end_offsets[issue] = end_offset
+            spec.contexts[issue_spec.issue] = body
+            spec.context_end_offsets[issue_spec.issue] = end_offset
         elif header == "System Parameters":
             spec.params = _parse_params(body)
         elif header == "Available Trace Files":

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ion.contexts import all_contexts, context_for
 from repro.ion.issues import IssueType
 from repro.ion.prompts import (
     ASSISTANT_INSTRUCTIONS,
     build_issue_prompt,
     build_monolithic_prompt,
 )
+from repro.ion.specs import all_specs, spec_for
 from repro.llm.assistants import Assistant, RunStatus, Thread
 from repro.llm.expert.model import SimulatedExpertLLM, parse_conclusions
 from repro.llm.interpreter import CodeInterpreter
@@ -20,7 +20,7 @@ from repro.util.errors import LLMError
 
 def run_issue(extraction, issue, include_context=True, model=None):
     prompt = build_issue_prompt(
-        "trace", context_for(issue), extraction, include_context=include_context
+        "trace", spec_for(issue), extraction, include_context=include_context
     )
     assistant = Assistant(
         client=model or SimulatedExpertLLM(),
@@ -68,7 +68,7 @@ class TestDebugLoop:
         """If DXT.csv vanishes between prompt construction and execution,
         the model debugs the failure and retries with counters only."""
         prompt = build_issue_prompt(
-            "trace", context_for(IssueType.RANDOM_ACCESS), random_extraction
+            "trace", spec_for(IssueType.RANDOM_ACCESS), random_extraction
         )
         # Point the interpreter at a directory holding only POSIX/LUSTRE
         # CSVs, so the first (DXT-based) code fails at open().
@@ -95,7 +95,7 @@ class TestDebugLoop:
     def test_gives_up_after_budget(self, easy_extraction, tmp_path):
         """With no CSVs at all, both attempts fail and the model concedes."""
         prompt = build_issue_prompt(
-            "trace", context_for(IssueType.RANDOM_ACCESS), easy_extraction
+            "trace", spec_for(IssueType.RANDOM_ACCESS), easy_extraction
         )
         broken_prompt = prompt.replace(str(easy_extraction.directory), str(tmp_path))
         assistant = Assistant(
@@ -114,7 +114,7 @@ class TestDebugLoop:
 
 class TestMonolithic:
     def test_combined_code_and_conclusions(self, easy_extraction):
-        prompt = build_monolithic_prompt("trace", all_contexts(), easy_extraction)
+        prompt = build_monolithic_prompt("trace", all_specs(), easy_extraction)
         assistant = Assistant(
             client=SimulatedExpertLLM(),
             instructions=ASSISTANT_INSTRUCTIONS,
@@ -132,7 +132,7 @@ class TestMonolithic:
         assert metadata.get("dropped_for_context_budget")
 
     def test_huge_budget_covers_everything(self, easy_extraction):
-        prompt = build_monolithic_prompt("trace", all_contexts(), easy_extraction)
+        prompt = build_monolithic_prompt("trace", all_specs(), easy_extraction)
         assistant = Assistant(
             client=SimulatedExpertLLM(attention_budget=10**9),
             instructions=ASSISTANT_INSTRUCTIONS,

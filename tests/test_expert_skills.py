@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.ion.issues import IssueType, MitigationNote, Severity
+from repro.ion.specs import spec_for
 from repro.llm.expert.promptspec import PromptSpec
-from repro.llm.expert.skills import skill_for
 
 
 def spec(**params):
@@ -17,7 +17,7 @@ def spec(**params):
 
 
 def verdict(issue, metrics):
-    return skill_for(issue).verdict(metrics, spec())
+    return spec_for(issue).verdict(metrics, spec())
 
 
 def small_metrics(**overrides):

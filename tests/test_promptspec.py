@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ion.contexts import all_contexts, context_for
 from repro.ion.issues import IssueType
 from repro.ion.prompts import (
     build_issue_prompt,
@@ -12,14 +11,16 @@ from repro.ion.prompts import (
     build_question_prompt,
     build_summary_prompt,
 )
+from repro.ion.specs import all_specs, spec_for
 from repro.llm.expert.promptspec import parse_prompt
 from repro.util.errors import PromptFormatError
 
 
 class TestIssuePrompt:
     def test_round_trip_through_parser(self, easy_extraction):
-        context = context_for(IssueType.SMALL_IO)
-        prompt = build_issue_prompt("trace-x", context, easy_extraction)
+        prompt = build_issue_prompt(
+            "trace-x", spec_for(IssueType.SMALL_IO), easy_extraction
+        )
         spec = parse_prompt(prompt)
         assert spec.kind == "diagnose"
         assert spec.trace_name == "trace-x"
@@ -34,7 +35,7 @@ class TestIssuePrompt:
 
     def test_module_filtering(self, easy_extraction):
         prompt = build_issue_prompt(
-            "t", context_for(IssueType.NO_COLLECTIVE), easy_extraction
+            "t", spec_for(IssueType.NO_COLLECTIVE), easy_extraction
         )
         spec = parse_prompt(prompt)
         # The easy trace is POSIX-only: its prompt lists no MPI-IO file,
@@ -44,17 +45,17 @@ class TestIssuePrompt:
 
     def test_dxt_included_only_for_dxt_issues(self, easy_extraction):
         random_prompt = build_issue_prompt(
-            "t", context_for(IssueType.RANDOM_ACCESS), easy_extraction
+            "t", spec_for(IssueType.RANDOM_ACCESS), easy_extraction
         )
         small_prompt = build_issue_prompt(
-            "t", context_for(IssueType.SMALL_IO), easy_extraction
+            "t", spec_for(IssueType.SMALL_IO), easy_extraction
         )
         assert "DXT" in parse_prompt(random_prompt).files
         assert "DXT" not in parse_prompt(small_prompt).files
 
     def test_context_stripping(self, easy_extraction):
         prompt = build_issue_prompt(
-            "t", context_for(IssueType.SMALL_IO), easy_extraction,
+            "t", spec_for(IssueType.SMALL_IO), easy_extraction,
             include_context=False,
         )
         spec = parse_prompt(prompt)
@@ -62,14 +63,14 @@ class TestIssuePrompt:
 
     def test_stripe_size_parameter_extracted_from_lustre(self, easy_extraction):
         prompt = build_issue_prompt(
-            "t", context_for(IssueType.MISALIGNED_IO), easy_extraction
+            "t", spec_for(IssueType.MISALIGNED_IO), easy_extraction
         )
         spec = parse_prompt(prompt)
         assert spec.param_int("lustre_stripe_size", 0) == 1024 * 1024
 
     def test_param_int_fallback(self, easy_extraction):
         prompt = build_issue_prompt(
-            "t", context_for(IssueType.SMALL_IO), easy_extraction
+            "t", spec_for(IssueType.SMALL_IO), easy_extraction
         )
         spec = parse_prompt(prompt)
         assert spec.param_int("not_there", 7) == 7
@@ -77,7 +78,7 @@ class TestIssuePrompt:
 
 class TestMonolithicPrompt:
     def test_all_issues_listed(self, easy_extraction):
-        prompt = build_monolithic_prompt("t", all_contexts(), easy_extraction)
+        prompt = build_monolithic_prompt("t", all_specs(), easy_extraction)
         spec = parse_prompt(prompt)
         assert spec.monolithic
         assert len(spec.issues) == len(IssueType)
@@ -87,9 +88,9 @@ class TestMonolithicPrompt:
         assert offsets == sorted(offsets)
 
     def test_larger_than_any_divide_prompt(self, easy_extraction):
-        mono = build_monolithic_prompt("t", all_contexts(), easy_extraction)
-        for context in all_contexts():
-            divide = build_issue_prompt("t", context, easy_extraction)
+        mono = build_monolithic_prompt("t", all_specs(), easy_extraction)
+        for issue_spec in all_specs():
+            divide = build_issue_prompt("t", issue_spec, easy_extraction)
             assert len(mono) > len(divide)
 
 

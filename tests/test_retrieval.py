@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.evaluation.matching import score_ion
 from repro.ion.analyzer import Analyzer, AnalyzerConfig
-from repro.ion.contexts import context_for
 from repro.ion.issues import IssueType
 from repro.ion.retrieval import (
     ContextRetriever,
@@ -15,6 +16,7 @@ from repro.ion.retrieval import (
     build_knowledge_base,
     tokenize,
 )
+from repro.ion.specs import spec_for
 from repro.util.errors import AnalysisError
 
 
@@ -80,17 +82,17 @@ class TestRetriever:
 
     def test_retrieved_context_keeps_module_mapping(self, easy_extraction):
         retriever = ContextRetriever()
-        context = retriever.retrieve(IssueType.SMALL_IO, easy_extraction, k=2)
-        static = context_for(IssueType.SMALL_IO)
-        assert context.required_modules == static.required_modules
-        assert context.issue == IssueType.SMALL_IO
-        assert context.text  # non-empty assembled context
+        retrieved = retriever.retrieve(IssueType.SMALL_IO, easy_extraction, k=2)
+        static = spec_for(IssueType.SMALL_IO)
+        # Retrieval replaces the context text and nothing else.
+        assert retrieved.context  # non-empty assembled context
+        assert replace(retrieved, context=static.context) == static
 
     def test_k_controls_passage_count(self, easy_extraction):
         retriever = ContextRetriever()
         one = retriever.retrieve(IssueType.MISALIGNED_IO, easy_extraction, k=1)
         three = retriever.retrieve(IssueType.MISALIGNED_IO, easy_extraction, k=3)
-        assert len(three.text) > len(one.text)
+        assert len(three.context) > len(one.context)
 
 
 class TestRagAnalyzer:

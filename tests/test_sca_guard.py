@@ -302,14 +302,14 @@ class TestExpertGuardRepair:
     def test_repair_regenerates_code_without_banned_import(
         self, easy_extraction
     ):
-        from repro.ion.contexts import context_for
         from repro.ion.issues import IssueType
         from repro.ion.prompts import build_issue_prompt
+        from repro.ion.specs import spec_for
         from repro.llm.expert.model import SimulatedExpertLLM
         from repro.llm.messages import Message
 
         prompt = build_issue_prompt(
-            "trace", context_for(IssueType.SMALL_IO), easy_extraction
+            "trace", spec_for(IssueType.SMALL_IO), easy_extraction
         )
         expert = SimulatedExpertLLM()
         first = expert.complete([Message.user(prompt)])
@@ -331,14 +331,14 @@ class TestExpertGuardRepair:
     def test_non_guard_errors_still_use_defensive_fallback(
         self, easy_extraction
     ):
-        from repro.ion.contexts import context_for
         from repro.ion.issues import IssueType
         from repro.ion.prompts import build_issue_prompt
+        from repro.ion.specs import spec_for
         from repro.llm.expert.model import SimulatedExpertLLM
         from repro.llm.messages import Message
 
         prompt = build_issue_prompt(
-            "trace", context_for(IssueType.SMALL_IO), easy_extraction
+            "trace", spec_for(IssueType.SMALL_IO), easy_extraction
         )
         expert = SimulatedExpertLLM()
         first = expert.complete([Message.user(prompt)])
