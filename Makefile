@@ -13,13 +13,13 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 .PHONY: test test-slow test-all golden
 
 test:
-	$(PYTEST) -x -q
+	$(PYTEST) -x
 
 test-slow:
-	$(PYTEST) -q -m slow
+	$(PYTEST) -m slow
 
 test-all:
-	$(PYTEST) -q -m ""
+	$(PYTEST) -m ""
 
 golden:
 	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \

@@ -30,12 +30,24 @@ The pool is process-wide: it starts on the first run, and its workers
 are stopped at interpreter exit.  The first two layers are
 containment against accidents, not a security boundary; the third
 bounds what an accident can cost.
+
+A directory can be *sealed* (:func:`seal_directory`): its files do not
+change while it stays sealed, as the entries of
+:class:`repro.service.cache.ExtractionCache` do not.  A clean run in a
+sealed directory is remembered, keyed by the directory, the sha256 of
+the code, the ``WORKDIR`` string and the output limit, and a repeat
+of it returns the stored stdout without dispatching to a worker.
+Every call is still vetted first, so a blocked snippet never reaches
+the memo.  Failed and killed runs are never stored, and unsealing a
+directory (:func:`unseal_directories`) forgets its runs.  Unsealed
+directories, such as navigator scratch dirs, always execute.
 """
 
 from __future__ import annotations
 
 import atexit
 import builtins
+import hashlib
 import importlib
 import io
 import math
@@ -48,6 +60,7 @@ import sys
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, Pipe
@@ -135,7 +148,11 @@ class CodeInterpreter:
         return verdict
 
     def run(self, code: str) -> ExecutionResult:
-        """Execute ``code`` in a sandbox worker; never raises for in-code errors."""
+        """Execute ``code`` in a sandbox worker; never raises for in-code errors.
+
+        A repeat of a clean run in a sealed directory is vetted, then
+        served from the memo without executing.
+        """
         verdict = self._vet(code)
         if verdict is not None and verdict.blocked and self.guard is GuardPolicy.ENFORCE:
             self.metrics.counter("sca.vet.rejected").inc()
@@ -143,12 +160,20 @@ class CodeInterpreter:
                 stdout="", error=verdict.render_feedback(), guard_blocked=True
             )
         job = (code, str(self.workdir), str(self.workdir.resolve()), self._output_limit)
+        key = _MEMO.key(*job)
+        if key is not None:
+            stdout = _MEMO.get(key)
+            if stdout is not None:
+                self.metrics.counter("sandbox.memo.hits").inc()
+                return ExecutionResult(stdout=stdout)
         with self.tracer.span("sandbox.exec") as span:
             reply = _POOL.run(job, SANDBOX_POLICY)
             span.set_attribute("queue_wait_s", round(reply.queue_wait_s, 6))
             span.set_attribute("worker_cpu_s", round(reply.cpu_s, 6))
             span.set_attribute("worker_max_rss_mb", round(reply.max_rss_kb / 1024, 1))
             span.set_attribute("killed", reply.killed)
+        if key is not None and not reply.error and not reply.killed:
+            _MEMO.put(key, reply.stdout)
         return ExecutionResult(stdout=reply.stdout, error=reply.error)
 
     def run_or_raise(self, code: str) -> str:
@@ -157,6 +182,93 @@ class CodeInterpreter:
         if not result.ok:
             raise CodeInterpreterError(result.error)
         return result.stdout
+
+
+# -- memoized runs in sealed directories ----------------------------------
+
+
+#: Bytes of stdout the run memo keeps before it forgets its least
+#: recently used runs.  A registry campaign's distinct runs print
+#: about 63 KB in all.
+MEMO_MAX_BYTES = 4 * 1024 * 1024
+
+
+class _RunMemo:
+    """Stdout of clean runs in sealed directories, least recently used first.
+
+    A key is ``(root, seal, code sha256, workdir, output limit)``:
+    ``seal`` numbers each sealing of ``root``, so a run that finishes
+    after its directory was unsealed (or unsealed and sealed again) is
+    not stored.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self._max_bytes = max_bytes
+        self._lock = threading.Lock()
+        self._seals: dict[str, int] = {}
+        self._sealings = 0
+        self._runs: OrderedDict[tuple, tuple[str, int]] = OrderedDict()
+        self._bytes = 0
+
+    def seal(self, root: str) -> None:
+        with self._lock:
+            if root not in self._seals:
+                self._sealings += 1
+                self._seals[root] = self._sealings
+
+    def unseal(self, roots: set[str]) -> None:
+        with self._lock:
+            for root in roots:
+                self._seals.pop(root, None)
+            for key in [key for key in self._runs if key[0] in roots]:
+                self._bytes -= self._runs.pop(key)[1]
+
+    def key(
+        self, code: str, workdir: str, root: str, output_limit: int
+    ) -> tuple | None:
+        """The memo key of a run, or None when ``root`` is not sealed."""
+        with self._lock:
+            seal = self._seals.get(root)
+        if seal is None:
+            return None
+        digest = hashlib.sha256(code.encode("utf-8")).hexdigest()
+        return (root, seal, digest, workdir, output_limit)
+
+    def get(self, key: tuple) -> str | None:
+        with self._lock:
+            stored = self._runs.get(key)
+            if stored is None:
+                return None
+            self._runs.move_to_end(key)
+            return stored[0]
+
+    def put(self, key: tuple, stdout: str) -> None:
+        size = len(stdout.encode("utf-8"))
+        with self._lock:
+            if self._seals.get(key[0]) != key[1] or key in self._runs:
+                return
+            self._runs[key] = (stdout, size)
+            self._bytes += size
+            while self._bytes > self._max_bytes:
+                _, (_, dropped) = self._runs.popitem(last=False)
+                self._bytes -= dropped
+
+
+_MEMO = _RunMemo(MEMO_MAX_BYTES)
+
+
+def seal_directory(path: str | Path) -> None:
+    """Promise that the files under ``path`` do not change until unsealed.
+
+    Runs in a sealed directory are memoized; the caller must unseal it
+    (:func:`unseal_directories`) before its files change or go away.
+    """
+    _MEMO.seal(str(Path(path).resolve()))
+
+
+def unseal_directories(paths) -> None:
+    """Withdraw the seals of ``paths`` and forget the runs made in them."""
+    _MEMO.unseal({str(Path(path).resolve()) for path in paths})
 
 
 # -- the restricted namespace (built inside the worker) -----------------

@@ -61,6 +61,7 @@ METRIC_NAMES = frozenset(
         "cache.misses",
         "extractor.extractions",
         "extractor.rows",
+        "sandbox.memo.hits",
         "sca.vet.blocked",
         "sca.vet.checks",
         "sca.vet.rejected",

@@ -19,6 +19,13 @@ Entries are evicted least-recently-used by total byte size when the
 cache exceeds its budget.  All bookkeeping is thread-safe; concurrent
 misses on the same key race benignly (one extraction wins, the other
 is discarded).
+
+An entry is never rewritten, and the same key always names the same
+bytes, so every entry directory the cache hands out is *sealed*
+(:func:`repro.llm.interpreter.seal_directory`) while it stays indexed:
+analysis runs over it are memoized, and a cached re-diagnosis executes
+no snippet a second time.  Eviction, :meth:`ExtractionCache.clear` and
+the cache's own garbage collection unseal its entries.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import os
 import shutil
 import tempfile
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +44,7 @@ from pathlib import Path
 from repro.darshan.binformat import iter_sections
 from repro.darshan.log import DarshanLog
 from repro.ion.extractor import ExtractionResult, Extractor
+from repro.llm.interpreter import seal_directory, unseal_directories
 from repro.util.errors import CacheError
 from repro.util.metrics import MetricsRegistry
 
@@ -104,6 +113,11 @@ class ExtractionCache:
     metrics:
         Registry receiving ``cache.hits`` / ``cache.misses`` /
         ``cache.evictions`` counters and the ``cache.bytes`` gauge.
+
+    Every entry directory handed out is sealed while it stays indexed:
+    its files do not change, so sandbox runs over it are memoized (see
+    :mod:`repro.llm.interpreter`).  Evicting an entry, :meth:`clear`
+    and collecting the cache unseal what it sealed.
     """
 
     def __init__(
@@ -126,6 +140,9 @@ class ExtractionCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        # Entry dirs this cache has sealed; unsealed when it is collected.
+        self._sealed: set[Path] = set()
+        weakref.finalize(self, unseal_directories, self._sealed)
         self._reindex()
 
     # -- public API ---------------------------------------------------
@@ -149,6 +166,7 @@ class ExtractionCache:
                 self._hits += 1
                 self.metrics.counter("cache.hits").inc()
                 self._touch(entry)
+                self._seal_locked(entry)
                 return self._load(key, entry), True
         # Miss: extract outside the lock (extraction dominates the
         # cost; serializing it would defeat the batch scheduler).
@@ -176,6 +194,7 @@ class ExtractionCache:
             self._index.move_to_end(key)
             self._evict_locked(keep=key)
             self.metrics.gauge("cache.bytes").set(sum(self._index.values()))
+            self._seal_locked(entry)
             return self._load(key, entry), False
 
     def contains(self, log: DarshanLog, extractor: Extractor) -> bool:
@@ -198,6 +217,8 @@ class ExtractionCache:
     def clear(self) -> None:
         """Remove every entry and reset accounting."""
         with self._lock:
+            unseal_directories(self._sealed)
+            self._sealed.clear()
             for key in list(self._index):
                 shutil.rmtree(self._entry_dir(key), ignore_errors=True)
             self._index.clear()
@@ -242,6 +263,10 @@ class ExtractionCache:
             system=dict(manifest["system"]),
         )
 
+    def _seal_locked(self, entry: Path) -> None:
+        seal_directory(entry)
+        self._sealed.add(entry)
+
     def _touch(self, entry: Path) -> None:
         try:
             os.utime(entry / _MANIFEST)
@@ -259,7 +284,10 @@ class ExtractionCache:
                 # evict, so stop rather than drop what we just made.
                 break
             del self._index[key]
-            shutil.rmtree(self._entry_dir(key), ignore_errors=True)
+            entry = self._entry_dir(key)
+            unseal_directories([entry])
+            self._sealed.discard(entry)
+            shutil.rmtree(entry, ignore_errors=True)
             total -= size
             self._evictions += 1
             self.metrics.counter("cache.evictions").inc()

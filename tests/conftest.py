@@ -18,14 +18,28 @@ from repro.util.units import KIB, MIB
 from repro.workloads.ior import IorConfig, IorWorkload
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_tempdir(tmp_path_factory):
+    """Point ``tempfile`` at a directory only this test session uses.
+
+    Other processes sharing the system temp dir (a second pytest, a
+    benchmark run) then cannot put ``ion-*`` directories where
+    :func:`no_leaked_scratch_dirs` looks.
+    """
+    saved = tempfile.tempdir
+    tempfile.tempdir = str(tmp_path_factory.mktemp("tmp"))
+    yield Path(tempfile.tempdir)
+    tempfile.tempdir = saved
+
+
 @pytest.fixture(autouse=True)
-def no_leaked_scratch_dirs():
+def no_leaked_scratch_dirs(private_tempdir):
     """Fail a test that leaves a new ``ion-*`` directory in the temp dir.
 
     ``IoNavigator`` makes one such scratch directory and removes it on
     ``close()``; a test must use ``with IoNavigator() as navigator``.
     """
-    root = Path(tempfile.gettempdir())
+    root = private_tempdir
     before = set(root.glob("ion-*"))
     yield
     leaked = sorted(str(path) for path in set(root.glob("ion-*")) - before)
