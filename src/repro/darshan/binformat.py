@@ -15,21 +15,26 @@ length-prefixed little-endian block.  Logs carrying the row-per-segment
 ``dxt`` section of older versions still read.
 
 Use :func:`write_log` / :func:`read_log`; everything else is framing.
+:func:`read_log` also records, in the log's :attr:`~DarshanLog.source`,
+the file's pre-key and the content digest of the sections it read, so
+a caller can key the log without re-encoding it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import struct
 import sys
+import threading
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.darshan.counters import counters_for, fcounters_for, known_modules
-from repro.darshan.log import DarshanLog
+from repro.darshan.log import DarshanLog, LogSource
 from repro.darshan.records import (
     DXT_MODULES,
     DXT_OPS,
@@ -166,7 +171,8 @@ def _encode_module(module: str, records: list[ModuleRecord]) -> bytes:
     return buffer.getvalue()
 
 
-def _decode_module(module: str, data: bytes) -> list[ModuleRecord]:
+def _decode_module(module: str, data: bytes) -> tuple[list[ModuleRecord], bool]:
+    """The section's records, and whether they filled the whole payload."""
     counter_names = counters_for(module)
     fcounter_names = fcounters_for(module)
     reader = _Reader(data, f"mod:{module}")
@@ -191,7 +197,7 @@ def _decode_module(module: str, data: bytes) -> list[ModuleRecord]:
                 fcounters=dict(zip(fcounter_names, fvalues)),
             )
         )
-    return records
+    return records, reader.exhausted
 
 
 def _little_endian(column: array) -> array:
@@ -282,6 +288,20 @@ def iter_sections(log: DarshanLog) -> Iterator[tuple[str, bytes]]:
         yield name, b"".join(chunks)
 
 
+def content_digest(sections: Iterable[tuple[str, bytes]]) -> str:
+    """SHA-256 over ``name:length:payload`` of each canonical section."""
+    hasher = hashlib.sha256()
+    for name, payload in sections:
+        hasher.update(f"{name}:{len(payload)}:".encode("utf-8"))
+        hasher.update(payload)
+    return hasher.hexdigest()
+
+
+def file_prekey(data: bytes) -> str:
+    """A log file's pre-key: its size and the SHA-256 of its bytes."""
+    return f"{len(data)}:{hashlib.sha256(data).hexdigest()}"
+
+
 def _write_section(handle, name: str, chunks: Iterable) -> None:
     # Deflate piece by piece: the output equals ``zlib.compress`` of the
     # joined payload, and only the compressed bytes are held.
@@ -335,6 +355,10 @@ def write_log(log: DarshanLog, path: str | Path) -> Path:
 def read_log(path: str | Path) -> DarshanLog:
     """Parse a binary log from ``path``.
 
+    The log's ``source`` holds the file's pre-key (:func:`file_prekey`)
+    and the content digest of the sections read, which equals
+    :func:`repro.service.cache.log_digest` of the log as returned.
+
     Raises :class:`~repro.util.errors.DarshanFormatError`, and nothing
     else, on any malformed content: a bad magic number, CRC mismatch,
     truncation, oversized section, counter-set skew, or a record that
@@ -347,12 +371,20 @@ def read_log(path: str | Path) -> DarshanLog:
             f"{path} is not a Darshan log (magic {data[: len(MAGIC)]!r})"
         )
     try:
-        return _parse(_Reader(data, "log", start=len(MAGIC)))
+        log, digest = _parse(_Reader(data, "log", start=len(MAGIC)))
     except (ValueError, TypeError, OverflowError, DarshanValidationError) as exc:
         raise DarshanFormatError(f"{path}: {exc}") from exc
+    log.source = LogSource(prekey=file_prekey(data), digest=digest)
+    return log
 
 
-def _parse(reader: _Reader) -> DarshanLog:
+def _parse(reader: _Reader) -> tuple[DarshanLog, str]:
+    """The log, and the content digest of its canonical sections.
+
+    A payload read is hashed as it is when it is already canonical;
+    otherwise (a module section with bytes past its records, a v1
+    ``dxt`` section) that section is re-encoded for the digest.
+    """
     (section_count,) = reader.unpack("<I")
     sections = dict(_read_section(reader) for _ in range(section_count))
     if "job" not in sections or "names" not in sections:
@@ -361,14 +393,53 @@ def _parse(reader: _Reader) -> DarshanLog:
     log = DarshanLog(job=job, version=version)
     for record in _decode_names(sections["names"]).values():
         log.add_name(record)
+    canonical = [
+        ("job", _encode_job(job, version)),
+        ("names", _encode_names(log.name_records)),
+    ]
     for module in known_modules():
-        payload = sections.get(f"mod:{module}")
+        name = f"mod:{module}"
+        payload = sections.get(name)
         if payload is None:
             continue
-        for record in _decode_module(module, payload):
+        records, whole = _decode_module(module, payload)
+        for record in records:
             log.add_record(record)
-    if "dxt2" in sections:
-        log.set_dxt(_decode_dxt2(sections["dxt2"]))
+        if records:
+            canonical.append(
+                (name, payload if whole else _encode_module(module, records))
+            )
+    dxt_payload = sections.get("dxt2")
+    if dxt_payload is not None:
+        log.set_dxt(_decode_dxt2(dxt_payload))
     elif "dxt" in sections:
         log.set_dxt(_decode_dxt_v1(sections["dxt"]))
-    return log
+        # The canonical form of the v1 rows is their dxt2 encoding.
+        dxt_payload = b"".join(_dxt2_chunks(log.dxt))
+    if log.has_dxt:
+        canonical.append(("dxt2", dxt_payload))
+    return log, content_digest(canonical)
+
+
+class LogFile:
+    """A binary log file, parsed on first use and at most once.
+
+    ``reader`` parses it (default :func:`read_log`).  Thread-safe: a
+    second caller waits for the first parse instead of repeating it.
+    """
+
+    def __init__(
+        self, path: str | Path, reader: Callable[[Path], DarshanLog] | None = None
+    ) -> None:
+        self.path = Path(path)
+        self._reader = reader or read_log
+        self._lock = threading.Lock()
+        self._log: DarshanLog | None = None
+
+    @property
+    def log(self) -> DarshanLog:
+        """The parsed log; the first access reads the file."""
+        with self._lock:
+            if self._log is None:
+                self._log = self._reader(self.path)
+            return self._log

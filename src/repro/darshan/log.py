@@ -27,6 +27,17 @@ from repro.util.errors import DarshanValidationError
 FORMAT_VERSION = "3.41-repro"
 
 
+@dataclass(frozen=True)
+class LogSource:
+    """The file a log was read from, as ``read_log`` saw it."""
+
+    #: ``"<size>:<sha256>"`` of the file's bytes.
+    prekey: str
+    #: Content digest of the sections read: what
+    #: :func:`repro.service.cache.log_digest` returned for the log as read.
+    digest: str
+
+
 @dataclass
 class DarshanLog:
     """A complete Darshan log for one job."""
@@ -36,6 +47,10 @@ class DarshanLog:
     name_records: dict[int, NameRecord] = field(default_factory=dict)
     records: dict[str, list[ModuleRecord]] = field(default_factory=dict)
     dxt: DxtTable = field(default_factory=DxtTable)
+    #: Set by ``read_log``; not updated when the log is changed later.
+    source: LogSource | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- construction -------------------------------------------------
 

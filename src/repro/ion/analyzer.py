@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro.darshan.binformat import LogFile
 from repro.darshan.log import DarshanLog
 from repro.ion.degraded import DrishtiFallback, compose_degraded_summary
 from repro.ion.extractor import ExtractionResult
@@ -138,8 +140,8 @@ class AnalyzerConfig:
         default_factory=lambda: tuple(IssueType)
     )
     max_tool_rounds: int = 6
-    #: Size of the thread pool dispatching per-issue prompts; 1 runs
-    #: the prompts sequentially.
+    #: Size of the analyzer's thread pool dispatching per-issue
+    #: prompts; 1 runs the prompts sequentially.
     parallel_prompts: int = 4
     summarize: bool = True
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -181,7 +183,13 @@ class _QueryStats:
 
 
 class Analyzer:
-    """Runs the full per-issue diagnosis over one extraction."""
+    """Runs the full per-issue diagnosis over one extraction.
+
+    With ``parallel_prompts > 1`` the analyzer owns one prompt thread
+    pool, started by the first divide-strategy :meth:`analyze` and
+    shared by every later call, concurrent ones included.
+    :meth:`close` stops it.
+    """
 
     def __init__(
         self,
@@ -205,6 +213,24 @@ class Analyzer:
         self._sleep = sleep
         # Jitter source: seeded so retry schedules are reproducible.
         self._rng = random.Random(0)
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Stop the prompt threads; a later :meth:`analyze` starts new ones."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    def _prompt_pool(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.config.parallel_prompts,
+                    thread_name_prefix="ion-prompt",
+                )
+            return self._pool
 
     def _default_interpreter(self, workdir: Path) -> CodeInterpreter:
         # Threads the guard policy, metrics and tracer into every
@@ -223,13 +249,14 @@ class Analyzer:
         self,
         extraction: ExtractionResult,
         trace_name: str = "trace",
-        log: DarshanLog | None = None,
+        log: DarshanLog | LogFile | None = None,
     ) -> DiagnosisReport:
         """Produce the full diagnosis report for one extracted trace.
 
         ``log`` (optional) enables the Drishti heuristic fallback for
         queries that degrade; without it a degraded issue is reported
-        as unexamined.
+        as unexamined.  A :class:`LogFile` is read only if a query
+        degrades.
         """
         with self.tracer.span(
             "analyzer.analyze",
@@ -440,10 +467,12 @@ class Analyzer:
             )
 
         if self.config.parallel_prompts > 1:
-            with ThreadPoolExecutor(
-                max_workers=self.config.parallel_prompts
-            ) as pool:
-                results = list(pool.map(run_one, specs))
+            pool = self._prompt_pool()
+            futures = [pool.submit(run_one, spec) for spec in specs]
+            # Every query ends before a failure propagates: none of this
+            # report's work is left running in the shared pool.
+            wait(futures)
+            results = [future.result() for future in futures]
         else:
             results = [run_one(spec) for spec in specs]
         return [d for d, _ in results], [s for _, s in results]

@@ -17,6 +17,7 @@ rather than a property of the trace.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.ion.analyzer import Analyzer, AnalyzerConfig
@@ -165,10 +166,10 @@ class ConsistencyChecker:
         """Diagnose through every variant and compare severities."""
         reports: dict[str, DiagnosisReport] = {}
         for variant in self.variants:
-            analyzer = Analyzer(
-                client=self.client, config=self._config_for(variant)
-            )
-            reports[variant] = analyzer.analyze(extraction, trace_name)
+            with closing(
+                Analyzer(client=self.client, config=self._config_for(variant))
+            ) as analyzer:
+                reports[variant] = analyzer.analyze(extraction, trace_name)
         issues = []
         for issue in self.base_config.issues:
             severities = {

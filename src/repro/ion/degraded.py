@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.darshan.binformat import LogFile
 from repro.darshan.log import DarshanLog
 from repro.drishti.analyzer import DrishtiAnalyzer
 from repro.drishti.insights import DrishtiReport, Level
@@ -42,10 +43,11 @@ class DrishtiFallback:
 
     The Drishti report is computed lazily (only if a query actually
     degrades) and exactly once per trace, however many of the
-    analyzer's prompt threads ask for it concurrently.
+    analyzer's prompt threads ask for it concurrently.  A
+    :class:`LogFile` is read then too, and not before.
     """
 
-    def __init__(self, log: DarshanLog | None, trace_name: str) -> None:
+    def __init__(self, log: DarshanLog | LogFile | None, trace_name: str) -> None:
         self._log = log
         self._trace_name = trace_name
         self._lock = threading.Lock()
@@ -59,9 +61,10 @@ class DrishtiFallback:
     def _drishti_report(self) -> DrishtiReport:
         with self._lock:
             if self._report is None:
-                self._report = DrishtiAnalyzer().analyze(
-                    self._log, self._trace_name
-                )
+                log = self._log
+                if isinstance(log, LogFile):
+                    log = log.log
+                self._report = DrishtiAnalyzer().analyze(log, self._trace_name)
             return self._report
 
     def diagnosis_for(self, issue: IssueType, reason: str) -> Diagnosis:

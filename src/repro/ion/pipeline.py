@@ -10,7 +10,8 @@ extraction CSVs land in one private temp directory that ``close()``
 :class:`~repro.service.cache.ExtractionCache` instead routes
 extractions through the content-addressed cache, so repeated
 diagnoses of byte-identical traces skip the extraction stage
-entirely.
+entirely; a log file the cache has parsed before is not even parsed
+again on a hit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.darshan.binformat import read_log
+from repro.darshan.binformat import LogFile, read_log
 from repro.darshan.log import DarshanLog
 from repro.ion.analyzer import Analyzer, AnalyzerConfig
 from repro.ion.extractor import ExtractionResult, Extractor
@@ -53,7 +54,9 @@ class IoNavigator:
     """End-to-end ION pipeline over a Darshan trace.
 
     The only code that reads a log, extracts and analyzes: the batch
-    and journey navigators compose one and call :meth:`run`.
+    and journey navigators compose one and call :meth:`run`.  Its
+    analyzer keeps one prompt thread pool for every diagnosis;
+    :meth:`close` stops it with the scratch space.
     """
 
     def __init__(
@@ -106,12 +109,13 @@ class IoNavigator:
         return Path(tempfile.mkdtemp(prefix=f"{trace_name}-", dir=root))
 
     def close(self) -> None:
-        """Remove the navigator's private scratch directory.
+        """Stop the analyzer's prompt threads and remove the scratch dir.
 
         User-supplied ``workdir`` contents and cache entries are left
         alone — the navigator only deletes what it created.  Safe to
         call more than once.
         """
+        self.analyzer.close()
         with self._scratch_lock:
             scratch, self._scratch = self._scratch, None
         if scratch is not None:
@@ -128,12 +132,18 @@ class IoNavigator:
     def run(
         self, log: DarshanLog | str | Path, trace_name: str = "trace"
     ) -> IonResult:
-        """Read (if given a path), extract and analyze; opens no span."""
-        if not isinstance(log, DarshanLog):
-            log = read_log(log)
+        """Read (if given a path), extract and analyze; opens no span.
+
+        With a cache, a path goes to the cache as a :class:`LogFile`,
+        parsed only when the cache or the Drishti fallback needs it.
+        """
         if self.cache is not None:
+            if not isinstance(log, DarshanLog):
+                log = LogFile(log, read_log)
             extraction, hit = self.cache.get_or_extract(log, self.extractor)
         else:
+            if not isinstance(log, DarshanLog):
+                log = read_log(log)
             directory = self._extraction_dir(trace_name)
             extraction, hit = self.extractor.extract(log, directory), False
         report = self.analyzer.analyze(extraction, trace_name, log=log)

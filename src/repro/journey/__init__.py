@@ -4,7 +4,7 @@ The diagnosis pipeline answers *what is wrong*; this subsystem drives
 the rest of the paper's title — the optimization *journey*.  Given a
 diagnosed workload it recommends typed remediations
 (:mod:`repro.journey.remedies`), applies them as pure config diffs
-(:mod:`repro.journey.transform`), re-simulates and re-diagnoses the
+(:mod:`repro.workloads.base`), re-simulates and re-diagnoses the
 patched run, and judges every attempt (VERIFIED / NO_EFFECT /
 REGRESSED / INAPPLICABLE) on both the diagnosis delta and the
 simulated performance delta (:mod:`repro.journey.executor`).  The
@@ -37,7 +37,7 @@ from repro.journey.serialize import (
     journey_to_dict,
     load_journey,
 )
-from repro.journey.transform import (
+from repro.workloads.base import (
     FieldChange,
     apply_config_changes,
     config_knobs,

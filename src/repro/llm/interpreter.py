@@ -41,13 +41,18 @@ Every call is still vetted first, so a blocked snippet never reaches
 the memo.  Failed and killed runs are never stored, and unsealing a
 directory (:func:`unseal_directories`) forgets its runs.  Unsealed
 directories, such as navigator scratch dirs, always execute.
+
+The calling process resolves no path per run: it sends the absolute
+working directory (``os.path.abspath``), and the worker resolves it
+into the root that confines ``open``.  Seals are held under resolved
+paths and the memo looks runs up by the absolute path, so a working
+directory reached through a symlink executes every time.
 """
 
 from __future__ import annotations
 
 import atexit
 import builtins
-import hashlib
 import importlib
 import io
 import math
@@ -68,7 +73,7 @@ from pathlib import Path
 
 from repro.llm.resilience import time_left
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sca.guard import CodeGuard
+from repro.sca.guard import CodeGuard, code_digest
 from repro.sca.policy import GuardPolicy, SANDBOX_POLICY
 from repro.sca.violations import GuardVerdict
 from repro.util.errors import CodeInterpreterError
@@ -126,14 +131,14 @@ class CodeInterpreter:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
-    def _vet(self, code: str) -> GuardVerdict | None:
+    def _vet(self, code: str, digest: bytes) -> GuardVerdict | None:
         """Run CodeGuard per policy; returns None when the guard is off."""
         if self.guard is GuardPolicy.OFF:
             return None
         with self.tracer.span(
             "sca.vet", attributes={"mode": self.guard.value}
         ) as span:
-            verdict = _GUARD.vet(code)
+            verdict = _GUARD.vet(code, digest)
             span.set_attribute("violations", len(verdict.violations))
             span.set_attribute("blocked", verdict.blocked)
             for violation in verdict.blocking:
@@ -153,14 +158,17 @@ class CodeInterpreter:
         A repeat of a clean run in a sealed directory is vetted, then
         served from the memo without executing.
         """
-        verdict = self._vet(code)
+        digest = code_digest(code)
+        verdict = self._vet(code, digest)
         if verdict is not None and verdict.blocked and self.guard is GuardPolicy.ENFORCE:
             self.metrics.counter("sca.vet.rejected").inc()
             return ExecutionResult(
                 stdout="", error=verdict.render_feedback(), guard_blocked=True
             )
-        job = (code, str(self.workdir), str(self.workdir.resolve()), self._output_limit)
-        key = _MEMO.key(*job)
+        workdir = str(self.workdir)
+        root = os.path.abspath(workdir)
+        job = (code, workdir, root, self._output_limit)
+        key = _MEMO.key(digest, workdir, root, self._output_limit)
         if key is not None:
             stdout = _MEMO.get(key)
             if stdout is not None:
@@ -196,7 +204,7 @@ MEMO_MAX_BYTES = 4 * 1024 * 1024
 class _RunMemo:
     """Stdout of clean runs in sealed directories, least recently used first.
 
-    A key is ``(root, seal, code sha256, workdir, output limit)``:
+    A key is ``(root, seal, code digest, workdir, output limit)``:
     ``seal`` numbers each sealing of ``root``, so a run that finishes
     after its directory was unsealed (or unsealed and sealed again) is
     not stored.
@@ -224,14 +232,13 @@ class _RunMemo:
                 self._bytes -= self._runs.pop(key)[1]
 
     def key(
-        self, code: str, workdir: str, root: str, output_limit: int
+        self, digest: bytes, workdir: str, root: str, output_limit: int
     ) -> tuple | None:
         """The memo key of a run, or None when ``root`` is not sealed."""
         with self._lock:
             seal = self._seals.get(root)
         if seal is None:
             return None
-        digest = hashlib.sha256(code.encode("utf-8")).hexdigest()
         return (root, seal, digest, workdir, output_limit)
 
     def get(self, key: tuple) -> str | None:
@@ -243,7 +250,7 @@ class _RunMemo:
             return stored[0]
 
     def put(self, key: tuple, stdout: str) -> None:
-        size = len(stdout.encode("utf-8"))
+        size = len(stdout.encode("utf-8", "surrogatepass"))
         with self._lock:
             if self._seals.get(key[0]) != key[1] or key in self._runs:
                 return
@@ -298,7 +305,8 @@ def _namespace(workdir: str, root: Path, stdout: io.StringIO) -> dict[str, objec
     """Stripped builtins, guarded import/getattr/open and a buffer-bound print.
 
     ``root`` is the resolved working directory: relative paths resolve
-    against it and no opened path may leave it.
+    against it and no opened path may leave it.  ``WORKDIR`` is
+    ``workdir``, as the caller spelled it.
     """
 
     def guarded_open(file, mode="r", *args, **kwargs):
@@ -354,13 +362,18 @@ def _clip(text: str, limit: int) -> str:
 
 
 def _execute(code: str, workdir: str, root: str, output_limit: int) -> tuple[str, str]:
-    """Run one snippet in this process: ``(stdout, error traceback)``."""
+    """Run one snippet in this process: ``(stdout, error traceback)``.
+
+    ``root`` is the absolute working directory; it is resolved here.
+    """
     stdout = io.StringIO()
-    namespace = _namespace(workdir, Path(root), stdout)
+    namespace = _namespace(workdir, Path(root).resolve(), stdout)
     try:
         compiled = compile(code, "<analysis>", "exec")
     except SyntaxError:
         return "", traceback.format_exc(limit=1)
+    except ValueError as exc:  # a null byte or a lone surrogate
+        return "", _traceback_text(type(exc).__name__, str(exc))
     try:
         exec(compiled, namespace)  # noqa: S102 - that is the point
     except BaseException:
@@ -439,8 +452,8 @@ class _Reply:
     killed: bool = False
 
 
-def _killed(kind: str, message: str) -> str:
-    """A traceback-shaped error for a run whose worker did not survive."""
+def _traceback_text(kind: str, message: str) -> str:
+    """A traceback-shaped error for a run that raised no traceback of its own."""
     return (
         "Traceback (most recent call last):\n"
         '  File "<analysis>", in <module>\n'
@@ -450,11 +463,11 @@ def _killed(kind: str, message: str) -> str:
 
 def _death_error(exitcode: int | None, policy) -> str:
     if exitcode == -signal.SIGXCPU:
-        return _killed(
+        return _traceback_text(
             "TimeoutError",
             f"analysis run exceeded its {policy.run_cpu_seconds} s CPU budget",
         )
-    return _killed(
+    return _traceback_text(
         "ChildProcessError", f"the analysis worker died (exit code {exitcode})"
     )
 
@@ -573,7 +586,9 @@ class _WorkerPool:
         queue_wait = time.perf_counter() - waited
         if not booted:
             self._replace(worker)
-            error = _killed("ChildProcessError", "the analysis worker failed to start")
+            error = _traceback_text(
+                "ChildProcessError", "the analysis worker failed to start"
+            )
             return _Reply("", error, queue_wait, killed=True)
         wall = policy.run_wall_seconds
         left = time_left()
@@ -581,7 +596,9 @@ class _WorkerPool:
             wall = left
             if wall <= 0:
                 self._idle.put(worker)
-                error = _killed("TimeoutError", "the query deadline passed first")
+                error = _traceback_text(
+                    "TimeoutError", "the query deadline passed first"
+                )
                 return _Reply("", error, queue_wait)
         try:
             worker.conn.send((*job, policy.run_cpu_seconds, policy.run_memory_bytes))
@@ -597,7 +614,7 @@ class _WorkerPool:
             self._replace(worker)  # interrupted mid-run: its state is unknown
             raise
         self._replace(worker)
-        error = _killed(
+        error = _traceback_text(
             "TimeoutError",
             f"analysis run exceeded its {wall:g} s budget",
         )

@@ -57,6 +57,11 @@ def parse_source(code: str) -> ast.Module:
         return ast.parse(code)
 
 
+def code_digest(code: str) -> bytes:
+    """SHA-256 of a snippet's text; lone surrogates hash, never raise."""
+    return hashlib.sha256(code.encode("utf-8", "surrogatepass")).digest()
+
+
 RULE_IMPORT = "sca.import"
 RULE_BUILTIN = "sca.builtin"
 RULE_DUNDER = "sca.dunder"
@@ -361,14 +366,15 @@ class CodeGuard:
             RangeRule(self.policy),
         ]
 
-    def vet(self, code: str) -> GuardVerdict:
+    def vet(self, code: str, digest: bytes | None = None) -> GuardVerdict:
         """Statically vet ``code``; never raises.
 
-        Snippets that do not parse get an *empty* verdict: the
-        interpreter's ``compile()`` step already reports syntax
-        errors with the traceback the model expects.
+        ``digest`` is :func:`code_digest` of ``code`` when the caller
+        has it already.  Snippets that do not parse get an *empty*
+        verdict: the interpreter's ``compile()`` step already reports
+        syntax errors with the traceback the model expects.
         """
-        key = hashlib.sha256(code.encode("utf-8", "surrogatepass")).digest()
+        key = digest if digest is not None else code_digest(code)
         with self._cache_lock:
             findings = self._findings.get(key)
             if findings is not None:

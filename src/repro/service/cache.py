@@ -14,6 +14,15 @@ Layout under the cache root::
     <root>/objects/<key[:2]>/<key>/
         POSIX.csv  MPI-IO.csv  DXT.csv ...
         manifest.json        # columns, row counts, system params, size
+    <root>/objects/<key[:2]>/<key>.prekeys.json   # pre-key -> log digest
+
+A log *file* can be looked up without parsing it.  Its *pre-key* is
+its size plus the sha256 of its bytes
+(:func:`repro.darshan.binformat.file_prekey`).  Each parse of a file
+the cache does records the pre-key's log digest, in memory and beside
+the entry, so a re-indexed root keeps it.  A file with a known pre-key
+whose entry is indexed is a hit that runs neither ``read_log`` nor
+:func:`log_digest`; any other file is parsed as before.
 
 Entries are evicted least-recently-used by total byte size when the
 cache exceeds its budget.  All bookkeeping is thread-safe; concurrent
@@ -41,7 +50,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.darshan.binformat import iter_sections
+from repro.darshan.binformat import (
+    LogFile,
+    content_digest,
+    file_prekey,
+    iter_sections,
+)
 from repro.darshan.log import DarshanLog
 from repro.ion.extractor import ExtractionResult, Extractor
 from repro.llm.interpreter import seal_directory, unseal_directories
@@ -50,6 +64,7 @@ from repro.util.metrics import MetricsRegistry
 
 _MANIFEST = "manifest.json"
 _MANIFEST_VERSION = 1
+_PREKEYS = ".prekeys.json"
 
 
 def log_digest(log: DarshanLog) -> str:
@@ -61,12 +76,7 @@ def log_digest(log: DarshanLog) -> str:
     trace, and changes whenever any counter, fcounter, name, DXT
     segment or job field changes.
     """
-    parts: list[bytes] = []
-    for name, payload in iter_sections(log):
-        parts += (f"{name}:{len(payload)}:".encode("utf-8"), payload)
-    # One update: hashing a large buffer releases the GIL, and in a busy
-    # worker pool each release costs a wait to take it back.
-    return hashlib.sha256(b"".join(parts)).hexdigest()
+    return content_digest(iter_sections(log))
 
 
 def extraction_key(digest: str, extractor: Extractor) -> str:
@@ -118,6 +128,10 @@ class ExtractionCache:
     its files do not change, so sandbox runs over it are memoized (see
     :mod:`repro.llm.interpreter`).  Evicting an entry, :meth:`clear`
     and collecting the cache unseal what it sealed.
+
+    Pre-keys of the log files it parsed map to their log digests, so a
+    repeat lookup of a file parses nothing on a hit.  An entry's
+    pre-keys are forgotten with it.
     """
 
     def __init__(
@@ -140,6 +154,10 @@ class ExtractionCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        # Pre-key -> log digest, and the pre-keys recorded beside each
+        # entry (dropped with it).
+        self._prekeys: dict[str, str] = {}
+        self._entry_prekeys: dict[str, dict[str, str]] = {}
         # Entry dirs this cache has sealed; unsealed when it is collected.
         self._sealed: set[Path] = set()
         weakref.finalize(self, unseal_directories, self._sealed)
@@ -149,25 +167,39 @@ class ExtractionCache:
 
     def get_or_extract(
         self,
-        log: DarshanLog,
+        log: DarshanLog | LogFile,
         extractor: Extractor,
     ) -> tuple[ExtractionResult, bool]:
         """Return ``(extraction, was_hit)`` for ``log``.
 
-        On a hit the cached CSVs are reused without touching the
-        extractor; on a miss the log is extracted into a fresh entry
-        directory, registered, and eviction is applied.
+        ``log`` is a parsed log or a :class:`LogFile`.  On a hit the
+        cached CSVs are reused without touching the extractor, and a
+        file whose pre-key is known is not even parsed.  On a miss the
+        log is extracted into a fresh entry directory, registered, and
+        eviction is applied.
         """
-        key = extraction_key(log_digest(log), extractor)
+        prekey = None
+        if isinstance(log, LogFile):
+            source = log
+            known = file_prekey(source.path.read_bytes())
+            with self._lock:
+                digest = self._prekeys.get(known)
+            if digest is not None:
+                found = self._lookup(extraction_key(digest, extractor))
+                if found is not None:
+                    return found, True
+            log = source.log
+            if log.source is None:  # a reader that records no source
+                digest = log_digest(log)
+            else:
+                digest, prekey = log.source.digest, log.source.prekey
+        else:
+            digest = log_digest(log)
+        key = extraction_key(digest, extractor)
+        found = self._lookup(key, prekey, digest)
+        if found is not None:
+            return found, True
         entry = self._entry_dir(key)
-        with self._lock:
-            if key in self._index:
-                self._index.move_to_end(key)
-                self._hits += 1
-                self.metrics.counter("cache.hits").inc()
-                self._touch(entry)
-                self._seal_locked(entry)
-                return self._load(key, entry), True
         # Miss: extract outside the lock (extraction dominates the
         # cost; serializing it would defeat the batch scheduler).
         staging = Path(
@@ -195,6 +227,7 @@ class ExtractionCache:
             self._evict_locked(keep=key)
             self.metrics.gauge("cache.bytes").set(sum(self._index.values()))
             self._seal_locked(entry)
+            self._record_locked(key, prekey, digest)
             return self._load(key, entry), False
 
     def contains(self, log: DarshanLog, extractor: Extractor) -> bool:
@@ -221,14 +254,54 @@ class ExtractionCache:
             self._sealed.clear()
             for key in list(self._index):
                 shutil.rmtree(self._entry_dir(key), ignore_errors=True)
+                self._forget_prekeys_locked(key)
             self._index.clear()
             self._hits = self._misses = self._evictions = 0
             self.metrics.gauge("cache.bytes").set(0)
 
     # -- entry management ---------------------------------------------
 
+    def _lookup(
+        self, key: str, prekey: str | None = None, digest: str = ""
+    ) -> ExtractionResult | None:
+        """The entry of ``key`` if it is indexed, counted as a hit."""
+        entry = self._entry_dir(key)
+        with self._lock:
+            if key not in self._index:
+                return None
+            self._index.move_to_end(key)
+            self._hits += 1
+            self.metrics.counter("cache.hits").inc()
+            self._touch(entry)
+            self._seal_locked(entry)
+            self._record_locked(key, prekey, digest)
+            return self._load(key, entry)
+
     def _entry_dir(self, key: str) -> Path:
         return self._objects / key[:2] / key
+
+    def _prekeys_file(self, key: str) -> Path:
+        return self._objects / key[:2] / (key + _PREKEYS)
+
+    def _record_locked(self, key: str, prekey: str | None, digest: str) -> None:
+        """Remember that ``prekey``'s file has log digest ``digest``."""
+        if prekey is None or prekey in self._prekeys:
+            return
+        self._prekeys[prekey] = digest
+        recorded = self._entry_prekeys.setdefault(key, {})
+        recorded[prekey] = digest
+        try:
+            _write_json(self._prekeys_file(key), recorded)
+        except OSError:
+            pass  # kept in memory only; a re-indexed root parses the file again
+
+    def _forget_prekeys_locked(self, key: str) -> None:
+        for prekey in self._entry_prekeys.pop(key, {}):
+            self._prekeys.pop(prekey, None)
+        try:
+            self._prekeys_file(key).unlink(missing_ok=True)
+        except OSError:
+            pass  # best effort, as the entry's own removal is
 
     def _write_manifest(self, entry: Path, key: str, result: ExtractionResult) -> None:
         manifest = {
@@ -239,9 +312,7 @@ class ExtractionCache:
             "row_counts": result.row_counts,
             "system": result.system,
         }
-        (entry / _MANIFEST).write_text(
-            json.dumps(manifest, sort_keys=True), encoding="utf-8"
-        )
+        _write_json(entry / _MANIFEST, manifest)
 
     def _load(self, key: str, entry: Path) -> ExtractionResult:
         manifest_path = entry / _MANIFEST
@@ -288,6 +359,7 @@ class ExtractionCache:
             unseal_directories([entry])
             self._sealed.discard(entry)
             shutil.rmtree(entry, ignore_errors=True)
+            self._forget_prekeys_locked(key)
             total -= size
             self._evictions += 1
             self.metrics.counter("cache.evictions").inc()
@@ -306,6 +378,22 @@ class ExtractionCache:
             found.append((mtime, entry.name, _tree_size(entry)))
         for _, key, size in sorted(found):
             self._index[key] = size
+            try:
+                recorded = json.loads(self._prekeys_file(key).read_text("utf-8"))
+            except (OSError, ValueError):
+                continue
+            if isinstance(recorded, dict):
+                recorded = {
+                    prekey: digest
+                    for prekey, digest in recorded.items()
+                    if isinstance(digest, str) and digest.isascii()
+                }
+                self._entry_prekeys[key] = recorded
+                self._prekeys.update(recorded)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 def _tree_size(path: Path) -> int:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.ion.analyzer import Analyzer, AnalyzerConfig, ResilienceConfig
 from repro.ion.issues import IssueType, MitigationNote, Severity
 from repro.llm.client import ScriptedLLM
 from repro.llm.messages import CodeCall, Completion
-from repro.util.errors import AnalysisError
+from repro.util.errors import AnalysisError, LLMError
 
 
 class TestConfig:
@@ -163,3 +166,95 @@ class TestCompletionParsing:
         )
         with pytest.raises(AnalysisError, match="tool budget"):
             analyzer.analyze(easy_extraction, "t")
+
+
+class TestPromptPool:
+    """The analyzer owns one prompt thread pool across its analyses."""
+
+    @staticmethod
+    def starts_during(monkeypatch, action) -> list[str]:
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        try:
+            action()
+        finally:
+            monkeypatch.undo()
+        return started
+
+    def test_a_second_analyze_starts_no_thread(self, easy_extraction, monkeypatch):
+        analyzer = Analyzer(config=AnalyzerConfig(parallel_prompts=4))
+        try:
+            first = self.starts_during(
+                monkeypatch, lambda: analyzer.analyze(easy_extraction, "first")
+            )
+            second = self.starts_during(
+                monkeypatch, lambda: analyzer.analyze(easy_extraction, "second")
+            )
+        finally:
+            analyzer.close()
+        assert 1 <= len(first) <= 4
+        assert second == []
+
+    def test_one_prompt_at_a_time_runs_inline(self, easy_extraction, monkeypatch):
+        analyzer = Analyzer(config=AnalyzerConfig(parallel_prompts=1))
+        started = self.starts_during(
+            monkeypatch, lambda: analyzer.analyze(easy_extraction, "inline")
+        )
+        assert started == []
+
+    def test_close_stops_the_threads_and_analyze_restarts_them(
+        self, easy_extraction
+    ):
+        analyzer = Analyzer(config=AnalyzerConfig(parallel_prompts=2))
+        expected = analyzer.analyze(easy_extraction, "t")
+        threads = list(analyzer._pool._threads)
+        analyzer.close()
+        assert threads and not any(thread.is_alive() for thread in threads)
+        try:
+            again = analyzer.analyze(easy_extraction, "t")
+        finally:
+            analyzer.close()
+        assert again.summary == expected.summary
+
+    def test_a_failed_strict_query_waits_for_the_others(
+        self, easy_extraction
+    ):
+        slow_started = threading.Event()
+        finished = []
+
+        class Client:
+            def complete(self, messages):
+                prompt = messages[-1].content
+                if IssueType.SMALL_IO.title in prompt:
+                    assert slow_started.wait(timeout=10)
+                else:
+                    slow_started.set()
+                    time.sleep(0.2)
+                    finished.append(prompt)
+                raise LLMError("backend down")
+
+        analyzer = Analyzer(
+            client=Client(),
+            config=AnalyzerConfig(
+                issues=(
+                    IssueType.SMALL_IO,
+                    IssueType.RANDOM_ACCESS,
+                    IssueType.METADATA_LOAD,
+                ),
+                parallel_prompts=2,
+                summarize=False,
+                resilience=ResilienceConfig(max_attempts=1, degrade=False),
+            ),
+        )
+        try:
+            with pytest.raises(AnalysisError):
+                analyzer.analyze(easy_extraction, "t")
+            assert len(finished) == 2
+        finally:
+            analyzer.close()

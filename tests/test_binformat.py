@@ -11,12 +11,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.darshan import binformat
-from repro.darshan.binformat import MAGIC, iter_sections, read_log, write_log
+from repro.darshan.binformat import (
+    MAGIC,
+    file_prekey,
+    iter_sections,
+    read_log,
+    write_log,
+)
 from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
 from repro.ion.extractor import Extractor
 from repro.iosim.job import SimulatedJob
+from repro.service.cache import log_digest
 from repro.util.errors import DarshanFormatError
 
 
@@ -283,6 +290,37 @@ class TestColumnarDxt:
         second = Extractor().extract(v2, tmp_path / "v2")
         for module, path in first.csv_paths.items():
             assert path.read_bytes() == second.csv_paths[module].read_bytes()
+
+
+class TestReadDigest:
+    """``read_log``'s digest is ``log_digest`` of the log it returns."""
+
+    def test_dxt2_log(self, tmp_path):
+        path = write_log(dxt_log(), tmp_path / "log.darshan")
+        log = read_log(path)
+        assert log.source.digest == log_digest(log) == log_digest(dxt_log())
+        assert log.source.prekey == file_prekey(path.read_bytes())
+
+    def test_v1_dxt_log_is_hashed_in_its_dxt2_form(self, tmp_path):
+        log = read_log(DATA / "v1-tiny.darshan")
+        assert log.source.digest == log_digest(log)
+        rewritten = read_log(write_log(log, tmp_path / "v2.darshan"))
+        assert rewritten.source.digest == log.source.digest
+        assert rewritten.source.prekey != log.source.prekey
+
+    def test_sections_read_in_a_foreign_shape_are_hashed_canonically(
+        self, tmp_path
+    ):
+        # Sections out of order, bytes past a module's records and an
+        # unknown section all parse; the digest ignores the shape.
+        sections = dict(iter_sections(dxt_log()))
+        sections["mod:POSIX"] += b"\0" * 5
+        sections["mod:NOT-A-MODULE"] = b"ignored"
+        path = tmp_path / "foreign.darshan"
+        path.write_bytes(frame(list(reversed(sections.items()))))
+        log = read_log(path)
+        assert log == dxt_log()
+        assert log.source.digest == log_digest(log) == log_digest(dxt_log())
 
 
 def dxt2_payload(log):

@@ -2,20 +2,29 @@
 
 Covers the digest contract (stable across serialization round-trips,
 sensitive to any content change), hit/miss accounting, persistence of
-the on-disk store across cache instances, and LRU eviction under a
-byte budget.
+the on-disk store across cache instances, LRU eviction under a byte
+budget, and pre-keys: a log file the cache parsed before is a hit
+without a parse.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
-from repro.darshan.binformat import read_log, write_log
+from repro.darshan.binformat import LogFile, read_log, write_log
+from repro.ion import pipeline as pipeline_module
+from repro.ion.analyzer import AnalyzerConfig, ResilienceConfig
 from repro.ion.extractor import Extractor
+from repro.ion.pipeline import IoNavigator
+from repro.ion.serialize import report_to_dict
+from repro.llm.expert.model import SimulatedExpertLLM
+from repro.llm.faults import FaultKind, FaultPlan, FaultyLLMClient
+from repro.service import cache as cache_module
 from repro.service.cache import ExtractionCache, extraction_key, log_digest
-from repro.util.errors import CacheError
+from repro.util.errors import CacheError, DarshanFormatError
 from repro.util.metrics import MetricsRegistry
 from repro.util.units import KIB
 from repro.workloads.ior import IorConfig, IorWorkload
@@ -249,3 +258,156 @@ class TestExtractionCache:
         cache.get_or_extract(log, extractor)
         cache.get_or_extract(log, extractor)
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
+
+
+# -- pre-keys: a known log file is a hit without a parse ---------------
+
+
+def unread(path):
+    raise AssertionError(f"{path} was parsed")
+
+
+def reading(reads):
+    """A ``LogFile`` reader that records each path it parses."""
+
+    def reader(path):
+        reads.append(path)
+        return read_log(path)
+
+    return reader
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Calls of the pipeline's ``read_log`` and the cache's ``log_digest``."""
+    calls = {"read_log": 0, "log_digest": 0}
+    for module, name in (
+        (pipeline_module, "read_log"),
+        (cache_module, "log_digest"),
+    ):
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestPreKeys:
+    def test_a_known_file_hits_without_read_log_or_log_digest(
+        self, tmp_path, counted
+    ):
+        path = write_log(tiny_log(), tmp_path / "t.darshan")
+        with IoNavigator(cache=ExtractionCache(tmp_path / "cache")) as navigator:
+            first = navigator.run(path)
+            assert counted == {"read_log": 1, "log_digest": 0}
+            second = navigator.run(path)
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        assert counted == {"read_log": 1, "log_digest": 0}
+        assert report_to_dict(second.report) == report_to_dict(first.report)
+
+    def test_a_reindexed_root_keeps_its_prekeys(self, tmp_path):
+        path = write_log(tiny_log(), tmp_path / "t.darshan")
+        extractor = Extractor()
+        ExtractionCache(tmp_path / "cache").get_or_extract(LogFile(path), extractor)
+        reopened = ExtractionCache(tmp_path / "cache")
+        _, hit = reopened.get_or_extract(LogFile(path, unread), extractor)
+        assert hit
+        assert reopened.stats.hits == 1
+
+    def test_a_file_without_a_prekey_is_parsed_then_known(self, tmp_path):
+        log = tiny_log()
+        path = write_log(log, tmp_path / "t.darshan")
+        extractor = Extractor()
+        cache = ExtractionCache(tmp_path / "cache")
+        cache.get_or_extract(log, extractor)  # cached from memory: no pre-key
+        reads = []
+        _, hit = cache.get_or_extract(LogFile(path, reading(reads)), extractor)
+        assert hit and reads == [path]
+        _, hit = cache.get_or_extract(LogFile(path, unread), extractor)
+        assert hit
+
+    def test_a_changed_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "t.darshan"
+        extractor = Extractor()
+        cache = ExtractionCache(tmp_path / "cache")
+        write_log(tiny_log(segments=8), path)
+        first, _ = cache.get_or_extract(LogFile(path), extractor)
+        write_log(tiny_log(segments=16), path)
+        reads = []
+        second, hit = cache.get_or_extract(LogFile(path, reading(reads)), extractor)
+        assert not hit and reads == [path]
+        assert second.directory != first.directory
+
+    def test_an_evicted_entry_forgets_its_prekeys(self, tmp_path):
+        extractor = Extractor()
+        root = tmp_path / "cache"
+        cache = ExtractionCache(root, max_bytes=1)
+        a = write_log(tiny_log(segments=8), tmp_path / "a.darshan")
+        b = write_log(tiny_log(segments=16), tmp_path / "b.darshan")
+        cache.get_or_extract(LogFile(a), extractor)
+        cache.get_or_extract(LogFile(b), extractor)  # evicts a's entry
+        assert len(list(root.glob("objects/*/*.prekeys.json"))) == 1
+        reads = []
+        _, hit = cache.get_or_extract(LogFile(a, reading(reads)), extractor)
+        assert not hit and reads == [a]
+        cache.clear()
+        assert not list(root.glob("objects/*/*.prekeys.json"))
+
+    def test_a_damaged_prekeys_file_is_ignored(self, tmp_path):
+        path = write_log(tiny_log(), tmp_path / "t.darshan")
+        extractor = Extractor()
+        root = tmp_path / "cache"
+        ExtractionCache(root).get_or_extract(LogFile(path), extractor)
+        (recorded,) = root.glob("objects/*/*.prekeys.json")
+        prekey = next(iter(json.loads(recorded.read_text())))
+        for damage in ("not json", json.dumps([1]), json.dumps({prekey: 7})):
+            recorded.write_text(damage)
+            reads = []
+            reopened = ExtractionCache(root)
+            _, hit = reopened.get_or_extract(LogFile(path, reading(reads)), extractor)
+            assert hit and reads == [path]
+
+    def test_a_corrupt_file_raises_only_darshan_format_error(self, tmp_path):
+        path = write_log(tiny_log(), tmp_path / "t.darshan")
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        cache = ExtractionCache(tmp_path / "cache")
+        with pytest.raises(DarshanFormatError):
+            cache.get_or_extract(LogFile(path), Extractor())
+        with IoNavigator(cache=cache) as navigator:
+            with pytest.raises(DarshanFormatError):
+                navigator.run(path)
+        assert cache.stats.entries == 0
+
+    def test_a_degraded_query_on_a_prekey_hit_gets_its_drishti_fallback(
+        self, tmp_path, counted
+    ):
+        log = tiny_log()
+        path = write_log(log, tmp_path / "t.darshan")
+        cache = ExtractionCache(tmp_path / "cache")
+        with IoNavigator(cache=cache) as navigator:
+            navigator.run(path)
+        outage = AnalyzerConfig(
+            resilience=ResilienceConfig(
+                max_attempts=1, backoff_base=0.0, backoff_max=0.0
+            )
+        )
+
+        def diagnose(source):
+            client = FaultyLLMClient(
+                SimulatedExpertLLM(), FaultPlan.always(FaultKind.TRANSIENT)
+            )
+            with IoNavigator(client=client, config=outage, cache=cache) as navigator:
+                return navigator.run(source)
+
+        result = diagnose(path)
+        assert result.cache_hit
+        assert counted["read_log"] == 2  # the miss, then once for the fallback
+        diagnoses = result.report.diagnoses
+        assert all(d.degraded and d.fallback_source == "drishti" for d in diagnoses)
+        in_memory = diagnose(log).report.diagnoses
+        assert [d.conclusion for d in diagnoses] == [d.conclusion for d in in_memory]

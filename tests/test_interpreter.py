@@ -6,11 +6,16 @@ import dataclasses
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.llm import interpreter as interpreter_module
-from repro.llm.interpreter import CodeInterpreter
+from repro.llm.interpreter import (
+    CodeInterpreter,
+    seal_directory,
+    unseal_directories,
+)
 from repro.obs.trace import Tracer
 from repro.sca.policy import SANDBOX_POLICY
 from repro.util.errors import CodeInterpreterError
@@ -135,6 +140,97 @@ class TestSandboxing:
 
     def test_dunder_import_removed(self, runtime_only):
         assert not runtime_only.run("__import__('os')").ok
+
+
+class TestWorkdirSpelling:
+    """The worker resolves the working directory; the caller never does."""
+
+    @pytest.fixture(params=["symlink", "relative"])
+    def spelled(self, request, tmp_path, monkeypatch):
+        """``(workdir as the caller spells it, its real directory)``."""
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "data.csv").write_text("a,b\n1,2\n")
+        (tmp_path / "x").write_text("outside\n")
+        if request.param == "symlink":
+            (tmp_path / "link").symlink_to(real)
+            return str(tmp_path / "link"), real
+        monkeypatch.chdir(tmp_path)
+        return "real", real
+
+    def test_the_snippet_reads_its_csvs_and_sees_workdir_as_spelled(
+        self, spelled
+    ):
+        workdir, _ = spelled
+        result = CodeInterpreter(workdir).run(
+            "print(open('data.csv').readline().strip(), WORKDIR)"
+        )
+        assert result.stdout == f"a,b {workdir}\n"
+
+    def test_paths_outside_the_root_are_refused(self, spelled, tmp_path):
+        workdir, _ = spelled
+        interpreter = CodeInterpreter(workdir, guard="off")
+        for target in ("../x", str(tmp_path / "x")):
+            result = interpreter.run(f"print(open({target!r}).read())")
+            assert last_line(result).startswith("PermissionError"), target
+
+    def test_a_run_resolves_no_path_in_the_caller(self, spelled, monkeypatch):
+        workdir, real = spelled
+        seal_directory(real)
+        interpreter = CodeInterpreter(real)
+        resolved = []
+        resolve = Path.resolve
+
+        def counting(path, *args, **kwargs):
+            resolved.append(path)
+            return resolve(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting)
+        try:
+            for directory in (workdir, real, real):  # the last is a memo hit
+                result = CodeInterpreter(directory).run("print(1)")
+                assert result.stdout == "1\n"
+        finally:
+            monkeypatch.undo()
+            unseal_directories([real])
+        assert resolved == []
+
+
+class TestUndecodableSnippets:
+    """A lone surrogate is an error the model sees, never a crash."""
+
+    SNIPPET = "text = '\udc80'\nprint(1)"
+
+    @staticmethod
+    def worker_pids() -> set[int]:
+        return {w.process.pid for w in interpreter_module._POOL._workers}
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_is_a_traceback_and_the_worker_survives(self, tmp_path, sealed):
+        interpreter = CodeInterpreter(tmp_path)
+        interpreter.run("print(0)")  # the pool is up
+        before = self.worker_pids()
+        if sealed:
+            seal_directory(tmp_path)
+        try:
+            for _ in range(2):
+                result = interpreter.run(self.SNIPPET)
+                assert result.error.startswith("Traceback")
+                assert last_line(result).startswith("UnicodeEncodeError")
+            assert interpreter.run("print(2)").stdout == "2\n"
+        finally:
+            unseal_directories([tmp_path])
+        assert self.worker_pids() == before
+
+    def test_printed_surrogates_come_back_and_are_memoized(self, tmp_path):
+        seal_directory(tmp_path)
+        try:
+            interpreter = CodeInterpreter(tmp_path)
+            runs = [interpreter.run("print(chr(0xDC80))") for _ in range(2)]
+        finally:
+            unseal_directories([tmp_path])
+        assert [run.stdout for run in runs] == ["\udc80\n"] * 2
+        assert all(run.ok for run in runs)
 
 
 class TestRuntimeHardening:

@@ -82,6 +82,17 @@ class TestRunMemo:
         CodeInterpreter(os.path.relpath(sealed)).run(READ)
         assert len(dispatches) == 4
 
+    def test_a_symlinked_workdir_executes_every_time(
+        self, sealed, dispatches, tmp_path_factory
+    ):
+        # Seals are held under resolved paths and the memo looks runs up
+        # by the absolute path, so a symlink misses the memo and runs.
+        link = tmp_path_factory.mktemp("links") / "entry"
+        link.symlink_to(sealed)
+        for _ in range(2):
+            assert CodeInterpreter(link).run(READ).stdout == "3\n"
+        assert len(dispatches) == 2
+
     def test_unsealed_dir_runs_every_time(self, tmp_path, dispatches):
         (tmp_path / "data.csv").write_text("a,b\n1,2\n")
         interpreter = CodeInterpreter(tmp_path)
