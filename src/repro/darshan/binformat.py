@@ -151,6 +151,8 @@ def _decode_names(data: bytes) -> dict[int, NameRecord]:
         mount = reader.read_str()
         fs_type = reader.read_str()
         names[record_id] = NameRecord(record_id, path, mount, fs_type)
+    if not reader.exhausted:
+        raise DarshanFormatError("names section has trailing bytes")
     return names
 
 
@@ -171,8 +173,7 @@ def _encode_module(module: str, records: list[ModuleRecord]) -> bytes:
     return buffer.getvalue()
 
 
-def _decode_module(module: str, data: bytes) -> tuple[list[ModuleRecord], bool]:
-    """The section's records, and whether they filled the whole payload."""
+def _decode_module(module: str, data: bytes) -> list[ModuleRecord]:
     counter_names = counters_for(module)
     fcounter_names = fcounters_for(module)
     reader = _Reader(data, f"mod:{module}")
@@ -197,7 +198,9 @@ def _decode_module(module: str, data: bytes) -> tuple[list[ModuleRecord], bool]:
                 fcounters=dict(zip(fcounter_names, fvalues)),
             )
         )
-    return records, reader.exhausted
+    if not reader.exhausted:
+        raise DarshanFormatError(f"mod:{module} section has trailing bytes")
+    return records
 
 
 def _little_endian(column: array) -> array:
@@ -381,9 +384,10 @@ def read_log(path: str | Path) -> DarshanLog:
 def _parse(reader: _Reader) -> tuple[DarshanLog, str]:
     """The log, and the content digest of its canonical sections.
 
-    A payload read is hashed as it is when it is already canonical;
-    otherwise (a module section with bytes past its records, a v1
-    ``dxt`` section) that section is re-encoded for the digest.
+    A module or ``dxt2`` payload that decodes is canonical (trailing
+    bytes are rejected), so it is hashed as read; the ``job`` and
+    ``names`` sections and a v1 ``dxt`` section are re-encoded for the
+    digest.
     """
     (section_count,) = reader.unpack("<I")
     sections = dict(_read_section(reader) for _ in range(section_count))
@@ -402,13 +406,11 @@ def _parse(reader: _Reader) -> tuple[DarshanLog, str]:
         payload = sections.get(name)
         if payload is None:
             continue
-        records, whole = _decode_module(module, payload)
+        records = _decode_module(module, payload)
         for record in records:
             log.add_record(record)
         if records:
-            canonical.append(
-                (name, payload if whole else _encode_module(module, records))
-            )
+            canonical.append((name, payload))
     dxt_payload = sections.get("dxt2")
     if dxt_payload is not None:
         log.set_dxt(_decode_dxt2(dxt_payload))

@@ -139,6 +139,7 @@ class CodeInterpreter:
             "sca.vet", attributes={"mode": self.guard.value}
         ) as span:
             verdict = _GUARD.vet(code, digest)
+            span.set_attribute("cached", verdict.cached)
             span.set_attribute("violations", len(verdict.violations))
             span.set_attribute("blocked", verdict.blocked)
             for violation in verdict.blocking:
@@ -146,6 +147,8 @@ class CodeInterpreter:
                     "violation", rule=violation.rule, line=violation.line
                 )
         self.metrics.counter("sca.vet.checks").inc()
+        if not verdict.cached:
+            self.metrics.counter("sca.vet.walks").inc()
         if verdict.blocked:
             self.metrics.counter("sca.vet.blocked").inc()
         if verdict.warnings:

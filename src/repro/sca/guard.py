@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
 import threading
 from collections import OrderedDict
 from pathlib import PurePosixPath
@@ -60,6 +61,48 @@ def parse_source(code: str) -> ast.Module:
 def code_digest(code: str) -> bytes:
     """SHA-256 of a snippet's text; lone surrogates hash, never raise."""
     return hashlib.sha256(code.encode("utf-8", "surrogatepass")).digest()
+
+
+#: The text of a header literal: no quote, backslash, CR, LF, NUL or
+#: lone surrogate, so the literal is one token that always parses.
+_LITERAL_TEXT = r"[^'\"\\\r\n\x00\ud800-\udfff]*"
+
+#: One header line at the top of a snippet: ``NAME = <literal>`` (group
+#: ``name``) or the expert's ``print("…")`` issue banner (group
+#: ``banner``).  Ints stop at 640 digits, the lowest limit
+#: ``sys.set_int_max_str_digits`` accepts: ``ast.parse`` rejects a
+#: longer literal once the limit is below its length.
+_HEADER_LINE = re.compile(
+    "(?P<name>[A-Z][A-Z0-9_]*) = "
+    f"(?:'{_LITERAL_TEXT}'|\"{_LITERAL_TEXT}\"|-?(?:0|[1-9][0-9]{{0,639}}))\n"
+    f'|(?P<banner>print\\("{_LITERAL_TEXT}"\\)\n)'
+)
+
+#: What every shape key hashes first.  No UTF-8 text starts with byte
+#: 0xFF, so no :func:`code_digest` hashes the same bytes as a shape key.
+_SHAPE_DOMAIN = b"\xffrepro.sca.shape\x00"
+
+
+def shape_key(code: str) -> bytes | None:
+    """SHA-256 of ``code`` with the values of its header lines dropped.
+
+    The header is the run of :data:`_HEADER_LINE` lines from offset 0.
+    The key keeps each line's name (``NAME =``) or banner, then a NUL,
+    then the rest of the text unchanged.  None when ``code`` has no
+    header line.
+    """
+    kept: list[str] = []
+    end = 0
+    while (line := _HEADER_LINE.match(code, end)) is not None:
+        kept.append(line["banner"] or f"{line['name']} =\n")
+        end = line.end()
+    if not kept:
+        return None
+    hasher = hashlib.sha256(_SHAPE_DOMAIN)
+    hasher.update("".join(kept).encode("utf-8"))
+    hasher.update(b"\x00")
+    hasher.update(code[end:].encode("utf-8", "surrogatepass"))
+    return hasher.digest()
 
 
 RULE_IMPORT = "sca.import"
@@ -340,15 +383,35 @@ class RangeRule(Rule):
 class CodeGuard:
     """Vets one snippet per call; thread-safe.
 
-    Findings are memoized in a bounded LRU cache keyed by the SHA-256
-    of the code text: the expert re-sends the same snippets for every
-    trace, and a verdict is a pure function of the text and the policy.
+    Findings are memoized in a bounded LRU cache keyed by the snippet's
+    *shape*, :func:`shape_key`: its text with the values of its leading
+    ``NAME = <literal>`` header lines dropped.  The expert's snippets
+    for one issue differ from trace to trace only in those values (the
+    absolute CSV paths of the extraction dir, per-trace numbers), so
+    vetting costs one walk per shape, not one per trace.  A snippet
+    with no header line is keyed by :func:`code_digest`.
+
+    Sharing findings within a shape is sound, and a miss walks the real
+    code, never the normalized text:
+
+    - Each header line is a complete one-line statement: by induction
+      from offset 0, each starts a fresh logical line, and its literal
+      holds no quote, backslash, line break, NUL or lone surrogate and
+      no int too long to parse.  So the rest of the text parses exactly
+      as it would under any other values, on the same line numbers.
+    - No rule reads the value bound to a name: ``PathRule``,
+      ``RangeRule`` and the ``getattr`` checks read only literal
+      arguments of calls.
+    - No finding sits on a header line: an uppercase name is neither a
+      blocked builtin nor a dunder.
+    - A :class:`Violation` carries a line and column but no source text.
+
     Keying by digest keeps the snippets themselves out of the cache.
     Each call returns a fresh :class:`GuardVerdict` over the cached,
     immutable findings.
     """
 
-    #: Distinct snippets whose findings are kept.
+    #: Distinct snippet shapes whose findings are kept.
     CACHE_SIZE = 256
 
     def __init__(self, policy: SandboxPolicy = SANDBOX_POLICY) -> None:
@@ -372,20 +435,24 @@ class CodeGuard:
         ``digest`` is :func:`code_digest` of ``code`` when the caller
         has it already.  Snippets that do not parse get an *empty*
         verdict: the interpreter's ``compile()`` step already reports
-        syntax errors with the traceback the model expects.
+        syntax errors with the traceback the model expects.  The
+        verdict's ``cached`` is False when this call walked the code.
         """
-        key = digest if digest is not None else code_digest(code)
+        key = shape_key(code)
+        if key is None:
+            key = digest if digest is not None else code_digest(code)
         with self._cache_lock:
             findings = self._findings.get(key)
             if findings is not None:
                 self._findings.move_to_end(key)
+        cached = findings is not None
         if findings is None:
             findings = self._walk(code)
             with self._cache_lock:
                 self._findings[key] = findings
                 if len(self._findings) > self.CACHE_SIZE:
                     self._findings.popitem(last=False)
-        return GuardVerdict(violations=list(findings))
+        return GuardVerdict(violations=list(findings), cached=cached)
 
     def _walk(self, code: str) -> tuple[Violation, ...]:
         try:

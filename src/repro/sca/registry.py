@@ -65,6 +65,7 @@ METRIC_NAMES = frozenset(
         "sca.vet.blocked",
         "sca.vet.checks",
         "sca.vet.rejected",
+        "sca.vet.walks",
         "sca.vet.warnings",
     }
 )

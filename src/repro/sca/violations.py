@@ -56,6 +56,8 @@ class GuardVerdict:
     """The guard's answer for one snippet."""
 
     violations: list[Violation] = field(default_factory=list)
+    #: True when the findings came from the guard's cache, not a walk.
+    cached: bool = field(default=False, compare=False)
 
     @property
     def blocked(self) -> bool:

@@ -311,16 +311,28 @@ class TestReadDigest:
     def test_sections_read_in_a_foreign_shape_are_hashed_canonically(
         self, tmp_path
     ):
-        # Sections out of order, bytes past a module's records and an
-        # unknown section all parse; the digest ignores the shape.
+        # Sections out of order and an unknown section both parse; the
+        # digest ignores the shape.
         sections = dict(iter_sections(dxt_log()))
-        sections["mod:POSIX"] += b"\0" * 5
         sections["mod:NOT-A-MODULE"] = b"ignored"
         path = tmp_path / "foreign.darshan"
         path.write_bytes(frame(list(reversed(sections.items()))))
         log = read_log(path)
         assert log == dxt_log()
         assert log.source.digest == log_digest(log) == log_digest(dxt_log())
+
+    @pytest.mark.parametrize("section", ["mod:POSIX", "names"])
+    def test_bytes_past_a_sections_records_are_rejected(self, tmp_path, section):
+        # Like dxt2, an accepted names or module payload is exactly its
+        # records, so the digest can hash it as read.
+        sections = dict(iter_sections(dxt_log()))
+        sections[section] += b"\0" * 5
+        path = tmp_path / "padded.darshan"
+        path.write_bytes(frame(list(sections.items())))
+        with pytest.raises(
+            DarshanFormatError, match=f"{section} section has trailing bytes"
+        ):
+            read_log(path)
 
 
 def dxt2_payload(log):

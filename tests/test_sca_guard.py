@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.expert.codegen import strip_imports
+from repro.llm.expert.codegen import no_mpiio_code, small_io_code, strip_imports
+from repro.llm.expert.model import ISSUE_MARKER
 from repro.llm.interpreter import (
     ALLOWED_MODULES,
     _BLOCKED_BUILTINS,
@@ -151,7 +154,7 @@ class TestCleanAndWarnVerdicts:
 
 
 class TestVerdictCache:
-    """Verdicts are memoized by code text; the accounting is per run."""
+    """Verdicts are memoized by code shape; the accounting is per run."""
 
     def test_same_code_walks_the_ast_once(self, monkeypatch):
         walks = []
@@ -181,16 +184,217 @@ class TestVerdictCache:
         first.violations.clear()
         assert guard.vet("import os").blocked
 
-    def test_vet_span_and_metrics_fire_on_every_run(self, tmp_path):
+    def test_vet_span_and_metrics_fire_on_every_run(self, tmp_path, monkeypatch):
+        from repro.llm import interpreter as interpreter_module
+
+        monkeypatch.setattr(interpreter_module, "_GUARD", CodeGuard())
         metrics = MetricsRegistry()
         tracer = Tracer()
         interpreter = CodeInterpreter(tmp_path, metrics=metrics, tracer=tracer)
-        for _ in range(3):
-            assert interpreter.run("import os\nrows = open(name)").guard_blocked
+        for path in ("a.csv", "b.csv", "a.csv"):
+            code = f"CSV_PATH = {path!r}\nimport os\nrows = open(CSV_PATH)"
+            assert interpreter.run(code).guard_blocked
         assert metrics.counter_value("sca.vet.checks") == 3
+        assert metrics.counter_value("sca.vet.walks") == 1
         assert metrics.counter_value("sca.vet.blocked") == 3
         assert metrics.counter_value("sca.vet.warnings") == 3
-        assert [span.name for span in tracer.spans()].count("sca.vet") == 3
+        vets = [span for span in tracer.spans() if span.name == "sca.vet"]
+        assert [span.attributes["cached"] for span in vets] == [False, True, True]
+
+
+def _guard_key(code: str) -> bytes:
+    """The key CodeGuard files ``code``'s findings under."""
+    return guard_module.shape_key(code) or guard_module.code_digest(code)
+
+
+#: Paths as the expert quotes them: absolute or relative, with ``..``,
+#: spaces and non-ASCII parts.
+_paths = st.builds(
+    lambda lead, parts: lead + "/".join(parts),
+    st.sampled_from(["", "/"]),
+    st.lists(
+        st.sampled_from(
+            ["..", ".", "objects", "0f", "POSIX.csv", "a b", "café", "日本", "x" * 40]
+        ),
+        max_size=6,
+    ),
+)
+#: Int literal text of any length: past the 640-digit cap, and past
+#: CPython's default 4300-digit parse limit.
+_int_literals = st.one_of(
+    st.integers().map(str),
+    st.builds(
+        lambda sign, lead, count: sign + lead + "9" * count,
+        st.sampled_from(["", "-"]),
+        st.sampled_from("123456789"),
+        st.integers(min_value=0, max_value=5000),
+    ),
+    st.sampled_from(["0", "-0", "00", "007"]),
+)
+#: Raw text rich in what can end a literal early or fail its parse.
+_raw_text = st.one_of(
+    st.text(max_size=12),
+    st.lists(
+        st.sampled_from(
+            ["a", "/", " ", "é", "\\", "\\x", "\\N", "\\u12", "'", '"', "\n", "\r", "\x00", "\ud800"]
+        ),
+        max_size=4,
+    ).map("".join),
+)
+#: Any value a header line might hold: quoted the way the expert quotes
+#: it, or pasted raw between quotes, where it may break the line.
+_header_values = st.one_of(
+    _int_literals,
+    _paths.map(repr),
+    _paths.map(lambda path: f'"{path}"'),
+    _raw_text.map(repr),
+    _raw_text.map(lambda text: f"'{text}'"),
+)
+_header_names = st.from_regex(r"[A-Z][A-Z0-9_]{0,8}", fullmatch=True)
+
+#: Bodies that follow a header: the corpus, an expert snippet's
+#: analysis, and text that does not start a fresh statement.
+_SHAPE_BODIES = [snippet for snippet, _ in ADVERSARIAL_CORPUS] + [
+    small_io_code(Path("POSIX.csv"), 1, 1).split("\n", 3)[3],
+    "    import os",
+    ")\nimport os",
+    "'''\nX = 1\n'''\nimport os",
+    "",
+]
+
+
+@st.composite
+def header_siblings(draw):
+    """Two snippets with one banner, names and body, but other values."""
+    names = draw(st.lists(_header_names, min_size=1, max_size=4))
+    banner = draw(st.sampled_from(["", f'print("{ISSUE_MARKER} small_io")\n']))
+    body = draw(st.sampled_from(_SHAPE_BODIES))
+
+    def snippet() -> str:
+        lines = [f"{name} = {draw(_header_values)}\n" for name in names]
+        return banner + "".join(lines) + body
+
+    return snippet(), snippet()
+
+
+def _check_cached_findings_equal_a_walk(siblings) -> None:
+    warm, snippet = siblings
+    guard = CodeGuard()
+    guard.vet(warm)
+    verdict = guard.vet(snippet)
+    assert tuple(verdict.violations) == guard._walk(snippet)
+    assert verdict.cached == (_guard_key(warm) == _guard_key(snippet))
+
+
+#: Raw values may hold invalid escapes, which ``ast.parse`` warns about.
+_quiet_escapes = pytest.mark.filterwarnings(
+    "ignore::DeprecationWarning", "ignore::SyntaxWarning"
+)
+
+
+class TestShapeKey:
+    """Snippets that differ only in header values share one walk."""
+
+    @_quiet_escapes
+    @settings(max_examples=300, deadline=None)
+    @given(siblings=header_siblings())
+    def test_findings_after_a_sibling_equal_an_uncached_walk(self, siblings):
+        _check_cached_findings_equal_a_walk(siblings)
+
+    @pytest.mark.slow
+    @_quiet_escapes
+    @settings(max_examples=3000, deadline=None)
+    @given(siblings=header_siblings())
+    def test_findings_after_a_sibling_many_examples(self, siblings):
+        _check_cached_findings_equal_a_walk(siblings)
+
+    @pytest.mark.parametrize(
+        "snippet,rule", ADVERSARIAL_CORPUS, ids=[s for s, _ in ADVERSARIAL_CORPUS]
+    )
+    def test_corpus_blocks_alike_under_every_header(self, snippet, rule):
+        guard = CodeGuard()
+        headers = [
+            f'print("{ISSUE_MARKER} small_io")\nPOSIX_PATH = {path!r}\nNPROCS = {n}\n'
+            for path, n in [
+                ("/tmp/objects/0f/0fee/POSIX.csv", 64),
+                ("../a b/café.csv", -1),
+                ("POSIX.csv", 10**50),
+            ]
+        ]
+        verdicts = [guard.vet(header + snippet) for header in headers]
+        assert [verdict.cached for verdict in verdicts] == [False, True, True]
+        bare = GUARD.vet(snippet)
+        for header, verdict in zip(headers, verdicts):
+            assert tuple(verdict.violations) == guard._walk(header + snippet)
+            assert rule in {v.rule for v in verdict.blocking}
+            # The bare snippet's findings, three lines down.
+            assert [(v.rule, v.line) for v in verdict.violations] == [
+                (v.rule, v.line + 3) for v in bare.violations
+            ]
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("P = \"it's\"\n", 'P = "its"\n'),
+            ("P = 'a\\b'\n", "P = 'ab'\n"),
+            ("P = 'a\x00b'\n", "P = 'ab'\n"),
+            ("P = '\ud800'\n", "P = 'a'\n"),
+            ("f(\nP = 1\n)\n", "f(\nP = 2\n)\n"),
+            ('P = """\nQ = 1\n"""\n', 'P = """\nQ = 2\n"""\n'),
+            ("P = 1\r\n", "P = 2\r\n"),
+            ("P = 07\n", "P = 7\n"),
+            ("P = " + "9" * 641 + "\n", "P = 1\n"),
+            ("print('x')\n", "print('y')\n"),
+        ],
+        ids=[
+            "quote",
+            "backslash",
+            "nul",
+            "surrogate",
+            "open-bracket",
+            "triple-quoted",
+            "crlf",
+            "leading-zero",
+            "641-digits",
+            "banner-quotes",
+        ],
+    )
+    def test_lines_that_are_not_headers_share_no_key(self, first, second):
+        body = "import os\n"
+        assert _guard_key(first + body) != _guard_key(second + body)
+
+    def test_header_values_are_dropped_and_names_kept(self):
+        body = "rows = open(POSIX_PATH)\n"
+        key = _guard_key("POSIX_PATH = '/a/POSIX.csv'\nN = 8\n" + body)
+        longest = "-9" + "0" * 639
+        assert key == _guard_key(f'POSIX_PATH = "../b c.csv"\nN = {longest}\n' + body)
+        assert key != _guard_key("DXT_PATH = '/a/POSIX.csv'\nN = 8\n" + body)
+        assert key != _guard_key("POSIX_PATH = '/a/POSIX.csv'\n" + body)
+        assert key != _guard_key("POSIX_PATH = '/a/POSIX.csv'\nN = 8\n\n" + body)
+        # Dropping the values cannot make a header equal a header-less text.
+        assert key != _guard_key("POSIX_PATH =\nN =\n" + body)
+        assert guard_module.shape_key(body) is None
+
+    def test_two_snippets_of_one_issue_walk_once(self, monkeypatch):
+        walks = []
+        real_walk = CodeGuard._walk
+
+        def counting_walk(self, code):
+            walks.append(code)
+            return real_walk(self, code)
+
+        monkeypatch.setattr(CodeGuard, "_walk", counting_walk)
+        guard = CodeGuard()
+        banner = f'print("{ISSUE_MARKER} small_io")\n'
+        first = banner + small_io_code(Path("/x/objects/0f/POSIX.csv"), 1048576, 65536)
+        second = banner + small_io_code(Path("/y/a b/POSIX.csv"), 4096, 1048576)
+        assert first != second
+        assert guard.vet(first) == guard.vet(second)
+        assert len(walks) == 1
+        # Another issue's snippets are another shape.
+        guard.vet(no_mpiio_code(Path("/x/POSIX.csv"), Path("/x/MPIIO.csv"), 64))
+        guard.vet(no_mpiio_code(Path("/y/POSIX.csv"), None, 8))
+        assert len(walks) == 2
 
 
 class TestPolicyDrift:
