@@ -4,8 +4,8 @@
 #   make test-slow   only the heavyweight stress tests
 #   make test-all    everything
 #   make golden      regenerate the golden report snapshots, the
-#                    simulated-log digests and the registry-report
-#                    digests
+#                    simulated-log digests, the registry-report digests
+#                    and the Drishti insight digests
 
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
@@ -23,4 +23,5 @@ test-all:
 
 golden:
 	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \
-		tests/test_log_digests.py tests/test_report_digests.py
+		tests/test_log_digests.py tests/test_report_digests.py \
+		tests/test_drishti_digests.py
