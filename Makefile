@@ -6,11 +6,12 @@
 #   make golden      regenerate the golden report snapshots, the
 #                    simulated-log digests, the registry-report digests
 #                    and the Drishti insight digests
+#   make loc         print the line count of src/**/*.py
 
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-slow test-all golden
+.PHONY: test test-slow test-all golden loc
 
 test:
 	$(PYTEST) -x
@@ -25,3 +26,6 @@ golden:
 	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \
 		tests/test_log_digests.py tests/test_report_digests.py \
 		tests/test_drishti_digests.py
+
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l

@@ -254,16 +254,6 @@ class DxtTable:
                 f"DXT segment references unknown record id {min(unknown):#x}"
             )
 
-    def segment_indices(self) -> list[int]:
-        """Each row's position among the rows of its (module, file, rank)."""
-        seen: dict[tuple[int, int, int], int] = {}
-        indices = []
-        for key in zip(self.module, self.record_id, self.rank):
-            index = seen.get(key, 0)
-            seen[key] = index + 1
-            indices.append(index)
-        return indices
-
     def __len__(self) -> int:
         return len(self.module)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import SHARED_RANK
@@ -26,13 +26,10 @@ from repro.util.units import format_count, format_percent, format_size
 @dataclass
 class _FileStats:
     path: str = ""
-    reads: int = 0
-    writes: int = 0
     small_reads: int = 0
     small_writes: int = 0
+    #: Every rank with a record of the file, with the bytes it moved.
     bytes_by_rank: dict[int, int] = field(default_factory=dict)
-    time_by_rank: dict[int, float] = field(default_factory=dict)
-    ranks: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -50,22 +47,17 @@ class JobView:
     small_writes: int = 0
     seq_reads: int = 0
     seq_writes: int = 0
-    consec_reads: int = 0
-    consec_writes: int = 0
     rw_switches: int = 0
     mem_not_aligned: int = 0
     file_not_aligned: int = 0
     opens: int = 0
     stats: int = 0
-    seeks: int = 0
-    fsyncs: int = 0
     meta_time_by_rank: dict[int, float] = field(default_factory=dict)
     bytes_by_rank: dict[int, int] = field(default_factory=dict)
     time_by_rank: dict[int, float] = field(default_factory=dict)
     files: dict[int, _FileStats] = field(default_factory=dict)
     common_accesses: dict[int, int] = field(default_factory=dict)
     stdio_bytes: int = 0
-    stdio_ops: int = 0
     mpiio_indep: int = 0
     mpiio_coll: int = 0
     mpiio_nb: int = 0
@@ -84,7 +76,7 @@ class JobView:
 
     @property
     def shared_files(self) -> list[_FileStats]:
-        return [f for f in self.files.values() if len(f.ranks) > 1]
+        return [f for f in self.files.values() if len(f.bytes_by_rank) > 1]
 
     @property
     def uses_mpiio(self) -> bool:
@@ -98,6 +90,10 @@ def _small_ops(record, direction: str, small_size: int) -> int:
             break
         count += record.counters[f"POSIX_SIZE_{direction}_{label}"]
     return count
+
+
+def _add(totals: dict, key: int, value: int | float) -> None:
+    totals[key] = totals.get(key, 0) + value
 
 
 def build_view(log: DarshanLog, thresholds: Thresholds) -> JobView:
@@ -122,53 +118,31 @@ def build_view(log: DarshanLog, thresholds: Thresholds) -> JobView:
         view.small_writes += small_w
         view.seq_reads += c["POSIX_SEQ_READS"]
         view.seq_writes += c["POSIX_SEQ_WRITES"]
-        view.consec_reads += c["POSIX_CONSEC_READS"]
-        view.consec_writes += c["POSIX_CONSEC_WRITES"]
         view.rw_switches += c["POSIX_RW_SWITCHES"]
         view.mem_not_aligned += c["POSIX_MEM_NOT_ALIGNED"]
         view.file_not_aligned += c["POSIX_FILE_NOT_ALIGNED"]
         view.opens += c["POSIX_OPENS"]
         view.file_rank_records += 1
         view.stats += c["POSIX_STATS"]
-        view.seeks += c["POSIX_SEEKS"]
-        view.fsyncs += c["POSIX_FSYNCS"]
         rank_bytes = c["POSIX_BYTES_READ"] + c["POSIX_BYTES_WRITTEN"]
         rank_time = f["POSIX_F_READ_TIME"] + f["POSIX_F_WRITE_TIME"] + f[
             "POSIX_F_META_TIME"
         ]
-        view.bytes_by_rank[record.rank] = (
-            view.bytes_by_rank.get(record.rank, 0) + rank_bytes
-        )
-        view.time_by_rank[record.rank] = (
-            view.time_by_rank.get(record.rank, 0.0) + rank_time
-        )
-        view.meta_time_by_rank[record.rank] = (
-            view.meta_time_by_rank.get(record.rank, 0.0) + f["POSIX_F_META_TIME"]
-        )
+        _add(view.bytes_by_rank, record.rank, rank_bytes)
+        _add(view.time_by_rank, record.rank, rank_time)
+        _add(view.meta_time_by_rank, record.rank, f["POSIX_F_META_TIME"])
         stats = view.files.setdefault(record.record_id, _FileStats())
         stats.path = log.path_for(record.record_id)
-        stats.reads += c["POSIX_READS"]
-        stats.writes += c["POSIX_WRITES"]
         stats.small_reads += small_r
         stats.small_writes += small_w
-        stats.ranks.add(record.rank)
-        stats.bytes_by_rank[record.rank] = (
-            stats.bytes_by_rank.get(record.rank, 0) + rank_bytes
-        )
-        stats.time_by_rank[record.rank] = (
-            stats.time_by_rank.get(record.rank, 0.0) + rank_time
-        )
+        _add(stats.bytes_by_rank, record.rank, rank_bytes)
         for slot in range(1, 5):
-            size = c[f"POSIX_ACCESS{slot}_ACCESS"]
             count = c[f"POSIX_ACCESS{slot}_COUNT"]
             if count:
-                view.common_accesses[size] = (
-                    view.common_accesses.get(size, 0) + count
-                )
+                _add(view.common_accesses, c[f"POSIX_ACCESS{slot}_ACCESS"], count)
     for record in log.records.get("STDIO", []):
         c = record.counters
         view.stdio_bytes += c["STDIO_BYTES_READ"] + c["STDIO_BYTES_WRITTEN"]
-        view.stdio_ops += c["STDIO_READS"] + c["STDIO_WRITES"]
     mpiio_ranks: dict[int, set[int]] = defaultdict(set)
     for record in log.records.get("MPI-IO", []):
         c = record.counters
@@ -204,67 +178,87 @@ def _ratio(part: int | float, whole: int | float) -> float:
     return part / whole if whole else 0.0
 
 
+class _Direction(NamedTuple):
+    """One row of the table the read/write trigger pairs share.
+
+    ``ops`` to ``max_byte`` name JobView fields: the op count, the small
+    and the sequential ops, the bytes moved and the highest byte
+    touched.  ``codes`` are the small, redundant, random and sequential
+    insight codes.
+    """
+
+    word: str
+    ops: str
+    small: str
+    seq: str
+    moved: str
+    max_byte: str
+    past: str  # the redundant-traffic message's verb
+    codes: tuple[str, str, str, str]
+    reorder: str  # the tail of the random-access recommendation
+    redundant_remedy: str
+
+
+_READ = _Direction(
+    "read", "reads", "small_reads", "seq_reads", "bytes_read", "max_byte_read",
+    "read", ("POSIX-01", "POSIX-07", "POSIX-09", "POSIX-10"),
+    "reads or using collective I/O to convert random accesses into "
+    "sequential ones",
+    "Cache re-read data in memory where possible",
+)
+_WRITE = _Direction(
+    "write", "writes", "small_writes", "seq_writes", "bytes_written",
+    "max_byte_written", "wrote", ("POSIX-02", "POSIX-08", "POSIX-11", "POSIX-12"),
+    "writes or using collective buffering",
+    "Avoid rewriting the same extents repeatedly",
+)
+
+
+def _paired(check, direction: _Direction, name: str) -> Trigger:
+    """Register one direction of a read/write pair as trigger ``name``."""
+
+    def trigger(view: JobView, t: Thresholds) -> Iterable[Insight]:
+        return check(direction, view, t)
+
+    trigger.__name__ = trigger.__qualname__ = name
+    return _trigger(trigger)
+
+
 # -- operation count and size triggers (POSIX-01..08) -----------------------
 
 
-@_trigger
-def small_reads(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    ratio = _ratio(view.small_reads, view.reads)
-    if view.reads and ratio > t.small_requests_ratio:
+def _small_requests(d: _Direction, view: JobView, t: Thresholds) -> Iterable[Insight]:
+    ops, small = getattr(view, d.ops), getattr(view, d.small)
+    ratio = _ratio(small, ops)
+    if ops and ratio > t.small_requests_ratio:
         yield Insight(
-            code="POSIX-01",
+            code=d.codes[0],
             level=Level.HIGH,
             issue=IssueType.SMALL_IO,
             message=(
                 f"Application issues a high number "
-                f"({format_count(view.small_reads)}) of small read requests "
+                f"({format_count(small)}) of small {d.word} requests "
                 f"(i.e., < {format_size(t.small_request_size)}) "
-                f"({format_percent(ratio)} of all reads)"
+                f"({format_percent(ratio)} of all {d.ops})"
             ),
             recommendation=(
-                "Consider buffering read requests into larger, contiguous "
-                "operations or using MPI-IO collective reads"
+                f"Consider buffering {d.word} requests into larger, contiguous "
+                f"operations or using MPI-IO collective {d.ops}"
             ),
         )
-    elif view.reads:
+    elif ops:
         yield Insight(
-            code="POSIX-01",
+            code=d.codes[0],
             level=Level.OK,
             message=(
-                f"Small read requests are within bounds "
-                f"({format_percent(ratio)} of reads)"
+                f"Small {d.word} requests are within bounds "
+                f"({format_percent(ratio)} of {d.ops})"
             ),
         )
 
 
-@_trigger
-def small_writes(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    ratio = _ratio(view.small_writes, view.writes)
-    if view.writes and ratio > t.small_requests_ratio:
-        yield Insight(
-            code="POSIX-02",
-            level=Level.HIGH,
-            issue=IssueType.SMALL_IO,
-            message=(
-                f"Application issues a high number "
-                f"({format_count(view.small_writes)}) of small write requests "
-                f"(i.e., < {format_size(t.small_request_size)}) "
-                f"({format_percent(ratio)} of all writes)"
-            ),
-            recommendation=(
-                "Consider buffering write requests into larger, contiguous "
-                "operations or using MPI-IO collective writes"
-            ),
-        )
-    elif view.writes:
-        yield Insight(
-            code="POSIX-02",
-            level=Level.OK,
-            message=(
-                f"Small write requests are within bounds "
-                f"({format_percent(ratio)} of writes)"
-            ),
-        )
+small_reads = _paired(_small_requests, _READ, "small_reads")
+small_writes = _paired(_small_requests, _WRITE, "small_writes")
 
 
 @_trigger
@@ -351,102 +345,59 @@ def misaligned_memory(view: JobView, t: Thresholds) -> Iterable[Insight]:
         )
 
 
-@_trigger
-def redundant_reads(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    span = view.max_byte_read + 1
-    if view.bytes_read and span and view.bytes_read / span > t.redundant_ratio:
+def _redundant_traffic(
+    d: _Direction, view: JobView, t: Thresholds
+) -> Iterable[Insight]:
+    moved, span = getattr(view, d.moved), getattr(view, d.max_byte) + 1
+    if moved and span and moved / span > t.redundant_ratio:
         yield Insight(
-            code="POSIX-07",
+            code=d.codes[1],
             level=Level.WARN,
             message=(
-                f"Application might have redundant read traffic (read "
-                f"{format_size(view.bytes_read)} against a file span of "
+                f"Application might have redundant {d.word} traffic ({d.past} "
+                f"{format_size(moved)} against a file span of "
                 f"{format_size(span)})"
             ),
-            recommendation="Cache re-read data in memory where possible",
+            recommendation=d.redundant_remedy,
         )
 
 
-@_trigger
-def redundant_writes(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    span = view.max_byte_written + 1
-    if (
-        view.bytes_written
-        and span
-        and view.bytes_written / span > t.redundant_ratio
-    ):
-        yield Insight(
-            code="POSIX-08",
-            level=Level.WARN,
-            message=(
-                f"Application might have redundant write traffic (wrote "
-                f"{format_size(view.bytes_written)} against a file span of "
-                f"{format_size(span)})"
-            ),
-            recommendation="Avoid rewriting the same extents repeatedly",
-        )
+redundant_reads = _paired(_redundant_traffic, _READ, "redundant_reads")
+redundant_writes = _paired(_redundant_traffic, _WRITE, "redundant_writes")
 
 
 # -- access pattern triggers (POSIX-09..12) -----------------------------------
 
 
-@_trigger
-def random_reads(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    random_ops = max(0, view.reads - view.seq_reads)
-    ratio = _ratio(random_ops, view.reads)
-    if view.reads and ratio > t.random_ratio:
+def _random_access(d: _Direction, view: JobView, t: Thresholds) -> Iterable[Insight]:
+    ops, seq = getattr(view, d.ops), getattr(view, d.seq)
+    random_ops = max(0, ops - seq)
+    ratio = _ratio(random_ops, ops)
+    if ops and ratio > t.random_ratio:
         yield Insight(
-            code="POSIX-09",
+            code=d.codes[2],
             level=Level.HIGH,
             issue=IssueType.RANDOM_ACCESS,
             message=(
                 f"Application is issuing a high number "
-                f"({format_count(random_ops)}) of random read operations "
+                f"({format_count(random_ops)}) of random {d.word} operations "
                 f"({format_percent(ratio)})"
             ),
-            recommendation=(
-                "Consider reordering reads or using collective I/O to "
-                "convert random accesses into sequential ones"
-            ),
+            recommendation=f"Consider reordering {d.reorder}",
         )
-    elif view.reads and _ratio(view.seq_reads, view.reads) >= t.sequential_ratio:
+    elif ops and _ratio(seq, ops) >= t.sequential_ratio:
         yield Insight(
-            code="POSIX-10",
+            code=d.codes[3],
             level=Level.OK,
             message=(
-                f"Application mostly uses sequential read requests "
-                f"({format_percent(_ratio(view.seq_reads, view.reads))})"
+                f"Application mostly uses sequential {d.word} requests "
+                f"({format_percent(_ratio(seq, ops))})"
             ),
         )
 
 
-@_trigger
-def random_writes(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    random_ops = max(0, view.writes - view.seq_writes)
-    ratio = _ratio(random_ops, view.writes)
-    if view.writes and ratio > t.random_ratio:
-        yield Insight(
-            code="POSIX-11",
-            level=Level.HIGH,
-            issue=IssueType.RANDOM_ACCESS,
-            message=(
-                f"Application is issuing a high number "
-                f"({format_count(random_ops)}) of random write operations "
-                f"({format_percent(ratio)})"
-            ),
-            recommendation=(
-                "Consider reordering writes or using collective buffering"
-            ),
-        )
-    elif view.writes and _ratio(view.seq_writes, view.writes) >= t.sequential_ratio:
-        yield Insight(
-            code="POSIX-12",
-            level=Level.OK,
-            message=(
-                f"Application mostly uses sequential write requests "
-                f"({format_percent(_ratio(view.seq_writes, view.writes))})"
-            ),
-        )
+random_reads = _paired(_random_access, _READ, "random_reads")
+random_writes = _paired(_random_access, _WRITE, "random_writes")
 
 
 @_trigger
@@ -491,15 +442,18 @@ def shared_file_imbalance(view: JobView, t: Thresholds) -> Iterable[Insight]:
             )
 
 
+def _imbalance(by_rank: dict[int, int] | dict[int, float]) -> float:
+    """(peak - mean) / peak over ranks; 0 with under two ranks or no peak."""
+    values = list(by_rank.values())
+    peak = max(values, default=0)
+    if len(values) < 2 or not peak:
+        return 0.0
+    return (peak - sum(values) / len(values)) / peak
+
+
 @_trigger
 def data_imbalance(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    values = list(view.bytes_by_rank.values())
-    if len(values) < 2:
-        return
-    peak = max(values)
-    if not peak:
-        return
-    imbalance = (peak - sum(values) / len(values)) / peak
+    imbalance = _imbalance(view.bytes_by_rank)
     if imbalance > t.data_imbalance_ratio:
         yield Insight(
             code="POSIX-15",
@@ -515,13 +469,7 @@ def data_imbalance(view: JobView, t: Thresholds) -> Iterable[Insight]:
 
 @_trigger
 def straggler_time(view: JobView, t: Thresholds) -> Iterable[Insight]:
-    values = list(view.time_by_rank.values())
-    if len(values) < 2:
-        return
-    peak = max(values)
-    if not peak:
-        return
-    imbalance = (peak - sum(values) / len(values)) / peak
+    imbalance = _imbalance(view.time_by_rank)
     if imbalance > max(t.time_imbalance_ratio, t.data_imbalance_ratio):
         yield Insight(
             code="POSIX-16",

@@ -14,6 +14,7 @@ IOR traces).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -126,42 +127,31 @@ class AblationResult:
         return sum(s.mitigation_recall for s in self.scores) / len(self.scores)
 
 
-def run_prompting_ablation(
+def run_ablation(
+    variants: dict[str, dict[str, object]],
     names: tuple[str, ...] = FIGURE2_WORKLOADS,
     bundles: list[TraceBundle] | None = None,
 ) -> list[AblationResult]:
-    """ABL1: divide-and-conquer vs one monolithic prompt."""
+    """FIG2 detection quality of each variant: ``AnalyzerConfig`` fields."""
     bundles = bundles or [generate_bundle(name) for name in names]
     results = []
-    for strategy in ("divide", "monolithic"):
-        config = AnalyzerConfig(strategy=strategy, summarize=False)
+    for variant, fields in variants.items():
+        config = AnalyzerConfig(**fields, summarize=False)
         rows = run_figure2(config=config, bundles=bundles)
-        results.append(
-            AblationResult(
-                variant=strategy,
-                scores=[row.score for row in rows],
-            )
-        )
+        results.append(AblationResult(variant, [row.score for row in rows]))
     return results
 
 
-def run_context_ablation(
-    names: tuple[str, ...] = FIGURE2_WORKLOADS,
-    bundles: list[TraceBundle] | None = None,
-) -> list[AblationResult]:
-    """ABL2: issue contexts present vs stripped from every prompt."""
-    bundles = bundles or [generate_bundle(name) for name in names]
-    results = []
-    for include_context in (True, False):
-        config = AnalyzerConfig(include_context=include_context, summarize=False)
-        rows = run_figure2(config=config, bundles=bundles)
-        results.append(
-            AblationResult(
-                variant="with-context" if include_context else "no-context",
-                scores=[row.score for row in rows],
-            )
-        )
-    return results
+#: ABL1: divide-and-conquer vs one monolithic prompt.
+run_prompting_ablation = functools.partial(
+    run_ablation,
+    {"divide": {"strategy": "divide"}, "monolithic": {"strategy": "monolithic"}},
+)
+#: ABL2: issue contexts present vs stripped from every prompt.
+run_context_ablation = functools.partial(
+    run_ablation,
+    {"with-context": {"include_context": True}, "no-context": {"include_context": False}},
+)
 
 
 # -- ABL3 ---------------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.ion.issues import (
 from repro.ion.prompts import (
     ASSISTANT_INSTRUCTIONS,
     build_issue_prompt,
-    build_monolithic_prompt,
     build_summary_prompt,
 )
 from repro.llm.assistants import Assistant, Run, RunStatus, Thread
@@ -483,7 +482,7 @@ class Analyzer:
         trace_name: str,
         fallback: DrishtiFallback,
     ) -> tuple[list[Diagnosis], list[_QueryStats]]:
-        prompt = build_monolithic_prompt(
+        prompt = build_issue_prompt(
             trace_name, self._specs(extraction), extraction,
             include_context=self.config.include_context,
             include_dxt=self.config.include_dxt,

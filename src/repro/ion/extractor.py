@@ -14,9 +14,10 @@ the user, a step the paper lists as future work.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from itertools import count
 from typing import Iterator
 
 from repro.darshan.binformat import read_log
@@ -176,26 +177,27 @@ class Extractor:
 def _dxt_lines(log: DarshanLog) -> Iterator[str]:
     """One ``DXT.csv`` line per segment, in :data:`DXT_COLUMNS` order.
 
-    ``segment`` is the row's position within its (module, file, rank);
-    times carry nine decimals.  Each file's id and quoted path are
-    formatted once.
+    ``segment`` is the row's position within its (module, file, rank),
+    counted as the rows are emitted; times carry nine decimals.  Each
+    file's id and quoted path are formatted once.
     """
     table = log.dxt
     tails = {
         record_id: f"{record_id},{csv_field(log.path_for(record_id))}{LINE_END}"
         for record_id in set(table.record_id)
     }
-    for module, rank, op, index, offset, length, start, end, record_id in zip(
+    segments: defaultdict[tuple[int, int, int], count] = defaultdict(count)
+    for module, rank, op, offset, length, start, end, record_id in zip(
         table.module,
         table.rank,
         table.op,
-        table.segment_indices(),
         table.offset,
         table.length,
         table.start,
         table.end,
         table.record_id,
     ):
+        index = next(segments[module, record_id, rank])
         yield (
             f"{DXT_MODULES[module]},{rank},{DXT_OPS[op]},{index},{offset},"
             f"{length},{start:.9f},{end:.9f},{tails[record_id]}"

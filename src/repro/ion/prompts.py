@@ -11,12 +11,14 @@ converged on), each assembled from four blocks:
 4. an output-format block demanding chain-of-thought steps, runnable
    analysis code, and a tagged conclusion.
 
-``build_monolithic_prompt`` builds the single voluminous prompt the
-paper found to overwhelm even strong models; it exists for the ABL1
-ablation.
+Given several issues, ``build_issue_prompt`` builds the single
+voluminous prompt the paper found to overwhelm even strong models; it
+exists for the ABL1 ablation.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.ion.extractor import ExtractionResult
 from repro.ion.issues import IssueType
@@ -92,46 +94,28 @@ def _context_block(spec: IssueSpec) -> str:
 
 def build_issue_prompt(
     trace_name: str,
-    spec: IssueSpec,
+    spec: IssueSpec | Sequence[IssueSpec],
     extraction: ExtractionResult,
     include_context: bool = True,
     include_dxt: bool = True,
 ) -> str:
-    """One divide-and-conquer diagnosis prompt for one issue."""
+    """A diagnosis prompt for one issue, or for a sequence of issues.
+
+    One spec gives a divide-and-conquer prompt; a sequence gives the
+    single voluminous prompt covering all of its issues (ABL1).
+    """
+    specs = [spec] if isinstance(spec, IssueSpec) else list(spec)
+    target = "Target Issue" if isinstance(spec, IssueSpec) else "Target Issues"
     parts = [
         "# ION I/O Diagnosis Request",
         f"Trace: {trace_name}",
-        f"## Target Issue: {spec.title}",
+        f"## {target}: {', '.join(each.title for each in specs)}",
     ]
     if include_context:
-        parts.append(_context_block(spec))
-    parts.append(_system_block(extraction))
-    parts.append(
-        _files_block(extraction, modules_for_issue(spec, extraction, include_dxt))
-    )
-    parts.append(OUTPUT_FORMAT)
-    return "\n\n".join(parts)
-
-
-def build_monolithic_prompt(
-    trace_name: str,
-    specs: list[IssueSpec],
-    extraction: ExtractionResult,
-    include_context: bool = True,
-    include_dxt: bool = True,
-) -> str:
-    """The single voluminous prompt covering every issue (ABL1)."""
-    titles = ", ".join(spec.title for spec in specs)
-    parts = [
-        "# ION I/O Diagnosis Request",
-        f"Trace: {trace_name}",
-        f"## Target Issues: {titles}",
-    ]
-    if include_context:
-        parts.extend(_context_block(spec) for spec in specs)
+        parts.extend(_context_block(each) for each in specs)
     modules: list[str] = []
-    for spec in specs:
-        for module in modules_for_issue(spec, extraction, include_dxt):
+    for each in specs:
+        for module in modules_for_issue(each, extraction, include_dxt):
             if module not in modules:
                 modules.append(module)
     parts.append(_system_block(extraction))

@@ -50,7 +50,27 @@ class _IoPhase:
 
 
 @dataclass
-class _PosixAccumulator:
+class _Accumulator:
+    """What every (module, file, rank) record in flight keeps."""
+
+    read: _IoPhase = field(default_factory=_IoPhase)
+    write: _IoPhase = field(default_factory=_IoPhase)
+    meta_time: float = 0.0
+    open_start_ts: float = 0.0
+    open_end_ts: float = 0.0
+    close_start_ts: float = 0.0
+    close_end_ts: float = 0.0
+
+    def close(self, start: float, end: float) -> None:
+        """Fold one close in: the first start and the last end count."""
+        if self.close_start_ts == 0.0:
+            self.close_start_ts = start
+        self.close_end_ts = max(self.close_end_ts, end)
+        self.meta_time += end - start
+
+
+@dataclass
+class _PosixAccumulator(_Accumulator):
     """Counters for one (POSIX, file, rank) record in flight.
 
     The data path (:mod:`repro.iosim.datapath`) folds reads and writes
@@ -64,13 +84,6 @@ class _PosixAccumulator:
     mem_not_aligned: int = 0
     file_not_aligned: int = 0
     rw_switches: int = 0
-    read: _IoPhase = field(default_factory=_IoPhase)
-    write: _IoPhase = field(default_factory=_IoPhase)
-    meta_time: float = 0.0
-    open_start_ts: float = 0.0
-    open_end_ts: float = 0.0
-    close_start_ts: float = 0.0
-    close_end_ts: float = 0.0
     last_op: str = ""
     next_offset: int = -1  # offset right after the previous access
     last_offset: int = -1  # start offset of the previous access
@@ -78,7 +91,7 @@ class _PosixAccumulator:
 
 
 @dataclass
-class _MpiioAccumulator:
+class _MpiioAccumulator(_Accumulator):
     """Counters for one (MPI-IO, file, rank) record in flight.
 
     The data path (:mod:`repro.iosim.datapath`) folds independent calls
@@ -95,28 +108,16 @@ class _MpiioAccumulator:
     syncs: int = 0
     rw_switches: int = 0
     last_op: str = ""
-    read: _IoPhase = field(default_factory=_IoPhase)
-    write: _IoPhase = field(default_factory=_IoPhase)
-    meta_time: float = 0.0
-    open_start_ts: float = 0.0
-    open_end_ts: float = 0.0
-    close_start_ts: float = 0.0
-    close_end_ts: float = 0.0
     accesses: CommonValueTracker = field(default_factory=CommonValueTracker)
 
 
 @dataclass
-class _StdioAccumulator:
+class _StdioAccumulator(_Accumulator):
     """Counters for one (STDIO, file, rank) record in flight."""
 
     opens: int = 0
     seeks: int = 0
     flushes: int = 0
-    read: _IoPhase = field(default_factory=_IoPhase)
-    write: _IoPhase = field(default_factory=_IoPhase)
-    meta_time: float = 0.0
-    open_start_ts: float = 0.0
-    close_start_ts: float = 0.0
 
 
 class DarshanRuntime:
@@ -181,11 +182,7 @@ class DarshanRuntime:
         acc.meta_time += end - start
 
     def posix_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self.posix_record(inode, rank)
-        if acc.close_start_ts == 0.0:
-            acc.close_start_ts = start
-        acc.close_end_ts = max(acc.close_end_ts, end)
-        acc.meta_time += end - start
+        self.posix_record(inode, rank).close(start, end)
 
     def posix_meta(
         self, inode: Inode, rank: int, kind: str, start: float, end: float
@@ -215,11 +212,7 @@ class DarshanRuntime:
         acc.meta_time += end - start
 
     def mpiio_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self.mpiio_record(inode, rank)
-        if acc.close_start_ts == 0.0:
-            acc.close_start_ts = start
-        acc.close_end_ts = max(acc.close_end_ts, end)
-        acc.meta_time += end - start
+        self.mpiio_record(inode, rank).close(start, end)
 
     def mpiio_sync(self, inode: Inode, rank: int, start: float, end: float) -> None:
         acc = self.mpiio_record(inode, rank)
@@ -285,7 +278,12 @@ class DarshanRuntime:
         for (file_id, rank), acc in sorted(self._mpiio.items()):
             log.add_record(self._finalize_mpiio(file_id, rank, acc))
         for (file_id, rank), acc in sorted(self._stdio.items()):
-            log.add_record(self._finalize_stdio(file_id, rank, acc))
+            counters = {
+                "STDIO_OPENS": acc.opens,
+                "STDIO_SEEKS": acc.seeks,
+                "STDIO_FLUSHES": acc.flushes,
+            }
+            log.add_record(_io_record("STDIO", file_id, rank, acc, counters))
         for file_id, inode in sorted(self._lustre_files.items()):
             log.add_record(self._finalize_lustre(file_id, inode))
         log.set_dxt(self.dxt)
@@ -294,18 +292,12 @@ class DarshanRuntime:
     def _finalize_posix(
         self, file_id: int, rank: int, acc: _PosixAccumulator
     ) -> ModuleRecord:
-        counters: dict[str, int] = {
+        counters = {
             "POSIX_OPENS": acc.opens,
-            "POSIX_READS": acc.read.ops,
-            "POSIX_WRITES": acc.write.ops,
             "POSIX_SEEKS": acc.seeks,
             "POSIX_STATS": acc.stats,
             "POSIX_FSYNCS": acc.fsyncs,
             "POSIX_MODE": 0o644,
-            "POSIX_BYTES_READ": acc.read.bytes_moved,
-            "POSIX_BYTES_WRITTEN": acc.write.bytes_moved,
-            "POSIX_MAX_BYTE_READ": max(acc.read.max_byte, 0),
-            "POSIX_MAX_BYTE_WRITTEN": max(acc.write.max_byte, 0),
             "POSIX_CONSEC_READS": acc.read.consec,
             "POSIX_CONSEC_WRITES": acc.write.consec,
             "POSIX_SEQ_READS": acc.read.seq,
@@ -316,138 +308,23 @@ class DarshanRuntime:
             "POSIX_MEM_NOT_ALIGNED": acc.mem_not_aligned,
             "POSIX_FILE_NOT_ALIGNED": acc.file_not_aligned,
         }
-        for label, count in zip(SIZE_BIN_LABELS, acc.read.bins):
-            counters[f"POSIX_SIZE_READ_{label}"] = count
-        for label, count in zip(SIZE_BIN_LABELS, acc.write.bins):
-            counters[f"POSIX_SIZE_WRITE_{label}"] = count
-        for slot, (value, count) in enumerate(acc.accesses.top(4), start=1):
-            counters[f"POSIX_ACCESS{slot}_ACCESS"] = value
-            counters[f"POSIX_ACCESS{slot}_COUNT"] = count
-        counters["POSIX_FASTEST_RANK"] = rank
-        counters["POSIX_SLOWEST_RANK"] = rank
-        moved = acc.read.bytes_moved + acc.write.bytes_moved
-        counters["POSIX_FASTEST_RANK_BYTES"] = moved
-        counters["POSIX_SLOWEST_RANK_BYTES"] = moved
-        rank_time = acc.read.total_time + acc.write.total_time + acc.meta_time
-        fcounters: dict[str, float] = {
-            "POSIX_F_OPEN_START_TIMESTAMP": acc.open_start_ts,
-            "POSIX_F_READ_START_TIMESTAMP": acc.read.start_ts,
-            "POSIX_F_WRITE_START_TIMESTAMP": acc.write.start_ts,
-            "POSIX_F_CLOSE_START_TIMESTAMP": acc.close_start_ts,
-            "POSIX_F_OPEN_END_TIMESTAMP": acc.open_end_ts,
-            "POSIX_F_READ_END_TIMESTAMP": acc.read.end_ts,
-            "POSIX_F_WRITE_END_TIMESTAMP": acc.write.end_ts,
-            "POSIX_F_CLOSE_END_TIMESTAMP": acc.close_end_ts,
-            "POSIX_F_READ_TIME": acc.read.total_time,
-            "POSIX_F_WRITE_TIME": acc.write.total_time,
-            "POSIX_F_META_TIME": acc.meta_time,
-            "POSIX_F_MAX_READ_TIME": acc.read.max_time,
-            "POSIX_F_MAX_WRITE_TIME": acc.write.max_time,
-            "POSIX_F_FASTEST_RANK_TIME": rank_time,
-            "POSIX_F_SLOWEST_RANK_TIME": rank_time,
-        }
-        return ModuleRecord(
-            module="POSIX",
-            record_id=file_id,
-            rank=rank,
-            counters=counters,
-            fcounters=fcounters,
-        )
+        return _io_record("POSIX", file_id, rank, acc, counters, size_bins="")
 
     def _finalize_mpiio(
         self, file_id: int, rank: int, acc: _MpiioAccumulator
     ) -> ModuleRecord:
-        counters: dict[str, int] = {
+        counters = {
             "MPIIO_INDEP_OPENS": acc.indep_opens,
             "MPIIO_COLL_OPENS": acc.coll_opens,
-            "MPIIO_INDEP_READS": acc.indep["read"],
-            "MPIIO_INDEP_WRITES": acc.indep["write"],
-            "MPIIO_COLL_READS": acc.coll["read"],
-            "MPIIO_COLL_WRITES": acc.coll["write"],
-            "MPIIO_SPLIT_READS": acc.split["read"],
-            "MPIIO_SPLIT_WRITES": acc.split["write"],
-            "MPIIO_NB_READS": acc.nb["read"],
-            "MPIIO_NB_WRITES": acc.nb["write"],
             "MPIIO_SYNCS": acc.syncs,
             "MPIIO_MODE": 0,
-            "MPIIO_BYTES_READ": acc.read.bytes_moved,
-            "MPIIO_BYTES_WRITTEN": acc.write.bytes_moved,
             "MPIIO_RW_SWITCHES": acc.rw_switches,
         }
-        for label, count in zip(SIZE_BIN_LABELS, acc.read.bins):
-            counters[f"MPIIO_SIZE_READ_AGG_{label}"] = count
-        for label, count in zip(SIZE_BIN_LABELS, acc.write.bins):
-            counters[f"MPIIO_SIZE_WRITE_AGG_{label}"] = count
-        for slot, (value, count) in enumerate(acc.accesses.top(4), start=1):
-            counters[f"MPIIO_ACCESS{slot}_ACCESS"] = value
-            counters[f"MPIIO_ACCESS{slot}_COUNT"] = count
-        counters["MPIIO_FASTEST_RANK"] = rank
-        counters["MPIIO_SLOWEST_RANK"] = rank
-        moved = acc.read.bytes_moved + acc.write.bytes_moved
-        counters["MPIIO_FASTEST_RANK_BYTES"] = moved
-        counters["MPIIO_SLOWEST_RANK_BYTES"] = moved
-        rank_time = acc.read.total_time + acc.write.total_time + acc.meta_time
-        fcounters: dict[str, float] = {
-            "MPIIO_F_OPEN_START_TIMESTAMP": acc.open_start_ts,
-            "MPIIO_F_READ_START_TIMESTAMP": acc.read.start_ts,
-            "MPIIO_F_WRITE_START_TIMESTAMP": acc.write.start_ts,
-            "MPIIO_F_CLOSE_START_TIMESTAMP": acc.close_start_ts,
-            "MPIIO_F_OPEN_END_TIMESTAMP": acc.open_end_ts,
-            "MPIIO_F_READ_END_TIMESTAMP": acc.read.end_ts,
-            "MPIIO_F_WRITE_END_TIMESTAMP": acc.write.end_ts,
-            "MPIIO_F_CLOSE_END_TIMESTAMP": acc.close_end_ts,
-            "MPIIO_F_READ_TIME": acc.read.total_time,
-            "MPIIO_F_WRITE_TIME": acc.write.total_time,
-            "MPIIO_F_META_TIME": acc.meta_time,
-            "MPIIO_F_MAX_READ_TIME": acc.read.max_time,
-            "MPIIO_F_MAX_WRITE_TIME": acc.write.max_time,
-            "MPIIO_F_FASTEST_RANK_TIME": rank_time,
-            "MPIIO_F_SLOWEST_RANK_TIME": rank_time,
-        }
-        return ModuleRecord(
-            module="MPI-IO",
-            record_id=file_id,
-            rank=rank,
-            counters=counters,
-            fcounters=fcounters,
-        )
-
-    def _finalize_stdio(
-        self, file_id: int, rank: int, acc: _StdioAccumulator
-    ) -> ModuleRecord:
-        moved = acc.read.bytes_moved + acc.write.bytes_moved
-        counters: dict[str, int] = {
-            "STDIO_OPENS": acc.opens,
-            "STDIO_READS": acc.read.ops,
-            "STDIO_WRITES": acc.write.ops,
-            "STDIO_SEEKS": acc.seeks,
-            "STDIO_FLUSHES": acc.flushes,
-            "STDIO_BYTES_READ": acc.read.bytes_moved,
-            "STDIO_BYTES_WRITTEN": acc.write.bytes_moved,
-            "STDIO_MAX_BYTE_READ": max(acc.read.max_byte, 0),
-            "STDIO_MAX_BYTE_WRITTEN": max(acc.write.max_byte, 0),
-            "STDIO_FASTEST_RANK": rank,
-            "STDIO_FASTEST_RANK_BYTES": moved,
-            "STDIO_SLOWEST_RANK": rank,
-            "STDIO_SLOWEST_RANK_BYTES": moved,
-        }
-        rank_time = acc.read.total_time + acc.write.total_time + acc.meta_time
-        fcounters: dict[str, float] = {
-            "STDIO_F_OPEN_START_TIMESTAMP": acc.open_start_ts,
-            "STDIO_F_CLOSE_START_TIMESTAMP": acc.close_start_ts,
-            "STDIO_F_READ_TIME": acc.read.total_time,
-            "STDIO_F_WRITE_TIME": acc.write.total_time,
-            "STDIO_F_META_TIME": acc.meta_time,
-            "STDIO_F_FASTEST_RANK_TIME": rank_time,
-            "STDIO_F_SLOWEST_RANK_TIME": rank_time,
-        }
-        return ModuleRecord(
-            module="STDIO",
-            record_id=file_id,
-            rank=rank,
-            counters=counters,
-            fcounters=fcounters,
-        )
+        for flavor in ("indep", "coll", "split", "nb"):
+            bucket = getattr(acc, flavor)
+            counters[f"MPIIO_{flavor.upper()}_READS"] = bucket["read"]
+            counters[f"MPIIO_{flavor.upper()}_WRITES"] = bucket["write"]
+        return _io_record("MPI-IO", file_id, rank, acc, counters, size_bins="_AGG")
 
     def _finalize_lustre(self, file_id: int, inode: Inode) -> ModuleRecord:
         layout = inode.layout
@@ -464,3 +341,77 @@ class DarshanRuntime:
         return ModuleRecord(
             module="LUSTRE", record_id=file_id, rank=0, counters=counters
         )
+
+
+def _io_record(
+    module: str,
+    file_id: int,
+    rank: int,
+    acc: _Accumulator,
+    counters: dict[str, int],
+    size_bins: str | None = None,
+) -> ModuleRecord:
+    """Finish a POSIX, MPI-IO or STDIO record from its accumulator.
+
+    ``counters`` holds the module's own counters.  This adds the ones
+    the three modules derive alike, named by the module's counter
+    prefix: the bytes moved, the fastest/slowest rank and its bytes and
+    time, and the open/close timestamps and the read/write/meta times.
+    POSIX and STDIO also count ops and the highest byte per direction.
+    ``size_bins`` is the size-bin infix of a module that keeps access
+    shapes (``""`` for POSIX, ``"_AGG"`` for MPI-IO): such a module also
+    gets the size bins, the four most common access sizes, the per-
+    direction timestamps and the slowest single op per direction.
+    """
+    prefix = module.replace("-", "")
+    read, write = acc.read, acc.write
+    moved = read.bytes_moved + write.bytes_moved
+    rank_time = read.total_time + write.total_time + acc.meta_time
+    counters.update({
+        f"{prefix}_BYTES_READ": read.bytes_moved,
+        f"{prefix}_BYTES_WRITTEN": write.bytes_moved,
+        f"{prefix}_FASTEST_RANK": rank,
+        f"{prefix}_SLOWEST_RANK": rank,
+        f"{prefix}_FASTEST_RANK_BYTES": moved,
+        f"{prefix}_SLOWEST_RANK_BYTES": moved,
+    })
+    fcounters = {
+        f"{prefix}_F_OPEN_START_TIMESTAMP": acc.open_start_ts,
+        f"{prefix}_F_CLOSE_START_TIMESTAMP": acc.close_start_ts,
+        f"{prefix}_F_READ_TIME": read.total_time,
+        f"{prefix}_F_WRITE_TIME": write.total_time,
+        f"{prefix}_F_META_TIME": acc.meta_time,
+        f"{prefix}_F_FASTEST_RANK_TIME": rank_time,
+        f"{prefix}_F_SLOWEST_RANK_TIME": rank_time,
+    }
+    if module != "MPI-IO":
+        counters.update({
+            f"{prefix}_READS": read.ops,
+            f"{prefix}_WRITES": write.ops,
+            f"{prefix}_MAX_BYTE_READ": max(read.max_byte, 0),
+            f"{prefix}_MAX_BYTE_WRITTEN": max(write.max_byte, 0),
+        })
+    if size_bins is not None:
+        for label, reads, writes in zip(SIZE_BIN_LABELS, read.bins, write.bins):
+            counters[f"{prefix}_SIZE_READ{size_bins}_{label}"] = reads
+            counters[f"{prefix}_SIZE_WRITE{size_bins}_{label}"] = writes
+        for slot, (value, count) in enumerate(acc.accesses.top(4), start=1):
+            counters[f"{prefix}_ACCESS{slot}_ACCESS"] = value
+            counters[f"{prefix}_ACCESS{slot}_COUNT"] = count
+        fcounters.update({
+            f"{prefix}_F_OPEN_END_TIMESTAMP": acc.open_end_ts,
+            f"{prefix}_F_CLOSE_END_TIMESTAMP": acc.close_end_ts,
+            f"{prefix}_F_READ_START_TIMESTAMP": read.start_ts,
+            f"{prefix}_F_READ_END_TIMESTAMP": read.end_ts,
+            f"{prefix}_F_WRITE_START_TIMESTAMP": write.start_ts,
+            f"{prefix}_F_WRITE_END_TIMESTAMP": write.end_ts,
+            f"{prefix}_F_MAX_READ_TIME": read.max_time,
+            f"{prefix}_F_MAX_WRITE_TIME": write.max_time,
+        })
+    return ModuleRecord(
+        module=module,
+        record_id=file_id,
+        rank=rank,
+        counters=counters,
+        fcounters=fcounters,
+    )

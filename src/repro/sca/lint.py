@@ -29,6 +29,7 @@ already relies on implicitly; ``ion-lint`` makes them enforceable:
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -78,59 +79,45 @@ def _first_arg_literal(node: ast.Call) -> "str | None":
     return None
 
 
-class SpanNameRule(Rule):
-    """``tracer.span(...)`` names must be registered literals."""
+@dataclass
+class RegisteredNameRule(Rule):
+    """Span or metric names must be registered string literals.
 
-    rule_id = LINT_SPAN_NAME
+    A call ``<receiver>.<method>(name, ...)`` is checked when ``method``
+    is in ``methods`` and the receiver's source text contains
+    ``receiver``; ``name`` must be a literal in ``registry``, the set
+    importable as ``registry_name``.
+    """
 
-    def visit_Call(self, node: ast.Call, ctx: WalkContext) -> None:
-        if not isinstance(node.func, ast.Attribute) or node.func.attr != "span":
-            return
-        if "tracer" not in _receiver_text(node):
-            return
-        literal = _first_arg_literal(node)
-        if literal is None:
-            self.report(
-                ctx,
-                node,
-                "span name must be a string literal",
-                hint="register the literal in repro.sca.registry.SPAN_NAMES",
-            )
-        elif literal not in SPAN_NAMES:
-            self.report(
-                ctx,
-                node,
-                f"span name {literal!r} is not registered",
-                hint="add it to repro.sca.registry.SPAN_NAMES",
-            )
-
-
-class MetricNameRule(Rule):
-    """``metrics.counter/gauge/histogram`` names must be registered."""
-
-    rule_id = LINT_METRIC_NAME
+    rule_id: str = field()  # no default: the base class's "" is not one
+    kind: str
+    receiver: str
+    methods: frozenset[str]
+    registry: frozenset[str]
+    registry_name: str
 
     def visit_Call(self, node: ast.Call, ctx: WalkContext) -> None:
         if not isinstance(node.func, ast.Attribute):
             return
-        if node.func.attr not in _METRIC_FACTORIES:
+        if node.func.attr not in self.methods:
             return
-        if "metrics" not in _receiver_text(node):
+        if self.receiver not in _receiver_text(node):
             return
         literal = _first_arg_literal(node)
         if literal is None:
             self.report(
                 ctx,
                 node,
-                f"metric name passed to .{node.func.attr}() must be a string literal",
-                hint="register the literal in repro.sca.registry.METRIC_NAMES",
+                f"{self.kind} name passed to .{node.func.attr}() must be a "
+                "string literal",
+                hint=f"register the literal in {self.registry_name}",
             )
-        elif literal not in METRIC_NAMES:
+        elif literal not in self.registry:
             self.report(
                 ctx,
                 node,
-                f"metric name {literal!r} is not registered",
-                hint="add it to repro.sca.registry.METRIC_NAMES",
+                f"{self.kind} name {literal!r} is not registered",
+                hint=f"add it to {self.registry_name}",
             )
 
 
@@ -243,8 +230,14 @@ class SilentExceptRule(Rule):
 
 def lint_rules() -> list[Rule]:
     return [
-        SpanNameRule(),
-        MetricNameRule(),
+        RegisteredNameRule(
+            LINT_SPAN_NAME, "span", "tracer", frozenset({"span"}), SPAN_NAMES,
+            "repro.sca.registry.SPAN_NAMES",
+        ),
+        RegisteredNameRule(
+            LINT_METRIC_NAME, "metric", "metrics", _METRIC_FACTORIES,
+            METRIC_NAMES, "repro.sca.registry.METRIC_NAMES",
+        ),
         RawOpenRule(),
         MutableDefaultRule(),
         SilentExceptRule(),

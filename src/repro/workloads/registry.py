@@ -11,6 +11,7 @@ coercion and the workload's own validation applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.util.errors import WorkloadConfigError
@@ -23,36 +24,14 @@ from repro.workloads.openpmd import OpenPmdBaseline, OpenPmdOptimized
 from repro.workloads.stdio_logger import StdioLoggerWorkload
 
 
-def _ior_easy_2k_shared() -> Workload:
+def _ior_easy(name: str, transfer_size: int, file_per_process: bool) -> Workload:
     return IorWorkload(
         config=IorConfig(
-            mode="easy", api="POSIX", nprocs=4, transfer_size=2 * KIB,
-            segments=1024, file_per_process=False,
+            mode="easy", api="POSIX", nprocs=4, transfer_size=transfer_size,
+            segments=1024, file_per_process=file_per_process,
             file_name="/lustre/ior-easy/ior_file_easy",
         ),
-        name="ior-easy-2k-shared",
-    )
-
-
-def _ior_easy_1m_shared() -> Workload:
-    return IorWorkload(
-        config=IorConfig(
-            mode="easy", api="POSIX", nprocs=4, transfer_size=MIB,
-            segments=1024, file_per_process=False,
-            file_name="/lustre/ior-easy/ior_file_easy",
-        ),
-        name="ior-easy-1m-shared",
-    )
-
-
-def _ior_easy_1m_fpp() -> Workload:
-    return IorWorkload(
-        config=IorConfig(
-            mode="easy", api="POSIX", nprocs=4, transfer_size=MIB,
-            segments=1024, file_per_process=True,
-            file_name="/lustre/ior-easy/ior_file_easy",
-        ),
-        name="ior-easy-1m-fpp",
+        name=name,
     )
 
 
@@ -112,19 +91,19 @@ _REGISTRY: dict[str, WorkloadInfo] = {
             "ior-easy-2k-shared",
             "IOR easy with tiny 2 KiB transfers into one shared file: "
             "small, misaligned POSIX I/O from every rank.",
-            _ior_easy_2k_shared,
+            partial(_ior_easy, "ior-easy-2k-shared", 2 * KIB, False),
         ),
         WorkloadInfo(
             "ior-easy-1m-shared",
             "IOR easy with 1 MiB transfers into one shared file: "
             "well-formed bulk I/O, still POSIX-only.",
-            _ior_easy_1m_shared,
+            partial(_ior_easy, "ior-easy-1m-shared", MIB, False),
         ),
         WorkloadInfo(
             "ior-easy-1m-fpp",
             "IOR easy with 1 MiB transfers, file-per-process: the "
             "contention-free variant of the shared run.",
-            _ior_easy_1m_fpp,
+            partial(_ior_easy, "ior-easy-1m-fpp", MIB, True),
         ),
         WorkloadInfo(
             "ior-hard",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.ion.issues import IssueType
-from repro.ion.prompts import build_issue_prompt, build_monolithic_prompt
+from repro.ion.prompts import build_issue_prompt
 from repro.ion.specs import all_specs, spec_for
 from repro.llm.expert.attention import ATTENTION_BUDGET_CHARS, attended_issues
 from repro.llm.expert.promptspec import parse_prompt
@@ -30,7 +30,7 @@ class TestDividePrompts:
 
 class TestMonolithicPrompts:
     def test_later_issues_dropped(self, easy_extraction):
-        prompt = build_monolithic_prompt("t", all_specs(), easy_extraction)
+        prompt = build_issue_prompt("t", all_specs(), easy_extraction)
         spec = parse_prompt(prompt)
         attended = attended_issues(spec)
         assert 0 < len(attended) < len(IssueType)
@@ -38,7 +38,7 @@ class TestMonolithicPrompts:
         assert attended == list(IssueType)[: len(attended)]
 
     def test_budget_parameter_respected(self, easy_extraction):
-        prompt = build_monolithic_prompt("t", all_specs(), easy_extraction)
+        prompt = build_issue_prompt("t", all_specs(), easy_extraction)
         spec = parse_prompt(prompt)
         everything = attended_issues(spec, budget=10**9)
         assert everything == list(IssueType)
@@ -50,7 +50,7 @@ class TestMonolithicPrompts:
             spec_for(IssueType.SMALL_IO),
             spec_for(IssueType.MISALIGNED_IO),
         ]
-        prompt = build_monolithic_prompt("t", specs, easy_extraction)
+        prompt = build_issue_prompt("t", specs, easy_extraction)
         spec = parse_prompt(prompt)
         assert attended_issues(spec) == [
             IssueType.SMALL_IO, IssueType.MISALIGNED_IO,

@@ -197,12 +197,6 @@ class TestDxtTable:
         with pytest.raises(ValueError, match="differ in length"):
             table.check({1})
 
-    def test_segment_indices_count_per_stream(self):
-        table = DxtTable()
-        for module, rank in [("X_POSIX", 0), ("X_MPIIO", 0), ("X_POSIX", 0), ("X_POSIX", 1)]:
-            table.append(**{**self.ROW, "module": module, "rank": rank})
-        assert table.segment_indices() == [0, 0, 1, 0]
-
     def test_equality_compares_contents(self):
         assert self._table() == self._table()
         assert self._table() != self._table(length=5)

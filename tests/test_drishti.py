@@ -8,7 +8,8 @@ from repro.drishti.analyzer import DrishtiAnalyzer
 from repro.drishti.insights import Level
 from repro.drishti.report import render_report
 from repro.drishti.thresholds import DEFAULT_THRESHOLDS, Thresholds
-from repro.drishti.triggers import build_view
+from repro.drishti import triggers
+from repro.drishti.triggers import all_triggers, build_view
 from repro.ion.issues import IssueType
 from repro.util.units import KIB, MIB
 from repro.workloads.ior import IorConfig, IorWorkload
@@ -31,6 +32,25 @@ class TestJobView:
         thresholds = Thresholds(small_request_size=1024)
         view = build_view(easy_2k_bundle.log, thresholds)
         assert view.small_writes == 0  # 2 KiB ops are not < 1 KiB
+
+
+class TestTriggerRegistry:
+    NAMES = [
+        "small_reads", "small_writes", "small_requests_to_shared",
+        "common_small_accesses", "misaligned_file", "misaligned_memory",
+        "redundant_reads", "redundant_writes", "random_reads", "random_writes",
+        "rw_interleaving", "shared_file_imbalance", "data_imbalance",
+        "straggler_time", "metadata_time", "metadata_churn", "posix_only",
+        "no_collective_operations", "no_nonblocking", "stdio_usage",
+        "narrow_striping", "stripe_size_mismatch",
+    ]
+
+    def test_report_order_and_names(self):
+        assert [trigger.__name__ for trigger in all_triggers()] == self.NAMES
+
+    def test_each_trigger_is_a_module_attribute(self):
+        for name, trigger in zip(self.NAMES, all_triggers()):
+            assert getattr(triggers, name) is trigger
 
 
 class TestTriggersOnEasyTrace:

@@ -8,7 +8,6 @@ from repro.ion.issues import IssueType
 from repro.ion.prompts import (
     ASSISTANT_INSTRUCTIONS,
     build_issue_prompt,
-    build_monolithic_prompt,
 )
 from repro.ion.specs import all_specs, spec_for
 from repro.llm.assistants import Assistant, RunStatus, Thread
@@ -114,7 +113,7 @@ class TestDebugLoop:
 
 class TestMonolithic:
     def test_combined_code_and_conclusions(self, easy_extraction):
-        prompt = build_monolithic_prompt("trace", all_specs(), easy_extraction)
+        prompt = build_issue_prompt("trace", all_specs(), easy_extraction)
         assistant = Assistant(
             client=SimulatedExpertLLM(),
             instructions=ASSISTANT_INSTRUCTIONS,
@@ -132,7 +131,7 @@ class TestMonolithic:
         assert metadata.get("dropped_for_context_budget")
 
     def test_huge_budget_covers_everything(self, easy_extraction):
-        prompt = build_monolithic_prompt("trace", all_specs(), easy_extraction)
+        prompt = build_issue_prompt("trace", all_specs(), easy_extraction)
         assistant = Assistant(
             client=SimulatedExpertLLM(attention_budget=10**9),
             instructions=ASSISTANT_INSTRUCTIONS,

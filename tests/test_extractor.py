@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
+from repro.darshan.records import (
+    DxtSegment,
+    DxtTable,
+    JobRecord,
+    ModuleRecord,
+    NameRecord,
+)
 from repro.ion.extractor import DXT_COLUMNS, Extractor
 from repro.util.csvio import read_rows, write_rows
 from repro.util.errors import ExtractionError
@@ -190,6 +196,17 @@ class TestDxtCsvBytes:
             assert result.csv_paths["DXT"].read_bytes() == dict_writer_dxt_csv(
                 log, out / "old.csv"
             )
+
+    def test_segment_counts_per_stream(self, tmp_path):
+        """``segment`` numbers each (module, file, rank) stream apart."""
+        log = traced_log(["/lustre/x"])
+        table = DxtTable()
+        for module, rank in [("X_POSIX", 0), ("X_MPIIO", 0), ("X_POSIX", 0), ("X_POSIX", 1)]:
+            table.append(module, 1, rank, "write", 0, 10, 0.0, 1.0)
+        log.set_dxt(table)
+        result = Extractor().extract(log, tmp_path / "new")
+        rows = read_rows(result.path_for("DXT"))
+        assert [int(row["segment"]) for row in rows] == [0, 0, 1, 0]
 
     def test_registry_trace(self, hard_bundle, tmp_path):
         log = hard_bundle.log

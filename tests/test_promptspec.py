@@ -7,7 +7,6 @@ import pytest
 from repro.ion.issues import IssueType
 from repro.ion.prompts import (
     build_issue_prompt,
-    build_monolithic_prompt,
     build_question_prompt,
     build_summary_prompt,
 )
@@ -78,7 +77,7 @@ class TestIssuePrompt:
 
 class TestMonolithicPrompt:
     def test_all_issues_listed(self, easy_extraction):
-        prompt = build_monolithic_prompt("t", all_specs(), easy_extraction)
+        prompt = build_issue_prompt("t", all_specs(), easy_extraction)
         spec = parse_prompt(prompt)
         assert spec.monolithic
         assert len(spec.issues) == len(IssueType)
@@ -88,7 +87,7 @@ class TestMonolithicPrompt:
         assert offsets == sorted(offsets)
 
     def test_larger_than_any_divide_prompt(self, easy_extraction):
-        mono = build_monolithic_prompt("t", all_specs(), easy_extraction)
+        mono = build_issue_prompt("t", all_specs(), easy_extraction)
         for issue_spec in all_specs():
             divide = build_issue_prompt("t", issue_spec, easy_extraction)
             assert len(mono) > len(divide)
