@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from itertools import count
+from pathlib import Path
 from typing import Iterator
 
 from repro.darshan.binformat import read_log
