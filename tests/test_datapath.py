@@ -145,9 +145,6 @@ def _model_lock(fs, file_id, stripe, rank, operation) -> int:
         if revoked:
             lock.writer = None
         lock.readers.add(rank)
-    fs.locks.stats.acquisitions += 1
-    fs.locks.stats.conflicts += revoked > 0
-    fs.locks.stats.revocations += revoked
     return revoked
 
 
