@@ -3,10 +3,16 @@
 ``tests/golden/registry-report-digests.json`` pins, for each of the 12
 registry traces at its ``DEFAULT_SCALES`` scale, the sha256 of
 ``render_report(show_code=True)`` and of the ``report_to_dict`` JSON,
-under the default analyzer configuration and four variants: the
+and the same two with the generated analysis code masked
+(``render_report(show_code=False)``, and the JSON with every
+diagnosis's ``code`` blanked), under the default analyzer
+configuration and four variants: the
 monolithic strategy, retrieval-built contexts, counters-only prompts
 (no DXT) and context-free prompts.  It also pins every prompt ION sends
 for one trace, which fixes each issue's context text byte for byte.
+
+A deliberate change to the generated code changes only the ``json`` and
+``report`` digests; the ``masked_*`` digests must stay as they are.
 
 Scratch-directory paths (``<tmp>/ion-*/<trace>-*/``) are replaced by
 ``<dir>/`` before hashing: they are the only bytes that differ between
@@ -79,12 +85,19 @@ def _mode_digests(mode: str) -> dict[str, dict[str, str]]:
         for name in workload_names():
             bundle = _bundle(name)
             report = navigator.diagnose(bundle.log, bundle.name).report
+            payload = report_to_dict(report)
             digests[name] = {
-                "json": _sha(
-                    json.dumps(report_to_dict(report), sort_keys=True), bundle.name
-                ),
+                "json": _sha(json.dumps(payload, sort_keys=True), bundle.name),
                 "report": _sha(render_report(report, show_code=True), bundle.name),
             }
+            for diagnosis in payload["diagnoses"]:
+                diagnosis["code"] = ""
+            digests[name]["masked_json"] = _sha(
+                json.dumps(payload, sort_keys=True), bundle.name
+            )
+            digests[name]["masked_report"] = _sha(
+                render_report(report, show_code=False), bundle.name
+            )
     return digests
 
 
@@ -137,10 +150,21 @@ def _expected() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _drifted(digests: dict, expected: dict) -> list[str]:
+    """``trace/kind`` (or prompt key) of every digest that differs."""
+    drifted = []
+    for key, want in expected.items():
+        got = digests.get(key)
+        if isinstance(want, dict):
+            got = got or {}
+            drifted += [f"{key}/{kind}" for kind in want if got.get(kind) != want[kind]]
+        elif got != want:
+            drifted.append(key)
+    return sorted(drifted)
+
+
 def _check(section: str, digests: dict, expected: dict) -> None:
-    drifted = sorted(
-        key for key in expected[section] if digests.get(key) != expected[section][key]
-    )
+    drifted = _drifted(digests, expected[section])
     assert not drifted, (
         f"{section}: diagnoses drifted from {GOLDEN.name}: {drifted}; if the "
         "change is intentional rerun with ION_REGEN_GOLDEN=1"
@@ -151,6 +175,8 @@ def test_pinned_digests_cover_every_registry_trace():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for mode in MODES:
         assert sorted(expected[mode]) == sorted(workload_names())
+        for digests in expected[mode].values():
+            assert sorted(digests) == ["json", "masked_json", "masked_report", "report"]
     assert len(expected["prompts"]) == len(IssueType) + 2
 
 
