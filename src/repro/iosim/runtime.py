@@ -227,9 +227,7 @@ class DarshanRuntime:
         acc.meta_time += end - start
 
     def stdio_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self._stdio_acc(inode, rank)
-        acc.close_start_ts = start
-        acc.meta_time += end - start
+        self._stdio_acc(inode, rank).close(start, end)
 
     def stdio_meta(
         self, inode: Inode, rank: int, kind: str, start: float, end: float

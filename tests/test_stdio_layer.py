@@ -67,6 +67,23 @@ class TestBuffering:
         assert job.fs.lookup("/lustre/s").size == 10 * KIB + 100
 
 
+class TestCloseTimestamps:
+    def test_reopened_stream_keeps_the_first_close_start(self, job):
+        """Like POSIX and MPI-IO, the record keeps the first close's start."""
+        stdio = job.stdio(0)
+        close_starts = []
+        for _ in range(2):
+            handle = stdio.fopen("/lustre/s")
+            stdio.fwrite(handle, 100)
+            stdio.fflush(handle)
+            close_starts.append(job.now(0))
+            stdio.fclose(handle)
+        assert close_starts[0] < close_starts[1]
+        record = job.finalize().records_for("STDIO")[0]
+        assert record.counters["STDIO_OPENS"] == 2
+        assert record.fcounters["STDIO_F_CLOSE_START_TIMESTAMP"] == close_starts[0]
+
+
 class TestReads:
     def test_fread_returns_and_advances(self, job):
         stdio = job.stdio(0)
