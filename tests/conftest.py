@@ -7,15 +7,18 @@ treat them as read-only.
 
 from __future__ import annotations
 
+import functools
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from repro.evaluation.experiments import DEFAULT_SCALES
 from repro.ion.extractor import Extractor
 from repro.lustre.filesystem import LustreConfig, LustreFilesystem
 from repro.util.units import KIB, MIB
 from repro.workloads.ior import IorConfig, IorWorkload
+from repro.workloads.registry import make_workload
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -45,6 +48,23 @@ def no_leaked_scratch_dirs(private_tempdir):
     leaked = sorted(str(path) for path in set(root.glob("ion-*")) - before)
     if leaked:
         pytest.fail(f"test leaked scratch directories: {leaked}")
+
+
+@pytest.fixture(scope="session")
+def registry_bundle():
+    """``registry_bundle(name)``: the registry trace ``name`` at its
+    ``DEFAULT_SCALES`` scale, simulated at most once per session.
+
+    The log, report and Drishti digest suites share it.  None of them
+    mutates a bundle's log (its ``write_log`` bytes and its pickle are
+    the same after every diagnosis mode and Drishti ran over it).
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def bundle(name: str):
+        return make_workload(name).run(scale=DEFAULT_SCALES[name])
+
+    return bundle
 
 
 @pytest.fixture(scope="session")

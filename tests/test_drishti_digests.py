@@ -29,9 +29,8 @@ from pathlib import Path
 from repro.drishti.analyzer import DrishtiAnalyzer
 from repro.drishti.thresholds import Thresholds
 from repro.drishti.triggers import JobView, all_triggers
-from repro.evaluation.experiments import DEFAULT_SCALES
 from repro.util.units import KIB, MIB
-from repro.workloads.registry import make_workload, workload_names
+from repro.workloads.registry import workload_names
 
 GOLDEN = Path(__file__).parent / "golden" / "drishti-insight-digests.json"
 
@@ -117,7 +116,7 @@ def _sha(insights) -> str:
     return hashlib.sha256(repr(insights).encode("utf-8")).hexdigest()
 
 
-def _trace_digests() -> dict[str, dict[str, str]]:
+def _trace_digests(registry_bundle) -> dict[str, dict[str, str]]:
     default = DrishtiAnalyzer()
     sweep = [
         DrishtiAnalyzer(Thresholds(small_request_size=size, small_requests_ratio=ratio))
@@ -126,7 +125,7 @@ def _trace_digests() -> dict[str, dict[str, str]]:
     ]
     digests = {}
     for name in workload_names():
-        bundle = make_workload(name).run(scale=DEFAULT_SCALES[name])
+        bundle = registry_bundle(name)
         digests[name] = {
             "default": _sha(default.analyze(bundle.log, name).insights),
             "sweep": _sha(
@@ -150,9 +149,12 @@ def _view_digests() -> dict[str, str]:
     }
 
 
-def _expected() -> dict:
+def _expected(registry_bundle) -> dict:
     if os.environ.get("ION_REGEN_GOLDEN"):
-        pinned = {"traces": _trace_digests(), "views": _view_digests()}
+        pinned = {
+            "traces": _trace_digests(registry_bundle),
+            "views": _view_digests(),
+        }
         GOLDEN.write_text(
             json.dumps(pinned, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -165,17 +167,17 @@ def test_pinned_digests_cover_every_registry_trace_and_view():
     assert sorted(expected["views"]) == sorted(VIEW_CASES)
 
 
-def test_trace_insights_match_pinned_digests():
-    expected = _expected()["traces"]
+def test_trace_insights_match_pinned_digests(registry_bundle):
+    expected = _expected(registry_bundle)["traces"]
     drifted = sorted(
-        name for name, digests in _trace_digests().items()
+        name for name, digests in _trace_digests(registry_bundle).items()
         if digests != expected[name]
     )
     assert not drifted, f"Drishti insights drifted on {drifted}"
 
 
-def test_view_insights_match_pinned_digests():
-    expected = _expected()["views"]
+def test_view_insights_match_pinned_digests(registry_bundle):
+    expected = _expected(registry_bundle)["views"]
     drifted = sorted(
         name for name, digest in _view_digests().items() if digest != expected[name]
     )

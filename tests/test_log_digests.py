@@ -8,7 +8,9 @@ simulates.  Any change to the simulator's cost, lock or counter
 arithmetic — or to their float order — changes a digest.
 
 The default run checks seed 0 plus the journey configurations; the
-``slow`` run checks every seed.  If a change is *intentional*,
+``slow`` run checks every seed.  Unseeded registry traces come from the
+session's shared ``registry_bundle`` fixture, which the report and
+Drishti digest suites also read.  If a change is *intentional*,
 regenerate the file::
 
     ION_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_log_digests.py
@@ -16,10 +18,12 @@ regenerate the file::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -43,39 +47,52 @@ JOURNEY_CONFIGS: dict[str, dict[str, object]] = {
 }
 
 
-def _digest(workload, scale: float, tmp_path: Path) -> str:
-    path = write_log(workload.run(scale=scale).log, tmp_path / "trace.darshan")
+#: A case simulates (or fetches) the log it pins.
+Case = Callable[[], object]
+
+
+def _simulate(name: str, overrides: dict[str, object], scale: float):
+    return make_workload(name, overrides).run(scale=scale).log
+
+
+def _shared(registry_bundle, name: str):
+    return registry_bundle(name).log
+
+
+def _digest(log, tmp_path: Path) -> str:
+    path = write_log(log, tmp_path / "trace.darshan")
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _registry_cases(seeds) -> dict[str, tuple[object, float]]:
-    cases = {}
+def _registry_cases(seeds, registry_bundle) -> dict[str, Case]:
+    cases: dict[str, Case] = {}
     for name in workload_names():
-        seeded = "seed" in workload_knobs(name)
-        for seed in seeds if seeded else (None,):
-            key = name if seed is None else f"{name}@seed={seed}"
-            overrides = None if seed is None else {"seed": seed}
-            cases[key] = (make_workload(name, overrides), DEFAULT_SCALES[name])
+        if "seed" not in workload_knobs(name):
+            cases[name] = functools.partial(_shared, registry_bundle, name)
+            continue
+        for seed in seeds:
+            cases[f"{name}@seed={seed}"] = functools.partial(
+                _simulate, name, {"seed": seed}, DEFAULT_SCALES[name]
+            )
     return cases
 
 
-def _journey_cases() -> dict[str, tuple[object, float]]:
+def _journey_cases() -> dict[str, Case]:
     return {
-        f"journey/{label}": (make_workload("ior-easy-2k-shared", overrides), 1.0)
+        f"journey/{label}": functools.partial(
+            _simulate, "ior-easy-2k-shared", overrides, 1.0
+        )
         for label, overrides in JOURNEY_CONFIGS.items()
     }
 
 
-def _check(cases: dict[str, tuple[object, float]], tmp_path: Path) -> None:
-    digests = {
-        key: _digest(workload, scale, tmp_path)
-        for key, (workload, scale) in cases.items()
-    }
+def _check(cases: dict[str, Case], tmp_path: Path, registry_bundle) -> None:
+    digests = {key: _digest(case(), tmp_path) for key, case in cases.items()}
     if os.environ.get("ION_REGEN_GOLDEN"):
-        everything = {**_registry_cases(SEEDS), **_journey_cases()}
+        everything = {**_registry_cases(SEEDS, registry_bundle), **_journey_cases()}
         pinned = {
-            key: digests.get(key) or _digest(workload, scale, tmp_path)
-            for key, (workload, scale) in everything.items()
+            key: digests.get(key) or _digest(case(), tmp_path)
+            for key, case in everything.items()
         }
         GOLDEN.write_text(
             json.dumps(pinned, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -88,10 +105,15 @@ def _check(cases: dict[str, tuple[object, float]], tmp_path: Path) -> None:
     )
 
 
-def test_registry_and_journey_logs_match_pinned_digests(tmp_path):
-    _check({**_registry_cases([0]), **_journey_cases()}, tmp_path)
+def test_registry_and_journey_logs_match_pinned_digests(
+    tmp_path, registry_bundle
+):
+    cases = {**_registry_cases([0], registry_bundle), **_journey_cases()}
+    _check(cases, tmp_path, registry_bundle)
 
 
 @pytest.mark.slow
-def test_every_seeded_registry_log_matches_pinned_digests(tmp_path):
-    _check(_registry_cases(SEEDS), tmp_path)
+def test_every_seeded_registry_log_matches_pinned_digests(
+    tmp_path, registry_bundle
+):
+    _check(_registry_cases(SEEDS, registry_bundle), tmp_path, registry_bundle)

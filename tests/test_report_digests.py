@@ -27,7 +27,6 @@ regenerate the file::
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -37,7 +36,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.evaluation.experiments import DEFAULT_SCALES
 from repro.ion.analyzer import AnalyzerConfig
 from repro.ion.issues import IssueType
 from repro.ion.pipeline import IoNavigator
@@ -45,7 +43,7 @@ from repro.ion.report import render_report
 from repro.ion.serialize import report_to_dict
 from repro.llm.expert.model import SimulatedExpertLLM
 from repro.llm.messages import Role
-from repro.workloads.registry import make_workload, workload_names
+from repro.workloads.registry import workload_names
 
 GOLDEN = Path(__file__).parent / "golden" / "registry-report-digests.json"
 
@@ -63,11 +61,6 @@ SLOW_MODES = ("monolithic", "retrieval", "no-dxt", "no-context")
 PROMPT_TRACE = "ior-hard"
 
 
-@functools.lru_cache(maxsize=None)
-def _bundle(name: str):
-    return make_workload(name).run(scale=DEFAULT_SCALES[name])
-
-
 def _sha(text: str, trace_name: str) -> str:
     scratch = (
         re.escape(tempfile.gettempdir())
@@ -79,11 +72,11 @@ def _sha(text: str, trace_name: str) -> str:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
 
 
-def _mode_digests(mode: str) -> dict[str, dict[str, str]]:
+def _mode_digests(mode: str, registry_bundle) -> dict[str, dict[str, str]]:
     digests = {}
     with IoNavigator(config=AnalyzerConfig(**MODES[mode])) as navigator:
         for name in workload_names():
-            bundle = _bundle(name)
+            bundle = registry_bundle(name)
             report = navigator.diagnose(bundle.log, bundle.name).report
             payload = report_to_dict(report)
             digests[name] = {
@@ -115,38 +108,40 @@ class _RecordingExpert(SimulatedExpertLLM):
         return super().complete(messages)
 
 
-def _recorded_prompts(strategy: str) -> list[str]:
+def _recorded_prompts(strategy: str, registry_bundle) -> list[str]:
     client = _RecordingExpert()
     config = AnalyzerConfig(strategy=strategy, parallel_prompts=1)
-    bundle = _bundle(PROMPT_TRACE)
+    bundle = registry_bundle(PROMPT_TRACE)
     with IoNavigator(client=client, config=config) as navigator:
         navigator.diagnose(bundle.log, bundle.name)
     return client.prompts
 
 
-def _prompt_digests() -> dict[str, str]:
+def _prompt_digests(registry_bundle) -> dict[str, str]:
     # Serial dispatch: one prompt per issue in taxonomy order, then the
     # summary prompt.
-    divide = _recorded_prompts("divide")
+    divide = _recorded_prompts("divide", registry_bundle)
     keys = [f"divide/{issue.value}" for issue in IssueType] + ["divide/summary"]
     assert len(divide) == len(keys)
     digests = {key: _sha(prompt, PROMPT_TRACE) for key, prompt in zip(keys, divide)}
-    monolithic, _summary = _recorded_prompts("monolithic")
+    monolithic, _summary = _recorded_prompts("monolithic", registry_bundle)
     digests["monolithic"] = _sha(monolithic, PROMPT_TRACE)
     return digests
 
 
-def _regenerate() -> None:
-    pinned: dict[str, object] = {mode: _mode_digests(mode) for mode in MODES}
-    pinned["prompts"] = _prompt_digests()
+def _regenerate(registry_bundle) -> None:
+    pinned: dict[str, object] = {
+        mode: _mode_digests(mode, registry_bundle) for mode in MODES
+    }
+    pinned["prompts"] = _prompt_digests(registry_bundle)
     GOLDEN.write_text(
         json.dumps(pinned, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
-def _expected() -> dict:
+def _expected(registry_bundle) -> dict:
     if os.environ.get("ION_REGEN_GOLDEN"):
-        _regenerate()
+        _regenerate(registry_bundle)
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
@@ -180,18 +175,18 @@ def test_pinned_digests_cover_every_registry_trace():
     assert len(expected["prompts"]) == len(IssueType) + 2
 
 
-def test_default_reports_match_pinned_digests():
-    expected = _expected()
-    _check("default", _mode_digests("default"), expected)
+def test_default_reports_match_pinned_digests(registry_bundle):
+    expected = _expected(registry_bundle)
+    _check("default", _mode_digests("default", registry_bundle), expected)
 
 
-def test_prompts_match_pinned_digests():
-    expected = _expected()
-    _check("prompts", _prompt_digests(), expected)
+def test_prompts_match_pinned_digests(registry_bundle):
+    expected = _expected(registry_bundle)
+    _check("prompts", _prompt_digests(registry_bundle), expected)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", SLOW_MODES)
-def test_variant_reports_match_pinned_digests(mode):
-    expected = _expected()
-    _check(mode, _mode_digests(mode), expected)
+def test_variant_reports_match_pinned_digests(mode, registry_bundle):
+    expected = _expected(registry_bundle)
+    _check(mode, _mode_digests(mode, registry_bundle), expected)
