@@ -9,6 +9,8 @@ actually exhibit.
 
 The source deliberately uses only ``csv``/``json``/``statistics`` and
 plain loops: it must run inside the restricted interpreter sandbox.
+Loops over every ``DXT.csv`` row run inside functions, where names are
+local slots; at module level each would be a dict lookup.
 """
 
 from __future__ import annotations
@@ -182,9 +184,9 @@ def random_access_code(posix_path: Path, dxt_path: Path | None) -> str:
         _header(POSIX_PATH=posix_path, DXT_PATH=str(dxt_path) if dxt_path else "")
         + _READ_POSIX
         + """
-streams = {}
-if DXT_PATH:
-    with open(DXT_PATH, newline="") as fh:
+def read_streams(path):
+    streams = {}
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         col = {name: i for i, name in enumerate(next(reader))}
         MODULE, FILE_ID, RANK = col["module"], col["file_id"], col["rank"]
@@ -193,41 +195,47 @@ if DXT_PATH:
             if row[MODULE] != "X_POSIX":
                 continue
             key = (row[FILE_ID], row[RANK])
-            streams.setdefault(key, []).append(
-                (float(row[START]), int(row[OFFSET]), int(row[LENGTH]), row[OP])
-            )
-classified = 0
-consecutive = 0
-strided = 0
-random_ops = 0
-repeat_ops = 0
-random_bytes = 0
-total_bytes = 0
-random_by_dir = {"read": 0, "write": 0}
-dir_totals = {"read": 0, "write": 0}
-random_per_rank = {}
-for (file_id, rank), ops in streams.items():
-    ops.sort()
-    prev_end = None
-    seen = {"read": set(), "write": set()}
-    for start, offset, length, op in ops:
-        total_bytes += length
-        dir_totals[op] += 1
-        if prev_end is not None:
-            classified += 1
-            if offset == prev_end:
-                consecutive += 1
-            elif offset > prev_end:
-                strided += 1
+            op = (float(row[START]), int(row[OFFSET]), int(row[LENGTH]), row[OP])
+            ops = streams.get(key)
+            if ops is None:
+                streams[key] = [op]
             else:
-                random_ops += 1
-                random_bytes += length
-                random_by_dir[op] += 1
-                random_per_rank[rank] = random_per_rank.get(rank, 0) + 1
-                if offset in seen[op]:
-                    repeat_ops += 1
-        seen[op].add(offset)
-        prev_end = offset + length
+                ops.append(op)
+    return streams
+def classify(streams):
+    classified = consecutive = strided = random_ops = repeat_ops = 0
+    random_bytes = total_bytes = 0
+    random_by_dir = {"read": 0, "write": 0}
+    dir_totals = {"read": 0, "write": 0}
+    random_per_rank = {}
+    for (file_id, rank), ops in streams.items():
+        ops.sort()
+        prev_end = None
+        seen = {"read": set(), "write": set()}
+        for start, offset, length, op in ops:
+            total_bytes += length
+            dir_totals[op] += 1
+            seen_op = seen[op]
+            if prev_end is not None:
+                classified += 1
+                if offset == prev_end:
+                    consecutive += 1
+                elif offset > prev_end:
+                    strided += 1
+                else:
+                    random_ops += 1
+                    random_bytes += length
+                    random_by_dir[op] += 1
+                    random_per_rank[rank] = random_per_rank.get(rank, 0) + 1
+                    if offset in seen_op:
+                        repeat_ops += 1
+            seen_op.add(offset)
+            prev_end = offset + length
+    return (classified, consecutive, strided, random_ops, repeat_ops, random_bytes,
+            total_bytes, random_by_dir, dir_totals, random_per_rank)
+streams = read_streams(DXT_PATH) if DXT_PATH else {}
+(classified, consecutive, strided, random_ops, repeat_ops, random_bytes,
+ total_bytes, random_by_dir, dir_totals, random_per_rank) = classify(streams)
 if streams:
     source = "dxt"
     random_fraction = random_ops / classified if classified else 0.0
@@ -315,10 +323,10 @@ if LUSTRE_PATH:
     with open(LUSTRE_PATH) as fh:
         for row in csv.DictReader(fh):
             stripe_by_file[row["file_id"]] = int(float(row["LUSTRE_STRIPE_SIZE"]))
-stripe_usage = {}
-shared_ops = 0
-if DXT_PATH and shared_files:
-    with open(DXT_PATH, newline="") as fh:
+def stripe_scan(path, shared_files, stripe_by_file):
+    stripe_usage = {}
+    shared_ops = 0
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         col = {name: i for i, name in enumerate(next(reader))}
         MODULE, FILE_ID, RANK, OP = col["module"], col["file_id"], col["rank"], col["operation"]
@@ -328,18 +336,31 @@ if DXT_PATH and shared_files:
                 continue
             shared_ops += 1
             fid = row[FILE_ID]
-            stripe = int(row[OFFSET]) // stripe_by_file.get(fid, DEFAULT_STRIPE)
-            key = (fid, stripe)
-            per_rank = stripe_usage.setdefault(key, {})
+            key = (fid, int(row[OFFSET]) // stripe_by_file.get(fid, DEFAULT_STRIPE))
+            per_rank = stripe_usage.get(key)
+            if per_rank is None:
+                per_rank = stripe_usage[key] = {}
             start, end = float(row[START]), float(row[END])
             # stats per rank: [ops, all_lo, all_hi, write_lo, write_hi]
-            stats = per_rank.setdefault(row[RANK], [0, start, end, None, None])
+            rank = row[RANK]
+            stats = per_rank.get(rank)
+            if stats is None:
+                stats = per_rank[rank] = [0, start, end, None, None]
             stats[0] += 1
-            stats[1] = min(stats[1], start)
-            stats[2] = max(stats[2], end)
+            if start < stats[1]:
+                stats[1] = start
+            if end > stats[2]:
+                stats[2] = end
             if row[OP] == "write":
-                stats[3] = start if stats[3] is None else min(stats[3], start)
-                stats[4] = end if stats[4] is None else max(stats[4], end)
+                if stats[3] is None or start < stats[3]:
+                    stats[3] = start
+                if stats[4] is None or end > stats[4]:
+                    stats[4] = end
+    return stripe_usage, shared_ops
+stripe_usage = {}
+shared_ops = 0
+if DXT_PATH and shared_files:
+    stripe_usage, shared_ops = stripe_scan(DXT_PATH, shared_files, stripe_by_file)
 contended_stripes = 0
 contended_ops = 0
 max_ranks_per_stripe = 0
