@@ -11,10 +11,10 @@ A spec is everything ION and the simulated expert know about one issue:
   mapping of necessary modules for each issue type"), and whether the
   prompt also lists the per-operation DXT trace;
 * the expert's analysis: the chain-of-thought steps it narrates, the
-  code it writes (and a counters-only fallback for when DXT data is
-  missing or broken), and the verdict that turns *measured* metrics
-  into a severity, mitigation notes and a conclusion in the style of
-  the paper's Figure 2/3 ION outputs;
+  code it writes (a debug retry regenerates it without the DXT file,
+  so the DXT analyses fall back to counters), and the verdict that
+  turns *measured* metrics into a severity, mitigation notes and a
+  conclusion in the style of the paper's Figure 2/3 ION outputs;
 * the context markers the expert needs to see before it engages, the
   recommendation the summary leads with, and the keywords that route a
   follow-up question to the issue.
@@ -75,8 +75,6 @@ class IssueSpec:
     keywords: tuple[str, ...]
     #: Whether the prompt also lists the DXT trace when it exists.
     dxt: bool = False
-    #: Code retried after a failed run; None retries ``code``.
-    fallback_code: Callable[[PromptSpec], str] | None = None
 
 
 SPECS: dict[IssueType, IssueSpec] = {}
@@ -345,10 +343,6 @@ def _random_code(spec: PromptSpec) -> str:
     return codegen.random_access_code(spec.file_path("POSIX"), spec.file_path("DXT"))
 
 
-def _random_fallback(spec: PromptSpec) -> str:
-    return codegen.random_access_code(spec.file_path("POSIX"), None)
-
-
 def _random_verdict(m: dict, spec: PromptSpec) -> Verdict:
     if not m.get("classified_ops"):
         return Verdict(Severity.OK, "No operations available to classify.")
@@ -433,7 +427,6 @@ operations relative to total bytes; random operations per rank.
         dxt=True,
         steps=_random_steps,
         code=_random_code,
-        fallback_code=_random_fallback,
         verdict=_random_verdict,
         markers=("DXT", "POSIX_SEQ_"),
         recommendation=(
@@ -466,12 +459,6 @@ def _shared_code(spec: PromptSpec) -> str:
         spec.file_path("LUSTRE"),
         spec.file_path("DXT"),
         _stripe(spec),
-    )
-
-
-def _shared_fallback(spec: PromptSpec) -> str:
-    return codegen.shared_file_code(
-        spec.file_path("POSIX"), spec.file_path("LUSTRE"), None, _stripe(spec)
     )
 
 
@@ -559,7 +546,6 @@ of operations that fall in rank-shared stripes.
         dxt=True,
         steps=_shared_steps,
         code=_shared_code,
-        fallback_code=_shared_fallback,
         verdict=_shared_verdict,
         markers=("LUSTRE_STRIPE_SIZE", "stripe"),
         recommendation=(

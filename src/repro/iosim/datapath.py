@@ -31,6 +31,7 @@ exists once.  DESIGN.md §12 states the exactness contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 from repro.darshan.records import DXT_MODULES
@@ -135,9 +136,8 @@ def execute_run(
     collective = independent = False
     if mpiio is not None:
         handle_fds = mpiio.fds
-        m_inode = mpiio.inode
-        m_file_id = m_inode.file_id
-        m_record = runtime.mpiio_record
+        m_file_id = mpiio.inode.file_id
+        m_record = partial(runtime.record, "MPI-IO", mpiio.inode)
         collective = mpiio.flavor == "coll"
         independent = not collective
     if collective:
@@ -247,7 +247,7 @@ def execute_run(
                     layout = inode.layout
                     acc = phase = fold = None
                     if runtime is not None:
-                        acc = runtime.posix_record(inode, rank)
+                        acc = runtime.record("POSIX", inode, rank)
                         phase = acc.write if writing else acc.read
                         # A run is all reads or all writes, so only its
                         # first op on a record can switch direction.
@@ -256,7 +256,7 @@ def execute_run(
                         acc.last_op = operation
                     if independent:
                         fold = _mpiio_fold(
-                            m_record(m_inode, rank), operation, mpiio.flavor
+                            m_record(rank), operation, mpiio.flavor
                         )
                     entry = touched[(rank, fd)] = (
                         open_file, inode, inode.file_id, layout.stripe_size,
@@ -392,7 +392,7 @@ def execute_run(
                 if member_folds is None:
                     member_folds = [
                         (member, *_mpiio_fold(
-                            m_record(m_inode, member), operation, "coll"
+                            m_record(member), operation, "coll"
                         ))
                         for member in members
                     ]

@@ -25,7 +25,6 @@ class SimulatedJob:
         self,
         nprocs: int,
         fs: LustreFilesystem | None = None,
-        job_id: int = 4000001,
         executable: str = "simulated_app",
         enable_dxt: bool = True,
         metadata: dict[str, str] | None = None,
@@ -37,7 +36,6 @@ class SimulatedJob:
         self.runtime = DarshanRuntime(
             fs=self.fs,
             nprocs=nprocs,
-            job_id=job_id,
             executable=executable,
             enable_dxt=enable_dxt,
             metadata=metadata,

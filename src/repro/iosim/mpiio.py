@@ -94,8 +94,9 @@ class MpiIoLayer:
                 path, create=True, stripe_size=stripe_size, stripe_count=stripe_count
             )
             inode = posix.inode(fds[rank])
-            self.job.runtime.mpiio_open(
-                inode, rank, collective, start, self.job.now(rank)
+            self.job.runtime.open(
+                "MPI-IO", inode, rank, start, self.job.now(rank),
+                counter="coll_opens" if collective else "opens",
             )
         if collective:
             self.job.barrier(list(members))
@@ -109,11 +110,9 @@ class MpiIoLayer:
         h = self._lookup(handle)
         self.job.barrier(list(h.ranks))
         for rank in h.ranks:
-            posix = self.job.posix(rank)
             start = self.job.now(rank)
-            inode = posix.inode(h.fds[rank])
-            posix.close(h.fds[rank])
-            self.job.runtime.mpiio_close(inode, rank, start, self.job.now(rank))
+            self.job.posix(rank).close(h.fds[rank])
+            self.job.runtime.close("MPI-IO", h.inode, rank, start, self.job.now(rank))
         self.job.barrier(list(h.ranks))
         del self._handles[handle]
 
@@ -121,11 +120,11 @@ class MpiIoLayer:
         """MPI_File_sync on every rank."""
         h = self._lookup(handle)
         for rank in h.ranks:
-            posix = self.job.posix(rank)
             start = self.job.now(rank)
-            posix.fsync(h.fds[rank])
-            inode = posix.inode(h.fds[rank])
-            self.job.runtime.mpiio_sync(inode, rank, start, self.job.now(rank))
+            self.job.posix(rank).fsync(h.fds[rank])
+            self.job.runtime.meta(
+                "MPI-IO", h.inode, rank, "syncs", start, self.job.now(rank)
+            )
 
     # -- independent operations -----------------------------------------
 

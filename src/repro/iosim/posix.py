@@ -48,7 +48,7 @@ class PosixLayer:
             stripe_count=stripe_count,
         )
         self.job.advance(self.rank, completion)
-        self.job.runtime.posix_open(inode, self.rank, start, completion)
+        self.job.runtime.open("POSIX", inode, self.rank, start, completion)
         fd = self._next_fd
         self._next_fd += 1
         self.files[fd] = OpenFile(inode=inode)
@@ -60,7 +60,7 @@ class PosixLayer:
         start = self.job.now(self.rank)
         completion = self.job.fs.close(open_file.inode, start)
         self.job.advance(self.rank, completion)
-        self.job.runtime.posix_close(open_file.inode, self.rank, start, completion)
+        self.job.runtime.close("POSIX", open_file.inode, self.rank, start, completion)
         del self.files[fd]
 
     # -- data -----------------------------------------------------------
@@ -97,7 +97,9 @@ class PosixLayer:
         start = self.job.now(self.rank)
         completion = start + self.job.fs.config.costs.client_op_overhead
         self.job.advance(self.rank, completion)
-        self.job.runtime.posix_meta(open_file.inode, self.rank, "seek", start, completion)
+        self.job.runtime.meta(
+            "POSIX", open_file.inode, self.rank, "seeks", start, completion
+        )
         open_file.position = offset
         return offset
 
@@ -107,7 +109,7 @@ class PosixLayer:
         completion = self.job.fs.stat(path, start)
         self.job.advance(self.rank, completion)
         inode = self.job.fs.lookup(path)
-        self.job.runtime.posix_meta(inode, self.rank, "stat", start, completion)
+        self.job.runtime.meta("POSIX", inode, self.rank, "stats", start, completion)
 
     def fsync(self, fd: int) -> None:
         """Flush a file (charged as one metadata round trip per OST)."""
@@ -116,7 +118,9 @@ class PosixLayer:
         costs = self.job.fs.config.costs
         completion = start + costs.rpc_latency * open_file.inode.layout.stripe_count
         self.job.advance(self.rank, completion)
-        self.job.runtime.posix_meta(open_file.inode, self.rank, "fsync", start, completion)
+        self.job.runtime.meta(
+            "POSIX", open_file.inode, self.rank, "fsyncs", start, completion
+        )
 
     def tell(self, fd: int) -> int:
         """Current cursor position."""

@@ -3,8 +3,12 @@
 The I/O layers (:mod:`repro.iosim.posix`, ``mpiio``, ``stdio``) report
 every operation here; the runtime folds the stream into per-(module,
 file, rank) counter accumulators and optional DXT segments, exactly the
-way the real Darshan runtime wraps libc/MPI calls.  At job end,
-:meth:`DarshanRuntime.finalize` emits a complete :class:`DarshanLog`.
+way the real Darshan runtime wraps libc/MPI calls.  One table maps each
+module to its ``{(file_id, rank): accumulator}`` records; the data path
+folds reads and writes into :meth:`DarshanRuntime.record`, and the
+``open``, ``close`` and ``meta`` hooks take the module and the counter
+they bump.  At job end, :meth:`DarshanRuntime.finalize` emits a
+complete :class:`DarshanLog`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.darshan.counters import LUSTRE_MAX_OSTS
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DxtTable, JobRecord, ModuleRecord, NameRecord
-from repro.lustre.filesystem import Inode, LustreFilesystem
+from repro.lustre.filesystem import Inode, LustreConfig, LustreFilesystem
 from repro.util.stats import SIZE_BIN_LABELS, CommonValueTracker, size_bin_index
 
 
@@ -51,22 +55,19 @@ class _IoPhase:
 
 @dataclass
 class _Accumulator:
-    """What every (module, file, rank) record in flight keeps."""
+    """What every (module, file, rank) record in flight keeps.
+
+    Each module's subclass returns its own counters from ``counters``.
+    """
 
     read: _IoPhase = field(default_factory=_IoPhase)
     write: _IoPhase = field(default_factory=_IoPhase)
+    opens: int = 0
     meta_time: float = 0.0
     open_start_ts: float = 0.0
     open_end_ts: float = 0.0
     close_start_ts: float = 0.0
     close_end_ts: float = 0.0
-
-    def close(self, start: float, end: float) -> None:
-        """Fold one close in: the first start and the last end count."""
-        if self.close_start_ts == 0.0:
-            self.close_start_ts = start
-        self.close_end_ts = max(self.close_end_ts, end)
-        self.meta_time += end - start
 
 
 @dataclass
@@ -77,7 +78,6 @@ class _PosixAccumulator(_Accumulator):
     in: Darshan's sequencing, alignment and access-size counters.
     """
 
-    opens: int = 0
     seeks: int = 0
     stats: int = 0
     fsyncs: int = 0
@@ -89,6 +89,24 @@ class _PosixAccumulator(_Accumulator):
     last_offset: int = -1  # start offset of the previous access
     accesses: CommonValueTracker = field(default_factory=CommonValueTracker)
 
+    def counters(self, config: LustreConfig) -> dict[str, int]:
+        return {
+            "POSIX_OPENS": self.opens,
+            "POSIX_SEEKS": self.seeks,
+            "POSIX_STATS": self.stats,
+            "POSIX_FSYNCS": self.fsyncs,
+            "POSIX_MODE": 0o644,
+            "POSIX_CONSEC_READS": self.read.consec,
+            "POSIX_CONSEC_WRITES": self.write.consec,
+            "POSIX_SEQ_READS": self.read.seq,
+            "POSIX_SEQ_WRITES": self.write.seq,
+            "POSIX_RW_SWITCHES": self.rw_switches,
+            "POSIX_MEM_ALIGNMENT": config.mem_alignment,
+            "POSIX_FILE_ALIGNMENT": config.file_alignment,
+            "POSIX_MEM_NOT_ALIGNED": self.mem_not_aligned,
+            "POSIX_FILE_NOT_ALIGNED": self.file_not_aligned,
+        }
+
 
 @dataclass
 class _MpiioAccumulator(_Accumulator):
@@ -99,7 +117,6 @@ class _MpiioAccumulator(_Accumulator):
     the access sizes and the phase.
     """
 
-    indep_opens: int = 0
     coll_opens: int = 0
     indep: dict[str, int] = field(default_factory=lambda: {"read": 0, "write": 0})
     coll: dict[str, int] = field(default_factory=lambda: {"read": 0, "write": 0})
@@ -110,14 +127,43 @@ class _MpiioAccumulator(_Accumulator):
     last_op: str = ""
     accesses: CommonValueTracker = field(default_factory=CommonValueTracker)
 
+    def counters(self, config: LustreConfig) -> dict[str, int]:
+        counters = {
+            "MPIIO_INDEP_OPENS": self.opens - self.coll_opens,
+            "MPIIO_COLL_OPENS": self.coll_opens,
+            "MPIIO_SYNCS": self.syncs,
+            "MPIIO_MODE": 0,
+            "MPIIO_RW_SWITCHES": self.rw_switches,
+        }
+        for flavor in ("indep", "coll", "split", "nb"):
+            bucket = getattr(self, flavor)
+            counters[f"MPIIO_{flavor.upper()}_READS"] = bucket["read"]
+            counters[f"MPIIO_{flavor.upper()}_WRITES"] = bucket["write"]
+        return counters
+
 
 @dataclass
 class _StdioAccumulator(_Accumulator):
     """Counters for one (STDIO, file, rank) record in flight."""
 
-    opens: int = 0
     seeks: int = 0
     flushes: int = 0
+
+    def counters(self, config: LustreConfig) -> dict[str, int]:
+        return {
+            "STDIO_OPENS": self.opens,
+            "STDIO_SEEKS": self.seeks,
+            "STDIO_FLUSHES": self.flushes,
+        }
+
+
+#: The accumulator class of each instrumented I/O module, in the order
+#: :meth:`DarshanRuntime.finalize` emits their records.
+_ACCUMULATORS: dict[str, type] = {
+    "POSIX": _PosixAccumulator,
+    "MPI-IO": _MpiioAccumulator,
+    "STDIO": _StdioAccumulator,
+}
 
 
 class DarshanRuntime:
@@ -127,118 +173,70 @@ class DarshanRuntime:
         self,
         fs: LustreFilesystem,
         nprocs: int,
-        job_id: int = 4000001,
-        uid: int = 1001,
         executable: str = "simulated_app",
         enable_dxt: bool = True,
         metadata: dict[str, str] | None = None,
     ) -> None:
         self._fs = fs
         self._nprocs = nprocs
-        self._job_id = job_id
-        self._uid = uid
         self._executable = executable
         self.enable_dxt = enable_dxt
         self._metadata = dict(metadata or {})
-        self._posix: dict[tuple[int, int], _PosixAccumulator] = {}
-        self._mpiio: dict[tuple[int, int], _MpiioAccumulator] = {}
-        self._stdio: dict[tuple[int, int], _StdioAccumulator] = {}
-        self._names: dict[int, str] = {}
+        #: module -> {(file_id, rank): accumulator}
+        self._records: dict[str, dict[tuple[int, int], _Accumulator]] = {
+            module: {} for module in _ACCUMULATORS
+        }
         self._lustre_files: dict[int, Inode] = {}
         #: DXT rows, appended per op when ``enable_dxt``.
         self.dxt = DxtTable()
 
-    # -- registration hooks called by the I/O layers -------------------
+    # -- hooks called by the I/O layers -----------------------------------
 
-    def _register(self, inode: Inode) -> None:
-        self._names[inode.file_id] = inode.path
+    def record(self, module: str, inode: Inode, rank: int):
+        """The (module, file, rank) record in flight, created on first use."""
         self._lustre_files[inode.file_id] = inode
-
-    def _record(self, records: dict, factory, inode: Inode, rank: int):
-        self._register(inode)
+        records = self._records[module]
         key = (inode.file_id, rank)
         acc = records.get(key)
         if acc is None:
-            acc = records[key] = factory()
+            acc = records[key] = _ACCUMULATORS[module]()
         return acc
 
-    def posix_record(self, inode: Inode, rank: int) -> _PosixAccumulator:
-        """The (POSIX, file, rank) record in flight, created on first use."""
-        return self._record(self._posix, _PosixAccumulator, inode, rank)
+    def open(
+        self, module: str, inode: Inode, rank: int, start: float, end: float,
+        counter: str = "opens",
+    ) -> None:
+        """An open: the first start and the last end count.
 
-    def mpiio_record(self, inode: Inode, rank: int) -> _MpiioAccumulator:
-        """The (MPI-IO, file, rank) record in flight, created on first use."""
-        return self._record(self._mpiio, _MpiioAccumulator, inode, rank)
-
-    def _stdio_acc(self, inode: Inode, rank: int) -> _StdioAccumulator:
-        return self._record(self._stdio, _StdioAccumulator, inode, rank)
-
-    def posix_open(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self.posix_record(inode, rank)
+        MPI-IO counts a collective open in ``coll_opens`` too.
+        """
+        acc = self.record(module, inode, rank)
+        # Test the count, not the timestamp: first opens start at t=0.
         if acc.opens == 0:
             acc.open_start_ts = start
         acc.opens += 1
+        if counter != "opens":
+            setattr(acc, counter, getattr(acc, counter) + 1)
         acc.open_end_ts = max(acc.open_end_ts, end)
         acc.meta_time += end - start
 
-    def posix_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        self.posix_record(inode, rank).close(start, end)
-
-    def posix_meta(
-        self, inode: Inode, rank: int, kind: str, start: float, end: float
+    def close(
+        self, module: str, inode: Inode, rank: int, start: float, end: float
     ) -> None:
-        acc = self.posix_record(inode, rank)
-        if kind == "seek":
-            acc.seeks += 1
-        elif kind == "stat":
-            acc.stats += 1
-        elif kind == "fsync":
-            acc.fsyncs += 1
-        else:
-            raise ValueError(f"unknown POSIX meta kind {kind!r}")
+        """A close: the first start and the last end count."""
+        acc = self.record(module, inode, rank)
+        if acc.close_start_ts == 0.0:
+            acc.close_start_ts = start
+        acc.close_end_ts = max(acc.close_end_ts, end)
         acc.meta_time += end - start
 
-    def mpiio_open(
-        self, inode: Inode, rank: int, collective: bool, start: float, end: float
+    def meta(
+        self, module: str, inode: Inode, rank: int, counter: str,
+        start: float, end: float,
     ) -> None:
-        acc = self.mpiio_record(inode, rank)
-        if acc.coll_opens + acc.indep_opens == 0:
-            acc.open_start_ts = start
-        if collective:
-            acc.coll_opens += 1
-        else:
-            acc.indep_opens += 1
-        acc.open_end_ts = max(acc.open_end_ts, end)
-        acc.meta_time += end - start
-
-    def mpiio_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        self.mpiio_record(inode, rank).close(start, end)
-
-    def mpiio_sync(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self.mpiio_record(inode, rank)
-        acc.syncs += 1
-        acc.meta_time += end - start
-
-    def stdio_open(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        acc = self._stdio_acc(inode, rank)
-        if acc.opens == 0:
-            acc.open_start_ts = start
-        acc.opens += 1
-        acc.meta_time += end - start
-
-    def stdio_close(self, inode: Inode, rank: int, start: float, end: float) -> None:
-        self._stdio_acc(inode, rank).close(start, end)
-
-    def stdio_meta(
-        self, inode: Inode, rank: int, kind: str, start: float, end: float
-    ) -> None:
-        acc = self._stdio_acc(inode, rank)
-        if kind == "seek":
-            acc.seeks += 1
-        elif kind == "flush":
-            acc.flushes += 1
-        else:
-            raise ValueError(f"unknown STDIO meta kind {kind!r}")
+        """A seek, stat, fsync, flush or sync, counted in ``counter``."""
+        acc = self.record(module, inode, rank)
+        setattr(acc, counter, getattr(acc, counter) + 1)
         acc.meta_time += end - start
 
     def stdio_io(
@@ -251,7 +249,7 @@ class DarshanRuntime:
         start: float,
         end: float,
     ) -> None:
-        acc = self._stdio_acc(inode, rank)
+        acc = self.record("STDIO", inode, rank)
         phase = acc.read if operation == "read" else acc.write
         phase.add(offset, length, start, end)
 
@@ -260,8 +258,8 @@ class DarshanRuntime:
     def finalize(self, start_time: float, end_time: float) -> DarshanLog:
         """Emit the finished DarshanLog for the job interval given."""
         job = JobRecord(
-            job_id=self._job_id,
-            uid=self._uid,
+            job_id=4000001,
+            uid=1001,
             nprocs=self._nprocs,
             start_time=start_time,
             end_time=end_time,
@@ -269,60 +267,17 @@ class DarshanRuntime:
             metadata=self._metadata,
         )
         log = DarshanLog(job=job)
-        for file_id, path in sorted(self._names.items()):
-            log.add_name(NameRecord(record_id=file_id, path=path))
-        for (file_id, rank), acc in sorted(self._posix.items()):
-            log.add_record(self._finalize_posix(file_id, rank, acc))
-        for (file_id, rank), acc in sorted(self._mpiio.items()):
-            log.add_record(self._finalize_mpiio(file_id, rank, acc))
-        for (file_id, rank), acc in sorted(self._stdio.items()):
-            counters = {
-                "STDIO_OPENS": acc.opens,
-                "STDIO_SEEKS": acc.seeks,
-                "STDIO_FLUSHES": acc.flushes,
-            }
-            log.add_record(_io_record("STDIO", file_id, rank, acc, counters))
-        for file_id, inode in sorted(self._lustre_files.items()):
+        files = sorted(self._lustre_files.items())
+        for file_id, inode in files:
+            log.add_name(NameRecord(record_id=file_id, path=inode.path))
+        for module, records in self._records.items():
+            for (file_id, rank), acc in sorted(records.items()):
+                counters = acc.counters(self._fs.config)
+                log.add_record(_io_record(module, file_id, rank, acc, counters))
+        for file_id, inode in files:
             log.add_record(self._finalize_lustre(file_id, inode))
         log.set_dxt(self.dxt)
         return log
-
-    def _finalize_posix(
-        self, file_id: int, rank: int, acc: _PosixAccumulator
-    ) -> ModuleRecord:
-        counters = {
-            "POSIX_OPENS": acc.opens,
-            "POSIX_SEEKS": acc.seeks,
-            "POSIX_STATS": acc.stats,
-            "POSIX_FSYNCS": acc.fsyncs,
-            "POSIX_MODE": 0o644,
-            "POSIX_CONSEC_READS": acc.read.consec,
-            "POSIX_CONSEC_WRITES": acc.write.consec,
-            "POSIX_SEQ_READS": acc.read.seq,
-            "POSIX_SEQ_WRITES": acc.write.seq,
-            "POSIX_RW_SWITCHES": acc.rw_switches,
-            "POSIX_MEM_ALIGNMENT": self._fs.config.mem_alignment,
-            "POSIX_FILE_ALIGNMENT": self._fs.config.file_alignment,
-            "POSIX_MEM_NOT_ALIGNED": acc.mem_not_aligned,
-            "POSIX_FILE_NOT_ALIGNED": acc.file_not_aligned,
-        }
-        return _io_record("POSIX", file_id, rank, acc, counters, size_bins="")
-
-    def _finalize_mpiio(
-        self, file_id: int, rank: int, acc: _MpiioAccumulator
-    ) -> ModuleRecord:
-        counters = {
-            "MPIIO_INDEP_OPENS": acc.indep_opens,
-            "MPIIO_COLL_OPENS": acc.coll_opens,
-            "MPIIO_SYNCS": acc.syncs,
-            "MPIIO_MODE": 0,
-            "MPIIO_RW_SWITCHES": acc.rw_switches,
-        }
-        for flavor in ("indep", "coll", "split", "nb"):
-            bucket = getattr(acc, flavor)
-            counters[f"MPIIO_{flavor.upper()}_READS"] = bucket["read"]
-            counters[f"MPIIO_{flavor.upper()}_WRITES"] = bucket["write"]
-        return _io_record("MPI-IO", file_id, rank, acc, counters, size_bins="_AGG")
 
     def _finalize_lustre(self, file_id: int, inode: Inode) -> ModuleRecord:
         layout = inode.layout
@@ -341,13 +296,16 @@ class DarshanRuntime:
         )
 
 
+#: The size-bin infix of each module that keeps access shapes.
+_SIZE_BINS = {"POSIX": "", "MPI-IO": "_AGG"}
+
+
 def _io_record(
     module: str,
     file_id: int,
     rank: int,
     acc: _Accumulator,
     counters: dict[str, int],
-    size_bins: str | None = None,
 ) -> ModuleRecord:
     """Finish a POSIX, MPI-IO or STDIO record from its accumulator.
 
@@ -356,12 +314,12 @@ def _io_record(
     prefix: the bytes moved, the fastest/slowest rank and its bytes and
     time, and the open/close timestamps and the read/write/meta times.
     POSIX and STDIO also count ops and the highest byte per direction.
-    ``size_bins`` is the size-bin infix of a module that keeps access
-    shapes (``""`` for POSIX, ``"_AGG"`` for MPI-IO): such a module also
-    gets the size bins, the four most common access sizes, the per-
-    direction timestamps and the slowest single op per direction.
+    A module that keeps access shapes (one with a size-bin infix in
+    ``_SIZE_BINS``) also gets the size bins, the four most common access
+    sizes, the per-direction timestamps and the slowest op per direction.
     """
     prefix = module.replace("-", "")
+    size_bins = _SIZE_BINS.get(module)
     read, write = acc.read, acc.write
     moved = read.bytes_moved + write.bytes_moved
     rank_time = read.total_time + write.total_time + acc.meta_time

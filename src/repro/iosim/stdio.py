@@ -42,7 +42,7 @@ class StdioLayer:
         start = self.job.now(self.rank)
         inode, completion = self.job.fs.open(path, start, create=create)
         self.job.advance(self.rank, completion)
-        self.job.runtime.stdio_open(inode, self.rank, start, completion)
+        self.job.runtime.open("STDIO", inode, self.rank, start, completion)
         handle = self._next_handle
         self._next_handle += 1
         self._streams[handle] = _Stream(inode=inode, buffer_size=self._buffer_size)
@@ -95,7 +95,9 @@ class StdioLayer:
         start = self.job.now(self.rank)
         completion = start + self.job.fs.config.costs.client_op_overhead
         self.job.advance(self.rank, completion)
-        self.job.runtime.stdio_meta(stream.inode, self.rank, "seek", start, completion)
+        self.job.runtime.meta(
+            "STDIO", stream.inode, self.rank, "seeks", start, completion
+        )
         stream.position = offset
 
     def fflush(self, handle: int) -> None:
@@ -103,8 +105,8 @@ class StdioLayer:
         stream = self._lookup(handle)
         start = self.job.now(self.rank)
         self._flush(stream)
-        self.job.runtime.stdio_meta(
-            stream.inode, self.rank, "flush", start, self.job.now(self.rank)
+        self.job.runtime.meta(
+            "STDIO", stream.inode, self.rank, "flushes", start, self.job.now(self.rank)
         )
 
     def fclose(self, handle: int) -> None:
@@ -114,7 +116,7 @@ class StdioLayer:
         start = self.job.now(self.rank)
         completion = self.job.fs.close(stream.inode, start)
         self.job.advance(self.rank, completion)
-        self.job.runtime.stdio_close(stream.inode, self.rank, start, completion)
+        self.job.runtime.close("STDIO", stream.inode, self.rank, start, completion)
         del self._streams[handle]
 
     def _flush(self, stream: _Stream) -> None:

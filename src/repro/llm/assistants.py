@@ -76,15 +76,6 @@ class Run:
             if step.execution is not None and not step.execution.ok
         )
 
-    @property
-    def guard_rejections(self) -> int:
-        """How many code executions CodeGuard refused pre-execution."""
-        return sum(
-            1
-            for step in self.steps
-            if step.execution is not None and step.execution.guard_blocked
-        )
-
 
 @dataclass
 class Thread:

@@ -43,6 +43,28 @@ _READ_POSIX = (
     "    return float(value) if value not in ('', None) else 0.0\n"
 )
 
+#: The Lustre stripe size of each file, read from ``LUSTRE.csv``.
+_READ_LUSTRE = """\
+stripe_by_file = {}
+if LUSTRE_PATH:
+    with open(LUSTRE_PATH) as fh:
+        for row in csv.DictReader(fh):
+            stripe_by_file[row["file_id"]] = int(float(row["LUSTRE_STRIPE_SIZE"]))
+"""
+
+#: Bytes, time and ops per rank, summed over its POSIX records.
+_PER_RANK = """
+per_rank = {}
+for row in rows:
+    rank = int(float(row["rank"]))
+    if rank < 0:
+        continue
+    stats = per_rank.setdefault(rank, [0, 0.0, 0])
+    stats[0] += I(row, "POSIX_BYTES_READ") + I(row, "POSIX_BYTES_WRITTEN")
+    stats[1] += F(row, "POSIX_F_READ_TIME") + F(row, "POSIX_F_WRITE_TIME") + F(row, "POSIX_F_META_TIME")
+    stats[2] += I(row, "POSIX_READS") + I(row, "POSIX_WRITES")
+"""
+
 
 def _header(**params: object) -> str:
     lines = []
@@ -137,12 +159,9 @@ def misaligned_code(
             STRIPE_SIZE=stripe_size,
         )
         + _READ_POSIX
-        + """
-stripe_by_file = {}
-if LUSTRE_PATH:
-    with open(LUSTRE_PATH) as fh:
-        for row in csv.DictReader(fh):
-            stripe_by_file[row["file_id"]] = int(float(row["LUSTRE_STRIPE_SIZE"]))
+        + "\n"
+        + _READ_LUSTRE
+        + """\
 total = 0
 misaligned = 0
 mem_misaligned = 0
@@ -318,11 +337,9 @@ for row in rows:
     if int(float(row["rank"])) >= 0:
         ranks_per_file.setdefault(fid, set()).add(row["rank"])
 shared_files = {fid for fid, ranks in ranks_per_file.items() if len(ranks) > 1}
-stripe_by_file = {}
-if LUSTRE_PATH:
-    with open(LUSTRE_PATH) as fh:
-        for row in csv.DictReader(fh):
-            stripe_by_file[row["file_id"]] = int(float(row["LUSTRE_STRIPE_SIZE"]))
+"""
+        + _READ_LUSTRE
+        + """\
 def stripe_scan(path, shared_files, stripe_by_file):
     stripe_usage = {}
     shared_ops = 0
@@ -412,16 +429,8 @@ def load_imbalance_code(posix_path: Path) -> str:
     return (
         _header(POSIX_PATH=posix_path)
         + _READ_POSIX
-        + """
-per_rank = {}
-for row in rows:
-    rank = int(float(row["rank"]))
-    if rank < 0:
-        continue
-    stats = per_rank.setdefault(rank, [0, 0.0, 0])
-    stats[0] += I(row, "POSIX_BYTES_READ") + I(row, "POSIX_BYTES_WRITTEN")
-    stats[1] += F(row, "POSIX_F_READ_TIME") + F(row, "POSIX_F_WRITE_TIME") + F(row, "POSIX_F_META_TIME")
-    stats[2] += I(row, "POSIX_READS") + I(row, "POSIX_WRITES")
+        + _PER_RANK
+        + """\
 ranks = sorted(per_rank)
 byte_values = [per_rank[r][0] for r in ranks]
 time_values = [per_rank[r][1] for r in ranks]
@@ -573,16 +582,8 @@ def rank_zero_code(posix_path: Path) -> str:
     return (
         _header(POSIX_PATH=posix_path)
         + _READ_POSIX
-        + """
-per_rank = {}
-for row in rows:
-    rank = int(float(row["rank"]))
-    if rank < 0:
-        continue
-    stats = per_rank.setdefault(rank, [0, 0.0, 0])
-    stats[0] += I(row, "POSIX_BYTES_READ") + I(row, "POSIX_BYTES_WRITTEN")
-    stats[1] += F(row, "POSIX_F_READ_TIME") + F(row, "POSIX_F_WRITE_TIME") + F(row, "POSIX_F_META_TIME")
-    stats[2] += I(row, "POSIX_READS") + I(row, "POSIX_WRITES")
+        + _PER_RANK
+        + """\
 zero = per_rank.get(0, [0, 0.0, 0])
 others = [stats for rank, stats in per_rank.items() if rank != 0]
 mean_other_bytes = sum(s[0] for s in others) / len(others) if others else 0.0

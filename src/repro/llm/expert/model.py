@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 from repro.ion import specs
 from repro.ion.issues import IssueType
@@ -148,13 +149,16 @@ class SimulatedExpertLLM:
         banned = frozenset(_GUARD_IMPORT_RE.findall(error_text))
         if banned:
             return self._guard_repair_turn(spec, issues, banned, error_text)
-        sections: list[str] = []
-        for issue in issues:
-            if not self._analyzable(spec, issue):
-                continue
-            issue_spec = specs.spec_for(issue)
-            code = (issue_spec.fallback_code or issue_spec.code)(spec)
-            sections.append(self._section(issue, code))
+        # Retry without the DXT file: the analyses that read it fall
+        # back to the aggregate counters.
+        counters_only = replace(
+            spec, files={k: v for k, v in spec.files.items() if k != "DXT"}
+        )
+        sections = [
+            self._section(issue, specs.spec_for(issue).code(counters_only))
+            for issue in issues
+            if self._analyzable(spec, issue)
+        ]
         if not sections:
             return Completion(content=self._failure_conclusions(issues, error_text))
         return Completion(

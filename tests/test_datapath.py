@@ -152,7 +152,7 @@ def _model_record(
     job, inode, rank, operation, offset, length, mem_aligned, start, end
 ) -> None:
     """Fold the op into its Darshan POSIX record and append its DXT row."""
-    record = job.runtime.posix_record(inode, rank)
+    record = job.runtime.record("POSIX", inode, rank)
     if record.last_op and record.last_op != operation:
         record.rw_switches += 1
     record.last_op = operation

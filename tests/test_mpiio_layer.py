@@ -314,7 +314,7 @@ def _mpiio_trace(stream, layer_args, mode: str, tmp_path) -> bytes:
 
 def _model_fold(job, inode, flavor, operation, extents, start, end) -> None:
     for rank, offset, length in extents:
-        record = job.runtime.mpiio_record(inode, rank)
+        record = job.runtime.record("MPI-IO", inode, rank)
         getattr(record, flavor)[operation] += 1
         if record.last_op and record.last_op != operation:
             record.rw_switches += 1

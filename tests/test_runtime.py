@@ -104,3 +104,84 @@ class TestJobRecord:
         assert f["POSIX_F_OPEN_START_TIMESTAMP"] <= f["POSIX_F_WRITE_START_TIMESTAMP"]
         assert f["POSIX_F_WRITE_START_TIMESTAMP"] <= f["POSIX_F_WRITE_END_TIMESTAMP"]
         assert f["POSIX_F_CLOSE_END_TIMESTAMP"] >= f["POSIX_F_READ_END_TIMESTAMP"]
+
+
+def _layer(job, module):
+    """Rank 0's layer of ``module`` with its open and close calls."""
+    if module == "POSIX":
+        layer = job.posix(0)
+        return layer, layer.open, layer.close
+    if module == "STDIO":
+        layer = job.stdio(0)
+        return layer, layer.fopen, layer.fclose
+    layer = job.mpiio()
+    return layer, layer.open, layer.close
+
+
+def _timed(job, call) -> float:
+    """Run ``call``; how far it moved rank 0's clock."""
+    start = job.now(0)
+    call()
+    return job.now(0) - start
+
+
+MODULES = ["POSIX", "MPI-IO", "STDIO"]
+
+
+class TestEventHooks:
+    @pytest.mark.parametrize("module", MODULES)
+    def test_first_open_and_first_close_timestamps_stick(self, module):
+        job = SimulatedJob(nprocs=1)
+        _, open_, close = _layer(job, module)
+        handle = open_("/lustre/f")
+        first_close = job.now(0)
+        close(handle)
+        job.compute(0, 1.0)
+        close(open_("/lustre/f"))
+        record = job.finalize().records_for(module)[0]
+        prefix = module.replace("-", "")
+        assert first_close > 0.0
+        assert record.fcounters[f"{prefix}_F_OPEN_START_TIMESTAMP"] == 0.0
+        assert record.fcounters[f"{prefix}_F_CLOSE_START_TIMESTAMP"] == first_close
+
+    @pytest.mark.parametrize(
+        "module, counter, call",
+        [
+            ("POSIX", "POSIX_SEEKS", lambda layer, fd: layer.lseek(fd, 10)),
+            ("POSIX", "POSIX_STATS", lambda layer, fd: layer.stat("/lustre/f")),
+            ("POSIX", "POSIX_FSYNCS", lambda layer, fd: layer.fsync(fd)),
+            ("STDIO", "STDIO_SEEKS", lambda layer, h: layer.fseek(h, 10)),
+            (
+                "STDIO", "STDIO_FLUSHES",
+                lambda layer, h: (layer.fwrite(h, 100), layer.fflush(h)),
+            ),
+            ("MPI-IO", "MPIIO_SYNCS", lambda layer, h: layer.sync(h)),
+        ],
+        ids=["seek", "stat", "fsync", "fseek", "fflush", "sync"],
+    )
+    def test_meta_event_counts_and_charges_meta_time(self, module, counter, call):
+        job = SimulatedJob(nprocs=1)
+        layer, open_, close = _layer(job, module)
+        handle = open_("/lustre/f")
+        durations = [job.now(0)]  # the open started at t=0
+        for _ in range(2):
+            durations.append(_timed(job, lambda: call(layer, handle)))
+        durations.append(_timed(job, lambda: close(handle)))
+        record = job.finalize().records_for(module)[0]
+        prefix = module.replace("-", "")
+        assert all(duration > 0.0 for duration in durations)
+        assert record.counters[counter] == 2
+        assert record.fcounters[f"{prefix}_F_META_TIME"] == pytest.approx(
+            sum(durations)
+        )
+
+    def test_mpiio_counts_collective_and_independent_opens_apart(self):
+        job = SimulatedJob(nprocs=2)
+        mpi = job.mpiio()
+        for collective in (True, False, False):
+            mpi.close(mpi.open("/lustre/f", collective=collective))
+        records = job.finalize().records_for("MPI-IO")
+        assert len(records) == 2
+        for record in records:
+            assert record.counters["MPIIO_COLL_OPENS"] == 1
+            assert record.counters["MPIIO_INDEP_OPENS"] == 2
