@@ -9,12 +9,19 @@ single changed character anywhere in the chain shows up as a diff.
 If a change is *intentional*, regenerate the snapshot::
 
     ION_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_journey_golden.py
+
+The journey's JSON encoding is pinned by its sha256 (scratch
+directories masked) next to the text snapshot.
 """
 
 from __future__ import annotations
 
 import difflib
+import hashlib
+import json
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -24,11 +31,14 @@ from repro.journey import (
     JourneyNavigator,
     JourneyStatus,
     Verdict,
+    journey_from_dict,
+    journey_to_dict,
     render_journey,
 )
 from repro.workloads import make_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "ior-easy-2k-shared.journey.txt"
+JSON_DIGEST = GOLDEN.with_name("ior-easy-2k-shared.journey-json.sha256")
 
 
 def _check_against(golden: Path, rendered: str) -> None:
@@ -64,6 +74,22 @@ def paper_scale_journey():
 
 def test_journey_report_matches_golden_snapshot(paper_scale_journey):
     _check_against(GOLDEN, render_journey(paper_scale_journey))
+
+
+def test_journey_json_matches_pinned_digest(paper_scale_journey):
+    payload = journey_to_dict(paper_scale_journey)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    # Every observation writes its CSVs under <tmp>/ion-*/<trace>-*/.
+    scratch = (
+        re.escape(tempfile.gettempdir())
+        + r"/ion-[^/]+/"
+        + re.escape(paper_scale_journey.trace_name)
+        + r"-[^/]+/"
+    )
+    normalized = re.sub(scratch, "<dir>/", text)
+    digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()
+    _check_against(JSON_DIGEST, digest + "\n")
+    assert journey_to_dict(journey_from_dict(payload)) == payload
 
 
 def test_journey_satisfies_acceptance_criteria(paper_scale_journey):
