@@ -14,13 +14,13 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 .PHONY: test test-slow test-all golden loc
 
 test:
-	$(PYTEST) -x
+	$(PYTEST) -x -q
 
 test-slow:
-	$(PYTEST) -m slow
+	$(PYTEST) -q -m slow
 
 test-all:
-	$(PYTEST) -m ""
+	$(PYTEST) -q -m ""
 
 golden:
 	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \

@@ -141,6 +141,11 @@ class ReportHealth:
 class DiagnosisReport:
     """Everything the ION analyzer produced for one trace."""
 
+    #: JSON kind, version written, versions read (``repro.ion.serialize``).
+    #: Version 2 added the degraded-mode fields and the health block;
+    #: version-1 payloads (no such fields) remain readable.
+    SCHEMA = ("report", 2, (1, 2))
+
     trace_name: str
     diagnoses: list[Diagnosis]
     summary: str = ""

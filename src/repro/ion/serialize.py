@@ -1,156 +1,168 @@
-"""JSON serialization of diagnosis reports.
+"""JSON serialization of diagnosis and journey reports.
 
 The paper's front end renders per-issue modals from the Analyzer's
 output; this module is the API equivalent: a stable JSON encoding of a
 :class:`DiagnosisReport` (and back), so reports can be archived next to
 the trace, diffed between tool versions, or served to a UI.
+
+One codec serves the report and journey dataclasses.  Enums encode as
+their value, frozensets as lists sorted by encoded value, lists and
+tuples as lists, nested dataclasses as objects; ``None``, scalars,
+``dict`` and ``object`` fields pass through.  Decoding coerces each
+field to its resolved type hint; a missing field takes its dataclass
+default.  A class's ``SCHEMA = (kind, version written, versions read)``
+puts ``schema_version`` in, and checks it on, every instance's object.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
+import types
+import typing
+from dataclasses import MISSING
 from pathlib import Path
 
-from repro.ion.issues import (
-    Diagnosis,
-    DiagnosisReport,
-    IssueType,
-    MitigationNote,
-    ReportHealth,
-    Severity,
-)
+from repro.ion.issues import DiagnosisReport
 from repro.util.errors import ReproError
 
-#: Version 2 added degraded-mode fields on diagnoses and the report
-#: health block; version-1 payloads (no such fields) remain readable.
-SCHEMA_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+#: The report schema version written (see ``DiagnosisReport.SCHEMA``).
+SCHEMA_VERSION = DiagnosisReport.SCHEMA[1]
+
+_T = typing.TypeVar("_T")
+_SEQUENCES = (list, tuple, frozenset)
 
 
-def diagnosis_to_dict(diagnosis: Diagnosis) -> dict:
-    """Encode one diagnosis as plain JSON-ready data."""
-    return {
-        "issue": diagnosis.issue.value,
-        "severity": diagnosis.severity.value,
-        "conclusion": diagnosis.conclusion,
-        "steps": list(diagnosis.steps),
-        "code": diagnosis.code,
-        "code_output": diagnosis.code_output,
-        "evidence": diagnosis.evidence,
-        "mitigations": [note.value for note in diagnosis.mitigations],
-        "degraded": diagnosis.degraded,
-        "degraded_reason": diagnosis.degraded_reason,
-        "fallback_source": diagnosis.fallback_source,
-    }
+class _Malformed(Exception):
+    """A payload field that does not fit its hint, with its path."""
+
+    def __init__(self, path: str, reason: str) -> None:
+        super().__init__(f"{path}: {reason}" if path else reason)
 
 
-def diagnosis_from_dict(payload: dict) -> Diagnosis:
-    """Decode one diagnosis; raises ReproError on malformed input."""
+def to_dict(value):
+    """Encode a report dataclass (or a value inside one) as JSON-ready data."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        out = {}
+        schema = getattr(value, "SCHEMA", None)
+        if schema is not None:
+            out["schema_version"] = schema[1]
+        for f in dataclasses.fields(value):
+            out[f.name] = to_dict(getattr(value, f.name))
+        return out
+    if isinstance(value, frozenset):
+        return sorted(to_dict(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [to_dict(item) for item in value]
+    return value
+
+
+#: Each dataclass's resolved field hints, computed once.
+_hints = functools.cache(typing.get_type_hints)
+
+
+def from_dict(cls: type[_T], payload) -> _T:
+    """Decode a payload into ``cls``; raises ReproError when malformed."""
     try:
-        return Diagnosis(
-            issue=IssueType(payload["issue"]),
-            severity=Severity(payload["severity"]),
-            conclusion=str(payload["conclusion"]),
-            steps=[str(step) for step in payload.get("steps", [])],
-            code=str(payload.get("code", "")),
-            code_output=str(payload.get("code_output", "")),
-            evidence=dict(payload.get("evidence", {})),
-            mitigations=[
-                MitigationNote(note) for note in payload.get("mitigations", [])
-            ],
-            degraded=bool(payload.get("degraded", False)),
-            degraded_reason=str(payload.get("degraded_reason", "")),
-            fallback_source=str(payload.get("fallback_source", "")),
+        return _decode(cls, payload, "")
+    except _Malformed as exc:
+        raise ReproError(f"malformed {cls.SCHEMA[0]} payload: {exc}") from exc
+
+
+def _decode(hint, value, path: str):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _decode(hint, value, path)
+    if dataclasses.is_dataclass(hint):
+        return _decode_fields(hint, value, path)
+    if origin in _SEQUENCES:
+        _expect(list, value, path)
+        return origin(
+            _decode(args[0], item, f"{path}[{i}]")
+            for i, item in enumerate(value)
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ReproError(f"malformed diagnosis payload: {exc}") from exc
-
-
-def health_to_dict(health: ReportHealth) -> dict:
-    """Encode a report's pipeline-health block."""
-    return {
-        "queries": health.queries,
-        "attempts": health.attempts,
-        "retries": health.retries,
-        "degraded": health.degraded,
-        "fallbacks": health.fallbacks,
-        "breaker_state": health.breaker_state,
-        "breaker_trips": health.breaker_trips,
-        "notes": list(health.notes),
-    }
-
-
-def health_from_dict(payload: dict) -> ReportHealth:
-    """Decode a pipeline-health block; raises ReproError when malformed."""
+    if origin is dict:
+        return dict(_expect(dict, value, path))
+    if hint is object:
+        return value
     try:
-        return ReportHealth(
-            queries=int(payload.get("queries", 0)),
-            attempts=int(payload.get("attempts", 0)),
-            retries=int(payload.get("retries", 0)),
-            degraded=int(payload.get("degraded", 0)),
-            fallbacks=int(payload.get("fallbacks", 0)),
-            breaker_state=str(payload.get("breaker_state", "closed")),
-            breaker_trips=int(payload.get("breaker_trips", 0)),
-            notes=[str(note) for note in payload.get("notes", [])],
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ReproError(f"malformed health payload: {exc}") from exc
+        return hint(value)  # str/int/float/bool or an enum
+    except (TypeError, ValueError) as exc:
+        raise _Malformed(path, str(exc)) from exc
+
+
+def _expect(kind: type, value, path: str):
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "an object"
+        raise _Malformed(path, f"expected {name}, got {type(value).__name__}")
+    return value
+
+
+def _decode_fields(cls: type, value, path: str):
+    _expect(dict, value, path)
+    schema = getattr(cls, "SCHEMA", None)
+    if schema is not None:
+        kind, _, readable = schema
+        try:
+            version = int(value.get("schema_version", 0))
+        except (TypeError, ValueError) as exc:
+            raise _Malformed(path, "bad schema version") from exc
+        if version not in readable:
+            raise ReproError(
+                f"unsupported {kind} schema version {version} "
+                f"(this build reads {readable})"
+            )
+    hints = _hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        where = f"{path}.{f.name}" if path else f.name
+        if f.name in value:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise _Malformed(where, "missing")
+    return cls(**kwargs)
+
+
+def dump(obj, path: str | Path) -> Path:
+    """Write a report dataclass as JSON; returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(to_dict(obj), indent=2, sort_keys=True))
+    return path
+
+
+def load(cls: type[_T], path: str | Path) -> _T:
+    """Read a ``cls`` written by :func:`dump`."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        kind = cls.SCHEMA[0]
+        raise ReproError(f"{path} is not valid {kind} JSON: {exc}") from exc
+    return from_dict(cls, payload)
 
 
 def report_to_dict(report: DiagnosisReport) -> dict:
     """Encode a full report."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "trace_name": report.trace_name,
-        "summary": report.summary,
-        "diagnoses": [diagnosis_to_dict(d) for d in report.diagnoses],
-        "health": (
-            health_to_dict(report.health) if report.health is not None else None
-        ),
-    }
+    return to_dict(report)
 
 
 def report_from_dict(payload: dict) -> DiagnosisReport:
     """Decode a full report; raises ReproError on malformed input."""
-    try:
-        version = int(payload.get("schema_version", 0))
-    except (TypeError, ValueError) as exc:
-        raise ReproError("malformed report payload: bad schema version") from exc
-    if version not in _READABLE_VERSIONS:
-        raise ReproError(
-            f"unsupported report schema version {version} "
-            f"(this build reads {_READABLE_VERSIONS})"
-        )
-    health_payload = payload.get("health")
-    try:
-        return DiagnosisReport(
-            trace_name=str(payload["trace_name"]),
-            summary=str(payload.get("summary", "")),
-            diagnoses=[
-                diagnosis_from_dict(item) for item in payload["diagnoses"]
-            ],
-            health=(
-                health_from_dict(health_payload)
-                if health_payload is not None
-                else None
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ReproError(f"malformed report payload: {exc}") from exc
+    return from_dict(DiagnosisReport, payload)
 
 
 def dump_report(report: DiagnosisReport, path: str | Path) -> Path:
     """Write a report as JSON; returns the path written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
-    return path
+    return dump(report, path)
 
 
 def load_report(path: str | Path) -> DiagnosisReport:
     """Read a report written by :func:`dump_report`."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path} is not valid report JSON: {exc}") from exc
-    return report_from_dict(payload)
+    return load(DiagnosisReport, path)

@@ -92,6 +92,9 @@ class JourneyStep:
 class JourneyReport:
     """The full record of one optimization journey."""
 
+    #: JSON kind, version written, versions read (``repro.ion.serialize``).
+    SCHEMA = ("journey", 1, (1,))
+
     trace_name: str
     status: JourneyStatus
     steps: tuple[JourneyStep, ...]

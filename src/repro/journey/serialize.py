@@ -1,219 +1,35 @@
 """JSON serialization of journey reports.
 
-Journey schema version 1.  The embedded before/after diagnosis reports
-reuse the diagnosis-report schema (:mod:`repro.ion.serialize`), so a
-journey archive is self-contained and round-trippable: a loaded report
-renders identically to the one that was dumped.
+Journey schema version 1 (:attr:`JourneyReport.SCHEMA`), encoded by the
+report codec in :mod:`repro.ion.serialize`.  The embedded before/after
+diagnosis reports carry their own report schema version, so a journey
+archive is self-contained and round-trippable: a loaded report renders
+identically to the one that was dumped.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.ion.issues import IssueType
-from repro.ion.serialize import report_from_dict, report_to_dict
-from repro.journey.model import (
-    JourneyReport,
-    JourneyStatus,
-    JourneyStep,
-    RemediationAttempt,
-    Verdict,
-)
-from repro.journey.perf import PerfSnapshot
-from repro.journey.remedies import ExpectedEffect, Remediation
-from repro.util.errors import ReproError
-from repro.workloads.base import FieldChange
-
-SCHEMA_VERSION = 1
-_READABLE_VERSIONS = (1,)
-
-
-def _perf_to_dict(perf: PerfSnapshot) -> dict:
-    return {
-        "runtime_seconds": perf.runtime_seconds,
-        "bytes_moved": perf.bytes_moved,
-    }
-
-
-def _perf_from_dict(payload: dict) -> PerfSnapshot:
-    return PerfSnapshot(
-        runtime_seconds=float(payload["runtime_seconds"]),
-        bytes_moved=int(payload["bytes_moved"]),
-    )
-
-
-def _change_to_dict(change: FieldChange) -> dict:
-    return {"field": change.field, "old": change.old, "new": change.new}
-
-
-def _change_from_dict(payload: dict) -> FieldChange:
-    return FieldChange(
-        field=str(payload["field"]),
-        old=payload.get("old"),
-        new=payload.get("new"),
-    )
-
-
-def _remediation_to_dict(remediation: Remediation) -> dict:
-    return {
-        "action": remediation.action,
-        "issue": remediation.issue.value,
-        "description": remediation.description,
-        "expected": {
-            "clears": [issue.value for issue in remediation.expected.clears],
-            "rationale": remediation.expected.rationale,
-        },
-    }
-
-
-def _remediation_from_dict(payload: dict) -> Remediation:
-    expected = payload["expected"]
-    return Remediation(
-        action=str(payload["action"]),
-        issue=IssueType(payload["issue"]),
-        description=str(payload["description"]),
-        expected=ExpectedEffect(
-            clears=tuple(
-                IssueType(value) for value in expected.get("clears", [])
-            ),
-            rationale=str(expected.get("rationale", "")),
-        ),
-    )
-
-
-def _issues(values) -> frozenset:
-    return frozenset(IssueType(value) for value in values)
-
-
-def _attempt_to_dict(attempt: RemediationAttempt) -> dict:
-    return {
-        "remediation": _remediation_to_dict(attempt.remediation),
-        "changes": [_change_to_dict(change) for change in attempt.changes],
-        "verdict": attempt.verdict.value,
-        "reason": attempt.reason,
-        "issues_after": sorted(i.value for i in attempt.issues_after),
-        "cleared": sorted(i.value for i in attempt.cleared),
-        "introduced": sorted(i.value for i in attempt.introduced),
-        "perf_after": (
-            _perf_to_dict(attempt.perf_after)
-            if attempt.perf_after is not None
-            else None
-        ),
-        "degraded": attempt.degraded,
-    }
-
-
-def _attempt_from_dict(payload: dict) -> RemediationAttempt:
-    perf_payload = payload.get("perf_after")
-    return RemediationAttempt(
-        remediation=_remediation_from_dict(payload["remediation"]),
-        changes=tuple(
-            _change_from_dict(item) for item in payload.get("changes", [])
-        ),
-        verdict=Verdict(payload["verdict"]),
-        reason=str(payload.get("reason", "")),
-        issues_after=_issues(payload.get("issues_after", [])),
-        cleared=_issues(payload.get("cleared", [])),
-        introduced=_issues(payload.get("introduced", [])),
-        perf_after=(
-            _perf_from_dict(perf_payload) if perf_payload is not None else None
-        ),
-        degraded=bool(payload.get("degraded", False)),
-    )
-
-
-def _step_to_dict(step: JourneyStep) -> dict:
-    return {
-        "index": step.index,
-        "detected": sorted(issue.value for issue in step.detected),
-        "degraded": step.degraded,
-        "perf": _perf_to_dict(step.perf),
-        "attempts": [_attempt_to_dict(attempt) for attempt in step.attempts],
-        "applied": step.applied,
-    }
-
-
-def _step_from_dict(payload: dict) -> JourneyStep:
-    applied = payload.get("applied")
-    return JourneyStep(
-        index=int(payload["index"]),
-        detected=_issues(payload.get("detected", [])),
-        degraded=bool(payload.get("degraded", False)),
-        perf=_perf_from_dict(payload["perf"]),
-        attempts=tuple(
-            _attempt_from_dict(item) for item in payload.get("attempts", [])
-        ),
-        applied=str(applied) if applied is not None else None,
-    )
+from repro.ion.serialize import dump, from_dict, load, to_dict
+from repro.journey.model import JourneyReport
 
 
 def journey_to_dict(report: JourneyReport) -> dict:
     """Encode a full journey report as plain JSON-ready data."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "trace_name": report.trace_name,
-        "status": report.status.value,
-        "steps": [_step_to_dict(step) for step in report.steps],
-        "initial_report": report_to_dict(report.initial_report),
-        "final_report": report_to_dict(report.final_report),
-        "initial_perf": _perf_to_dict(report.initial_perf),
-        "final_perf": _perf_to_dict(report.final_perf),
-        "config_diff": [
-            _change_to_dict(change) for change in report.config_diff
-        ],
-        "parameters": dict(report.parameters),
-    }
+    return to_dict(report)
 
 
 def journey_from_dict(payload: dict) -> JourneyReport:
     """Decode a journey report; raises ReproError on malformed input."""
-    try:
-        version = int(payload.get("schema_version", 0))
-    except (TypeError, ValueError) as exc:
-        raise ReproError(
-            "malformed journey payload: bad schema version"
-        ) from exc
-    if version not in _READABLE_VERSIONS:
-        raise ReproError(
-            f"unsupported journey schema version {version} "
-            f"(this build reads {_READABLE_VERSIONS})"
-        )
-    try:
-        return JourneyReport(
-            trace_name=str(payload["trace_name"]),
-            status=JourneyStatus(payload["status"]),
-            steps=tuple(
-                _step_from_dict(item) for item in payload.get("steps", [])
-            ),
-            initial_report=report_from_dict(payload["initial_report"]),
-            final_report=report_from_dict(payload["final_report"]),
-            initial_perf=_perf_from_dict(payload["initial_perf"]),
-            final_perf=_perf_from_dict(payload["final_perf"]),
-            config_diff=tuple(
-                _change_from_dict(item)
-                for item in payload.get("config_diff", [])
-            ),
-            parameters=dict(payload.get("parameters", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError(f"malformed journey payload: {exc}") from exc
+    return from_dict(JourneyReport, payload)
 
 
 def dump_journey(report: JourneyReport, path: str | Path) -> Path:
     """Write a journey report as JSON; returns the path written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(journey_to_dict(report), indent=2, sort_keys=True)
-    )
-    return path
+    return dump(report, path)
 
 
 def load_journey(path: str | Path) -> JourneyReport:
     """Read a journey report written by :func:`dump_journey`."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path} is not valid journey JSON: {exc}") from exc
-    return journey_from_dict(payload)
+    return load(JourneyReport, path)

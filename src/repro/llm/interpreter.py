@@ -397,7 +397,7 @@ def _worker_main(fd: int) -> None:
     """A sandbox worker: serve run requests on pipe ``fd`` until it closes.
 
     Each request is ``(code, workdir, root, output_limit, cpu_seconds,
-    memory_bytes)``; each reply is ``(stdout, error, cpu seconds, max
+    memory_bytes)``; each reply is ``(stdout, error, cpu seconds, peak
     RSS KiB)``.
     """
     # SIGXCPU (the CPU budget) must not leave core files behind.
@@ -410,10 +410,17 @@ def _worker_main(fd: int) -> None:
             started = time.process_time()
             with _budgets(cpu_seconds, memory_bytes):
                 stdout, error = _execute(*job)
-            usage = resource.getrusage(resource.RUSAGE_SELF)
-            conn.send((stdout, error, time.process_time() - started, usage.ru_maxrss))
+            conn.send((stdout, error, time.process_time() - started, _peak_rss_kb()))
     except (EOFError, OSError):
         pass  # the parent went away
+
+
+def _peak_rss_kb() -> int:
+    """This process's peak RSS in KiB (``VmHWM``; Linux carries
+    ``ru_maxrss`` across ``exec``, flooring it at the parent's RSS)."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1])
 
 
 @contextmanager

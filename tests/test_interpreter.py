@@ -406,6 +406,17 @@ class TestWorkerBudgets:
         assert finished["worker_max_rss_mb"] > 1
         assert finished["queue_wait_s"] >= 0 and killed["queue_wait_s"] >= 0
 
+    def test_worker_rss_is_the_workers_own_peak(self, tmp_path):
+        # A worker started by a large parent reports its own peak, not
+        # the parent's RSS that ``ru_maxrss`` carries across exec.
+        ballast = b"x" * (200 << 20)
+        interpreter_module._POOL.shutdown()
+        tracer = Tracer()
+        CodeInterpreter(tmp_path, tracer=tracer).run("print(1)")
+        del ballast
+        (span,) = [s for s in tracer.spans() if s.name == "sandbox.exec"]
+        assert 1 < span.attributes["worker_max_rss_mb"] < 100
+
     def test_kills_amid_concurrent_runs_keep_outputs_apart(
         self, tmp_path, monkeypatch
     ):

@@ -374,6 +374,27 @@ class TestJourneySerialization:
         with pytest.raises(ReproError):
             journey_from_dict({"schema_version": 1, "trace_name": "x"})
 
+    @pytest.mark.parametrize("payload", [[], "x", 3])
+    def test_non_object_payload_rejected(self, payload, tmp_path):
+        from repro.journey import load_journey
+        from repro.util.errors import ReproError
+
+        with pytest.raises(ReproError, match="malformed journey payload"):
+            journey_from_dict(payload)
+        path = tmp_path / "journey.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match="malformed journey payload"):
+            load_journey(path)
+
+    def test_non_object_expected_effect_rejected(self, easy_2k_journey):
+        from repro.util.errors import ReproError
+
+        payload = journey_to_dict(easy_2k_journey)
+        attempt = payload["steps"][0]["attempts"][0]
+        attempt["remediation"]["expected"] = []
+        with pytest.raises(ReproError, match="remediation.expected"):
+            journey_from_dict(payload)
+
     def test_html_rendering_is_self_contained(self, easy_2k_journey):
         html_text = render_journey_html(easy_2k_journey)
         assert html_text.startswith("<!DOCTYPE html>")

@@ -15,8 +15,6 @@ from repro.ion.issues import (
 )
 from repro.ion.serialize import (
     SCHEMA_VERSION,
-    diagnosis_from_dict,
-    diagnosis_to_dict,
     dump_report,
     load_report,
     report_from_dict,
@@ -95,10 +93,10 @@ class TestErrors:
             report_from_dict(payload)
 
     def test_bad_issue_value(self):
-        payload = diagnosis_to_dict(sample_report().diagnoses[0])
-        payload["issue"] = "quantum_flux"
+        payload = report_to_dict(sample_report())
+        payload["diagnoses"][0]["issue"] = "quantum_flux"
         with pytest.raises(ReproError):
-            diagnosis_from_dict(payload)
+            report_from_dict(payload)
 
     def test_missing_fields(self):
         with pytest.raises(ReproError):
@@ -111,10 +109,19 @@ class TestErrors:
             load_report(path)
 
     def test_bad_mitigation(self):
-        payload = diagnosis_to_dict(sample_report().diagnoses[0])
-        payload["mitigations"] = ["wishful_thinking"]
+        payload = report_to_dict(sample_report())
+        payload["diagnoses"][0]["mitigations"] = ["wishful_thinking"]
         with pytest.raises(ReproError):
-            diagnosis_from_dict(payload)
+            report_from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[], "x", 3])
+    def test_non_object_payload(self, payload, tmp_path):
+        with pytest.raises(ReproError, match="malformed report payload"):
+            report_from_dict(payload)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match="malformed report payload"):
+            load_report(path)
 
 
 class TestDegradedAndHealth:
