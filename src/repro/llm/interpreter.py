@@ -397,8 +397,8 @@ def _worker_main(fd: int) -> None:
     """A sandbox worker: serve run requests on pipe ``fd`` until it closes.
 
     Each request is ``(code, workdir, root, output_limit, cpu_seconds,
-    memory_bytes)``; each reply is ``(stdout, error, cpu seconds, peak
-    RSS KiB)``.
+    memory_bytes)``; each reply is ``(stdout, error, cpu seconds, the
+    run's peak RSS KiB)``.
     """
     # SIGXCPU (the CPU budget) must not leave core files behind.
     resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
@@ -407,6 +407,7 @@ def _worker_main(fd: int) -> None:
         conn.send("ready")
         while (request := conn.recv()) is not None:
             *job, cpu_seconds, memory_bytes = request
+            _reset_peak_rss()
             started = time.process_time()
             with _budgets(cpu_seconds, memory_bytes):
                 stdout, error = _execute(*job)
@@ -421,6 +422,16 @@ def _peak_rss_kb() -> int:
     with open("/proc/self/status", encoding="ascii") as status:
         line = next(line for line in status if line.startswith("VmHWM:"))
     return int(line.split()[1])
+
+
+def _reset_peak_rss() -> None:
+    """Restart ``VmHWM`` from the current RSS, so a run reports its own
+    peak; where the kernel refuses, the worker's lifetime peak stays."""
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as refs:
+            refs.write("5")
+    except OSError:
+        pass
 
 
 @contextmanager

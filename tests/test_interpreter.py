@@ -417,6 +417,22 @@ class TestWorkerBudgets:
         (span,) = [s for s in tracer.spans() if s.name == "sandbox.exec"]
         assert 1 < span.attributes["worker_max_rss_mb"] < 100
 
+    def test_worker_rss_is_each_runs_own_peak(self, tmp_path):
+        # Idle workers queue first in, first out, so one heavy run per
+        # worker reaches every worker before the trivial run does.
+        interpreter_module._POOL.shutdown()
+        tracer = Tracer()
+        interpreter = CodeInterpreter(tmp_path, tracer=tracer)
+        for _ in range(len(os.sched_getaffinity(0))):
+            heavy = interpreter.run("x = [0] * 30_000_000\nprint(len(x))")
+            assert heavy.stdout == "30000000\n"
+        interpreter.run("print(1)")
+        *heavy_spans, trivial = [
+            s for s in tracer.spans() if s.name == "sandbox.exec"
+        ]
+        assert all(s.attributes["worker_max_rss_mb"] > 200 for s in heavy_spans)
+        assert 1 < trivial.attributes["worker_max_rss_mb"] < 100
+
     def test_kills_amid_concurrent_runs_keep_outputs_apart(
         self, tmp_path, monkeypatch
     ):
