@@ -10,6 +10,7 @@ POSIX or MPI-IO read/write, stored as typed columns.  A
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from dataclasses import dataclass, field
@@ -137,6 +138,8 @@ def _check_segment(
     _check_names(module, operation)
     if length < 0 or offset < 0:
         raise ValueError("DXT offset/length must be non-negative")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError("DXT start/end must be finite")
     if end < start:
         raise ValueError("DXT segment ends before it starts")
 
@@ -244,6 +247,11 @@ class DxtTable:
             )
         if min(self.offset) < 0 or min(self.length) < 0:
             raise ValueError("DXT offset/length must be non-negative")
+        # A sum is finite only if every term is; overflow takes the
+        # exact path.
+        for times in (self.start, self.end):
+            if not math.isfinite(sum(times)) and not all(map(math.isfinite, times)):
+                raise ValueError("DXT start/end must be finite")
         if any(map(operator.lt, self.end, self.start)):
             raise ValueError("DXT segment ends before it starts")
         if max(self.host) >= len(self.hostnames):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -386,6 +387,18 @@ class TestReadContract:
         path = tmp_path / "row.darshan"
         path.write_bytes(with_payload(log, "dxt2", dxt2_payload(log)))
         with pytest.raises(DarshanFormatError, match="ends before it starts"):
+            read_log(path)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("start", math.nan), ("end", math.nan), ("start", -math.inf), ("end", math.inf)],
+    )
+    def test_dxt2_non_finite_time_rejected(self, tmp_path, column, value):
+        log = dxt_log()
+        getattr(log.dxt, column)[1] = value
+        path = tmp_path / "time.darshan"
+        path.write_bytes(with_payload(log, "dxt2", dxt2_payload(log)))
+        with pytest.raises(DarshanFormatError, match="must be finite"):
             read_log(path)
 
     def test_dxt2_unknown_record_rejected(self, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.darshan.counters import (
@@ -135,6 +137,14 @@ class TestDxtSegment:
         with pytest.raises(ValueError):
             self._segment(start_time=2.0, end_time=1.0)
 
+    @pytest.mark.parametrize(
+        "start, end", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)]
+    )
+    def test_non_finite_times_rejected(self, start, end):
+        # NaN compares false, so ``end < start`` alone lets it through.
+        with pytest.raises(ValueError, match="must be finite"):
+            self._segment(start_time=start, end_time=end)
+
 
 class TestDxtTable:
     ROW = dict(
@@ -164,6 +174,10 @@ class TestDxtTable:
             {"offset": -1},
             {"length": -1},
             {"start": 2.0, "end": 1.0},
+            {"start": math.nan},
+            {"end": math.nan},
+            {"start": -math.inf},
+            {"end": math.inf},
         ],
     )
     def test_append_checks_like_segment(self, overrides):
@@ -178,6 +192,10 @@ class TestDxtTable:
             ("offset", -5, "non-negative"),
             ("length", -5, "non-negative"),
             ("end", -1.0, "ends before it starts"),
+            ("start", math.nan, "must be finite"),
+            ("end", math.nan, "must be finite"),
+            ("start", -math.inf, "must be finite"),
+            ("end", math.inf, "must be finite"),
             ("host", 4, "hostname index"),
         ],
     )
