@@ -8,9 +8,10 @@ the trace, diffed between tool versions, or served to a UI.
 One codec serves the report and journey dataclasses.  Enums encode as
 their value, frozensets as lists sorted by encoded value, lists and
 tuples as lists, nested dataclasses as objects; ``None``, scalars,
-``dict`` and ``object`` fields pass through.  Decoding coerces each
-field to its resolved type hint; a missing field takes its dataclass
-default.  A class's ``SCHEMA = (kind, version written, versions read)``
+``dict`` and ``object`` fields pass through.  Decoding checks each
+field against its resolved type hint (a scalar must already have the
+hinted type; an int is accepted for a float, a bool for no number); a
+missing field takes its dataclass default.  A class's ``SCHEMA = (kind, version written, versions read)``
 puts ``schema_version`` in, and checks it on, every instance's object.
 """
 
@@ -92,10 +93,19 @@ def _decode(hint, value, path: str):
         return dict(_expect(dict, value, path))
     if hint is object:
         return value
-    try:
-        return hint(value)  # str/int/float/bool or an enum
-    except (TypeError, ValueError) as exc:
-        raise _Malformed(path, str(exc)) from exc
+    if issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError as exc:
+            raise _Malformed(path, str(exc)) from exc
+    # A scalar must already have its hinted type: no bool is a number,
+    # and an int is accepted for a float.
+    kinds = (int, float) if hint is float else hint
+    if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
+        raise _Malformed(
+            path, f"expected {hint.__name__}, got {type(value).__name__}"
+        )
+    return hint(value)
 
 
 def _expect(kind: type, value, path: str):
@@ -110,10 +120,9 @@ def _decode_fields(cls: type, value, path: str):
     schema = getattr(cls, "SCHEMA", None)
     if schema is not None:
         kind, _, readable = schema
-        try:
-            version = int(value.get("schema_version", 0))
-        except (TypeError, ValueError) as exc:
-            raise _Malformed(path, "bad schema version") from exc
+        version = value.get("schema_version", 0)
+        if not isinstance(version, int) or isinstance(version, bool):
+            raise _Malformed(path, "bad schema version")
         if version not in readable:
             raise ReproError(
                 f"unsupported {kind} schema version {version} "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -113,6 +114,33 @@ class TestErrors:
         payload["diagnoses"][0]["mitigations"] = ["wishful_thinking"]
         with pytest.raises(ReproError):
             report_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda p: p.update(trace_name=None), "trace_name"),
+            (lambda p: p["diagnoses"][0].update(degraded="false"), "diagnoses[0].degraded"),
+            (lambda p: p["diagnoses"][0].update(steps=[1, None]), "diagnoses[0].steps[0]"),
+            (lambda p: p["diagnoses"][0].update(degraded=0), "diagnoses[0].degraded"),
+            (lambda p: p.update(health={"queries": True}), "health.queries"),
+            (lambda p: p.update(health={"queries": 2.0}), "health.queries"),
+            (lambda p: p.update(schema_version="2"), "schema version"),
+        ],
+    )
+    def test_scalars_are_checked_not_coerced(self, edit, where):
+        # str(None) and bool("false") would decode without complaint.
+        payload = report_to_dict(sample_report())
+        edit(payload)
+        with pytest.raises(ReproError, match=re.escape(where)):
+            report_from_dict(payload)
+
+    def test_int_accepted_for_float(self):
+        from repro.ion.serialize import from_dict
+        from repro.journey.perf import PerfSnapshot
+
+        snapshot = from_dict(PerfSnapshot, {"runtime_seconds": 3, "bytes_moved": 5})
+        assert snapshot.runtime_seconds == 3.0
+        assert isinstance(snapshot.runtime_seconds, float)
 
     @pytest.mark.parametrize("payload", [[], "x", 3])
     def test_non_object_payload(self, payload, tmp_path):
