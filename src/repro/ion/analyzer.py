@@ -66,6 +66,11 @@ _SEVERITY_RE = re.compile(r"\[severity=(\w+)\]")
 _MITIGATIONS_RE = re.compile(r"\[mitigations=([\w,\s]+)\]")
 _STEP_RE = re.compile(r"^\s*\d+\.\s+(.*\S)", flags=re.MULTILINE)
 
+#: ``Diagnosis.fallback_source`` of an issue whose analysis read
+#: ``DXT.csv`` and failed, and whose answer came from a retry that read
+#: only the counters.
+DXT_RUN_FAILED = "counters: DXT run failed"
+
 #: Failures the resilience envelope absorbs; anything else is a
 #: programming error and propagates.
 _RETRYABLE = (LLMError, AnalysisError)
@@ -181,6 +186,24 @@ class _QueryStats:
     reason: str = ""
 
 
+def _dxt_run_failed(run: Run, extraction: ExtractionResult) -> bool:
+    """Whether code that read ``DXT.csv`` failed in ``run`` and the run's
+    last clean execution read no ``DXT.csv``: it answered from counters."""
+    path = extraction.csv_paths.get("DXT")
+    if path is None:
+        return False
+    failed = answered_without = False
+    for step in run.steps:
+        if step.execution is None:
+            continue
+        reads = str(path) in step.completion.code_call.code
+        if not step.execution.ok:
+            failed = failed or reads
+        else:
+            answered_without = not reads
+    return failed and answered_without
+
+
 class Analyzer:
     """Runs the full per-issue diagnosis over one extraction.
 
@@ -277,7 +300,7 @@ class Analyzer:
                     trace_name, diagnoses
                 )
                 stats.append(summary_stats)
-            report.health = self._health_from(stats, trips_before)
+            report.health = self._health_from(stats, trips_before, diagnoses)
             span.set_attribute("queries", report.health.queries)
             span.set_attribute("retries", report.health.retries)
             span.set_attribute("degraded_queries", report.health.degraded)
@@ -402,9 +425,14 @@ class Analyzer:
         return diagnosis
 
     def _health_from(
-        self, stats: list[_QueryStats], trips_before: int
+        self, stats: list[_QueryStats], trips_before: int, diagnoses: list[Diagnosis]
     ) -> ReportHealth:
-        health = ReportHealth(
+        notes = [f"{s.label}: {s.reason}" for s in stats if s.degraded]
+        for diagnosis in diagnoses:
+            if diagnosis.fallback_source == DXT_RUN_FAILED:
+                self.metrics.counter("analyzer.fallback.dxt").inc()
+                notes.append(f"query:{diagnosis.issue.value}: {DXT_RUN_FAILED}")
+        return ReportHealth(
             queries=len(stats),
             attempts=sum(s.attempts for s in stats),
             retries=sum(max(s.attempts - 1, 0) for s in stats),
@@ -412,9 +440,8 @@ class Analyzer:
             fallbacks=sum(1 for s in stats if s.fallback),
             breaker_state=self.breaker.state.value,
             breaker_trips=self.breaker.trips - trips_before,
-            notes=[f"{s.label}: {s.reason}" for s in stats if s.degraded],
+            notes=notes,
         )
-        return health
 
     # -- strategies ----------------------------------------------------------
 
@@ -450,7 +477,10 @@ class Analyzer:
 
             def attempt() -> Diagnosis:
                 run = self._run_prompt(prompt, extraction)
-                return self._diagnosis_from_run(spec.issue, run)
+                diagnosis = self._diagnosis_from_run(spec.issue, run)
+                if _dxt_run_failed(run, extraction):
+                    diagnosis.fallback_source = DXT_RUN_FAILED
+                return diagnosis
 
             def degrade(reason: str) -> tuple[Diagnosis, str]:
                 diagnosis = self._degrade_or_raise(spec.issue, fallback, reason)
@@ -492,6 +522,7 @@ class Analyzer:
             run = self._run_prompt(prompt, extraction)
             conclusions = parse_conclusions(run.final_text)
             evidence = self._evidence_by_issue(run)
+            dxt_failed = _dxt_run_failed(run, extraction)
             diagnoses = []
             for issue in self.config.issues:
                 body = conclusions.get(issue.title)
@@ -507,11 +538,12 @@ class Analyzer:
                         )
                     )
                     continue
-                diagnoses.append(
-                    self._diagnosis_from_body(
-                        issue, body, run, evidence.get(issue)
-                    )
+                diagnosis = self._diagnosis_from_body(
+                    issue, body, run, evidence.get(issue)
                 )
+                if dxt_failed and spec_for(issue).dxt:
+                    diagnosis.fallback_source = DXT_RUN_FAILED
+                diagnoses.append(diagnosis)
             return diagnoses
 
         def degrade(reason: str) -> tuple[list[Diagnosis], str]:

@@ -95,7 +95,9 @@ class Diagnosis:
     degraded_reason: str = ""
     #: Which degraded-mode oracle produced the result: ``"drishti"``
     #: for the heuristic trigger fallback, ``"none"`` when no fallback
-    #: was possible, ``""`` for healthy LLM results.
+    #: was possible, ``""`` for healthy LLM results.  A query that did
+    #: not degrade but whose ``DXT.csv`` analysis failed and was
+    #: answered from counters has ``"counters: DXT run failed"``.
     fallback_source: str = ""
 
     @property
@@ -128,7 +130,8 @@ class ReportHealth:
     fallbacks: int = 0
     breaker_state: str = "closed"
     breaker_trips: int = 0
-    #: One ``"<stage>: <reason>"`` entry per degraded query.
+    #: One ``"<stage>: <reason>"`` entry per degraded query, and one
+    #: per issue answered from counters after its DXT run failed.
     notes: list[str] = field(default_factory=list)
 
     @property

@@ -43,6 +43,7 @@ METRIC_NAMES = frozenset(
         "analyzer.breaker.short_circuited",
         "analyzer.completion.chars",
         "analyzer.fallback.drishti",
+        "analyzer.fallback.dxt",
         "analyzer.prompt.chars",
         "analyzer.prompts",
         "analyzer.queries.attempts",

@@ -457,3 +457,50 @@ class TestChaosCli:
             assert trace["ok"]
             assert trace["degraded_count"] == len(IssueType)
             assert trace["traceback"] is None
+
+
+class TestDxtFallbackIsVisible:
+    """A DXT analysis that fails and is answered from counters is marked."""
+
+    @pytest.mark.parametrize("strategy", ["divide", "monolithic"])
+    def test_failed_dxt_run_sets_fallback_source(self, easy_2k_bundle, strategy):
+        from repro.ion.analyzer import DXT_RUN_FAILED
+
+        # The first sandbox run is random_access's DXT analysis; the
+        # expert's debug retry drops DXT.csv and reads the counters.
+        plan = FaultPlan.first(1, FaultKind.TIMEOUT)
+        metrics = MetricsRegistry()
+        config = AnalyzerConfig(
+            issues=(IssueType.RANDOM_ACCESS, IssueType.SMALL_IO),
+            strategy=strategy,
+            parallel_prompts=1,
+            resilience=fast_resilience(),
+        )
+        with IoNavigator(
+            config=config,
+            metrics=metrics,
+            interpreter_factory=lambda workdir: FaultyCodeInterpreter(
+                CodeInterpreter(workdir), plan
+            ),
+        ) as navigator:
+            report = navigator.diagnose(easy_2k_bundle.log, "dxt-fallback").report
+        assert [event.index for event in plan.events] == [0]
+        by_issue = {d.issue: d for d in report.diagnoses}
+        random_access = by_issue[IssueType.RANDOM_ACCESS]
+        assert random_access.evidence["source"] == "counters"
+        assert random_access.fallback_source == DXT_RUN_FAILED
+        assert not random_access.degraded
+        assert by_issue[IssueType.SMALL_IO].fallback_source == ""
+        assert report.health.notes == [f"query:random_access: {DXT_RUN_FAILED}"]
+        assert metrics.counter_value("analyzer.fallback.dxt") == 1
+
+    def test_clean_run_reports_dxt(self, easy_2k_bundle):
+        metrics = MetricsRegistry()
+        config = AnalyzerConfig(issues=(IssueType.RANDOM_ACCESS,))
+        with IoNavigator(config=config, metrics=metrics) as navigator:
+            report = navigator.diagnose(easy_2k_bundle.log, "dxt-clean").report
+        (diagnosis,) = report.diagnoses
+        assert diagnosis.evidence["source"] == "dxt"
+        assert diagnosis.fallback_source == ""
+        assert report.health.notes == []
+        assert metrics.counter_value("analyzer.fallback.dxt") == 0
