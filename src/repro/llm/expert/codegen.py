@@ -7,10 +7,13 @@ JSON object; every diagnosis conclusion downstream is grounded in that
 output, so the pipeline cannot "detect" an issue the trace does not
 actually exhibit.
 
-The source deliberately uses only ``csv``/``json``/``statistics`` and
-plain loops: it must run inside the restricted interpreter sandbox.
-Loops over every ``DXT.csv`` row run inside functions, where names are
-local slots; at module level each would be a dict lookup.
+The source deliberately uses only ``csv``/``json``/``statistics`` (and,
+for ``DXT.csv``, ``array``/``itertools``) and plain loops: it must run
+inside the restricted interpreter sandbox.  Loops over every ``DXT.csv``
+row run inside functions, where names are local slots; at module level
+each would be a dict lookup.  Both DXT snippets read rows with one
+reader, :data:`_DXT_ROWS`, and ``random_access`` keeps each stream as
+typed columns, so its memory stays near 25 bytes per row.
 """
 
 from __future__ import annotations
@@ -50,6 +53,22 @@ if LUSTRE_PATH:
     with open(LUSTRE_PATH) as fh:
         for row in csv.DictReader(fh):
             stripe_by_file[row["file_id"]] = int(float(row["LUSTRE_STRIPE_SIZE"]))
+"""
+
+#: The ``DXT.csv`` row reader of both DXT snippets, after ``fh``'s header.
+#: A line that holds no quote, ends in CRLF and is not blank is split on
+#: commas; any other line is parsed by ``csv.reader``, which also takes
+#: the lines a quoted field runs on to.  With ``posix_only`` (``module``
+#: is the first column), a split line that does not start with
+#: ``X_POSIX`` is skipped unsplit; the caller still checks the module.
+_DXT_ROWS = """
+import array, itertools
+def dxt_rows(fh, posix_only):
+    for line in fh:
+        if '"' in line or line[-2:] != "\\r\\n" or line == "\\r\\n":
+            yield next(csv.reader(itertools.chain((line,), fh)))
+        elif not posix_only or line.startswith("X_POSIX"):
+            yield line[:-2].split(",")
 """
 
 #: Bytes, time and ops per rank, summed over its POSIX records.
@@ -202,59 +221,95 @@ def random_access_code(posix_path: Path, dxt_path: Path | None) -> str:
     return (
         _header(POSIX_PATH=posix_path, DXT_PATH=str(dxt_path) if dxt_path else "")
         + _READ_POSIX
-        + """
+        + _DXT_ROWS
+        + """\
+OP_CODES = {"read": 0, "write": 1}
 def read_streams(path):
+    # Each (file_id, rank) stream as columns: starts, offsets, lengths
+    # and op codes.  An op other than read or write has code 2, and its
+    # name is kept in odd_ops under (stream, row number).
     streams = {}
+    odd_ops = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        col = {name: i for i, name in enumerate(next(reader))}
+        col = {name: i for i, name in enumerate(next(csv.reader(fh)))}
         MODULE, FILE_ID, RANK = col["module"], col["file_id"], col["rank"]
         START, OFFSET, LENGTH, OP = col["start"], col["offset"], col["length"], col["operation"]
-        for row in reader:
+        for row in dxt_rows(fh, MODULE == 0):
             if row[MODULE] != "X_POSIX":
                 continue
             key = (row[FILE_ID], row[RANK])
-            op = (float(row[START]), int(row[OFFSET]), int(row[LENGTH]), row[OP])
-            ops = streams.get(key)
-            if ops is None:
-                streams[key] = [op]
-            else:
-                ops.append(op)
-    return streams
-def classify(streams):
+            stream = streams.get(key)
+            if stream is None:
+                stream = streams[key] = (
+                    array.array("d"), array.array("q"), array.array("q"), bytearray()
+                )
+            starts, offsets, lengths, ops = stream
+            starts.append(float(row[START]))
+            offsets.append(int(row[OFFSET]))
+            lengths.append(int(row[LENGTH]))
+            op = row[OP]
+            code = OP_CODES.get(op, 2)
+            if code == 2:
+                odd_ops[key, len(ops)] = op
+            ops.append(code)
+    return streams, odd_ops
+def increasing(starts):
+    prev = starts[0]
+    for start in itertools.islice(starts, 1, None):
+        if not start > prev:
+            return False
+        prev = start
+    return True
+def classify(streams, odd_ops):
     classified = consecutive = strided = random_ops = repeat_ops = 0
     random_bytes = total_bytes = 0
-    random_by_dir = {"read": 0, "write": 0}
-    dir_totals = {"read": 0, "write": 0}
+    random_by_dir = [0, 0]
+    dir_totals = [0, 0]
     random_per_rank = {}
-    for (file_id, rank), ops in streams.items():
-        ops.sort()
-        prev_end = None
-        seen = {"read": set(), "write": set()}
-        for start, offset, length, op in ops:
-            total_bytes += length
-            dir_totals[op] += 1
-            seen_op = seen[op]
-            if prev_end is not None:
-                classified += 1
-                if offset == prev_end:
-                    consecutive += 1
-                elif offset > prev_end:
-                    strided += 1
-                else:
-                    random_ops += 1
-                    random_bytes += length
-                    random_by_dir[op] += 1
-                    random_per_rank[rank] = random_per_rank.get(rank, 0) + 1
-                    if offset in seen_op:
-                        repeat_ops += 1
-            seen_op.add(offset)
+    for key, (starts, offsets, lengths, ops) in streams.items():
+        rank = key[1]
+        if 2 in ops or not increasing(starts):
+            # Ties, disorder, NaN or an odd op: sort the rows as
+            # (start, offset, length, op) tuples.  The first odd op in
+            # that order raises its KeyError here.
+            names = [
+                ("read", "write")[code] if code < 2 else odd_ops[key, i]
+                for i, code in enumerate(ops)
+            ]
+            rows = sorted(zip(starts, offsets, lengths, names))
+            offsets = [row[1] for row in rows]
+            lengths = [row[2] for row in rows]
+            ops = bytearray(OP_CODES[row[3]] for row in rows)
+        reads = ops.count(0)
+        dir_totals[0] += reads
+        dir_totals[1] += len(ops) - reads
+        total_bytes += sum(lengths)
+        classified += len(ops) - 1
+        seen = (set(), set())
+        rows = zip(offsets, lengths, ops)
+        offset, length, op = next(rows)
+        seen[op].add(offset)
+        prev_end = offset + length
+        for offset, length, op in rows:
+            if offset == prev_end:
+                consecutive += 1
+            elif offset > prev_end:
+                strided += 1
+            else:
+                random_ops += 1
+                random_bytes += length
+                random_by_dir[op] += 1
+                random_per_rank[rank] = random_per_rank.get(rank, 0) + 1
+                if offset in seen[op]:
+                    repeat_ops += 1
+            seen[op].add(offset)
             prev_end = offset + length
     return (classified, consecutive, strided, random_ops, repeat_ops, random_bytes,
-            total_bytes, random_by_dir, dir_totals, random_per_rank)
-streams = read_streams(DXT_PATH) if DXT_PATH else {}
+            total_bytes, {"read": random_by_dir[0], "write": random_by_dir[1]},
+            {"read": dir_totals[0], "write": dir_totals[1]}, random_per_rank)
+streams, odd_ops = read_streams(DXT_PATH) if DXT_PATH else ({}, {})
 (classified, consecutive, strided, random_ops, repeat_ops, random_bytes,
- total_bytes, random_by_dir, dir_totals, random_per_rank) = classify(streams)
+ total_bytes, random_by_dir, dir_totals, random_per_rank) = classify(streams, odd_ops)
 if streams:
     source = "dxt"
     random_fraction = random_ops / classified if classified else 0.0
@@ -339,16 +394,16 @@ for row in rows:
 shared_files = {fid for fid, ranks in ranks_per_file.items() if len(ranks) > 1}
 """
         + _READ_LUSTRE
+        + _DXT_ROWS
         + """\
 def stripe_scan(path, shared_files, stripe_by_file):
     stripe_usage = {}
     shared_ops = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        col = {name: i for i, name in enumerate(next(reader))}
+        col = {name: i for i, name in enumerate(next(csv.reader(fh)))}
         MODULE, FILE_ID, RANK, OP = col["module"], col["file_id"], col["rank"], col["operation"]
         OFFSET, START, END = col["offset"], col["start"], col["end"]
-        for row in reader:
+        for row in dxt_rows(fh, MODULE == 0):
             if row[MODULE] != "X_POSIX" or row[FILE_ID] not in shared_files:
                 continue
             shared_ops += 1

@@ -86,7 +86,7 @@ class SandboxPolicy:
 #: The one policy instance both enforcement layers share.
 SANDBOX_POLICY = SandboxPolicy(
     allowed_modules=frozenset(
-        {"csv", "json", "math", "statistics", "collections", "itertools", "re"}
+        {"array", "csv", "json", "math", "statistics", "collections", "itertools", "re"}
     ),
     blocked_builtins=frozenset(
         {

@@ -360,6 +360,10 @@ def extractions(draw, shared: bool = False) -> dict:
     ops = draw(st.lists(_ops, max_size=80))
     if shared:
         ops.insert(draw(st.integers(0, len(ops))), ("X_POSIX", 0) + draw(_ops)[2:])
+    if draw(st.booleans()):
+        # Starts rising in file order, as the extractor writes them:
+        # every stream is walked in place, unsorted.
+        ops = [op[:6] + (index,) + op[7:] for index, op in enumerate(ops)]
     lustre = None
     if draw(st.booleans()):
         stripes = st.sampled_from((None,) + STRIPES)
@@ -378,6 +382,69 @@ def extractions(draw, shared: bool = False) -> dict:
         default_stripe=draw(st.sampled_from(STRIPES + (1048576,))),
     )
 
+
+#: Starts that are NaN, infinite, signed zeros or tied: such streams
+#: are sorted as tuples, exactly as the reference sorts them.
+UNORDERED_STARTS = _case(
+    [("7", "/shared", [0, 1]), ("8", "/other", [2])],
+    [
+        ("X_POSIX", 0, 0, "write", 0, 10, 2, 4),
+        ("X_POSIX", 0, 0, "write", 64, 10, float("nan"), 4),
+        ("X_POSIX", 0, 0, "read", 0, 10, 3, 4),
+        ("X_POSIX", 0, 1, "read", 20, 10, float("inf"), 2),
+        ("X_POSIX", 0, 1, "write", 20, 10, 5, 2),
+        ("X_POSIX", 0, 1, "read", 40, 10, float("-inf"), 20),
+        ("X_POSIX", 1, 2, "write", 100, 36, 0.0, 1),
+        ("X_POSIX", 1, 2, "write", 36, 64, -0.0, 1),
+        ("X_POSIX", 1, 2, "read", 0, 36, 0.0, 1),
+    ],
+)
+
+#: Quoted paths that only ``csv.reader`` reads right.  In a middle
+#: column, a comma shifts every split field after it.  After a line
+#: break, a path can hold what looks like a whole X_POSIX row: the
+#: line that carries it must be parsed as part of its X_MPIIO row.
+QUOTED_PATHS = _case(
+    [("7", 'a,"b', [0, 1]), ("8", "p\nX_POSIX,1,write,9,64,10,0.5,0.6,8,q", [0, 1])],
+    [
+        ("X_POSIX", 0, 0, "write", 0, 10, 1, 4),
+        ("X_POSIX", 0, 1, "write", 5, 10, 2, 4),
+        ("X_MPIIO", 1, 1, "read", 0, 10, 3, 4),
+        ("X_POSIX", 1, 0, "read", 64, 10, 4, 4),
+    ],
+    columns=("module", "file") + tuple(c for c in DXT_COLUMNS if c not in ("module", "file")),
+)
+
+
+def _cut_row(cells: list[str]) -> tuple[dict, list[str]]:
+    """A shared-file extraction whose second POSIX row is ``cells``."""
+    case = _case(
+        [("7", "/shared", [0, 1])],
+        [("X_POSIX", 0, rank, "write", 64 * rank, 64, rank, 1) for rank in (0, 1, 0)],
+    )
+    case["dxt"][1] = cells
+    return case, list(READ_COLUMNS)
+
+
+#: Short rows that start with the module: a lone ``X_POSIX`` field and a
+#: blank line.  Both snippets fail on them, as the reference does.
+ONE_FIELD_ROW = _cut_row(["X_POSIX"])
+BLANK_ROW = _cut_row([])
+
+#: Two odd operations in one stream, the later one first in time: the
+#: reference fails on ``'stat'``, when it classifies, not on ``'open'``,
+#: the first it reads.
+ODD_OPERATIONS = (
+    _case(
+        [("7", "/shared", [0, 1])],
+        [
+            ("X_POSIX", 0, 0, "open", 0, 64, 5, 1),
+            ("X_POSIX", 0, 1, "write", 64, 64, 2, 1),
+            ("X_POSIX", 0, 0, "stat", 64, 64, 1, 1),
+        ],
+    ),
+    ["random_access"],
+)
 
 #: Rank 1 reads stripe 0 in two rows out of time order; only its earlier
 #: row overlaps rank 0's write, so the stripe is contended only if the
@@ -448,12 +515,14 @@ def _check_same_output(case: dict, directory: Path) -> None:
 
 @st.composite
 def broken_extractions(draw) -> tuple[dict, str]:
-    """A shared-file extraction whose ``DXT.csv`` lacks a column or has a
-    short POSIX row on the shared file; and the snippet kinds that must fail.
+    """A shared-file extraction whose ``DXT.csv`` lacks a column, has a
+    short POSIX row on the shared file or POSIX rows whose operation is
+    neither read nor write; and the snippet kinds that must fail.
     """
     case = draw(extractions(shared=True))
     columns = case["dxt_columns"]
-    if draw(st.booleans()):
+    flaw = draw(st.sampled_from(("column", "short row", "operation")))
+    if flaw == "column":
         dropped = draw(st.sampled_from(columns))
         keep = [i for i, name in enumerate(columns) if name != dropped]
         case["dxt_columns"] = [columns[i] for i in keep]
@@ -466,6 +535,14 @@ def broken_extractions(draw) -> tuple[dict, str]:
         i for i, row in enumerate(case["dxt"])
         if row[module] == "X_POSIX" and row[file_id] == shared
     ]
+    if flaw == "operation":
+        # random_access fails on the first odd operation in its sorted
+        # order, which need not be the first in the file.
+        op = columns.index("operation")
+        posix = [i for i, row in enumerate(case["dxt"]) if row[module] == "X_POSIX"]
+        for row in draw(st.lists(st.sampled_from(posix), min_size=1, max_size=3)):
+            case["dxt"][row][op] = draw(st.sampled_from(("open", "READ", "", "write ")))
+        return case, ["random_access"]
     row = draw(st.sampled_from(rows))
     # Cut below the last column either snippet reads: both must index past it.
     last = min(
@@ -493,6 +570,8 @@ class TestAgainstReference:
 
     @settings(max_examples=60, deadline=None)
     @given(case=extractions())
+    @example(case=UNORDERED_STARTS)
+    @example(case=QUOTED_PATHS)
     def test_same_stdout(self, tmp_path_factory, case):
         _check_same_output(case, tmp_path_factory.mktemp("dxt-prop"))
 
@@ -504,6 +583,9 @@ class TestAgainstReference:
 
     @settings(max_examples=30, deadline=None)
     @given(broken=broken_extractions())
+    @example(broken=ONE_FIELD_ROW)
+    @example(broken=BLANK_ROW)
+    @example(broken=ODD_OPERATIONS)
     def test_same_failure(self, tmp_path_factory, broken):
         _check_same_failure(*broken, tmp_path_factory.mktemp("dxt-prop"))
 
