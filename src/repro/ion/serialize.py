@@ -11,8 +11,9 @@ tuples as lists, nested dataclasses as objects; ``None``, scalars,
 ``dict`` and ``object`` fields pass through.  Decoding checks each
 field against its resolved type hint (a scalar must already have the
 hinted type; an int is accepted for a float, a bool for no number); a
-missing field takes its dataclass default.  A class's ``SCHEMA = (kind, version written, versions read)``
-puts ``schema_version`` in, and checks it on, every instance's object.
+missing field takes its dataclass default.  A class's
+``SCHEMA = (kind, version written, versions read)`` puts
+``schema_version`` in, and checks it on, every instance's object.
 """
 
 from __future__ import annotations
