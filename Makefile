@@ -4,8 +4,8 @@
 #   make test-slow   only the heavyweight stress tests
 #   make test-all    everything
 #   make golden      regenerate the golden report snapshots, the
-#                    simulated-log digests, the registry-report digests
-#                    and the Drishti insight digests
+#                    simulated-log digests, the registry-report digests,
+#                    the Drishti insight digests and the metrics golden
 #   make loc         print the line count of src/**/*.py
 
 PYTHON ?= python
@@ -25,7 +25,7 @@ test-all:
 golden:
 	ION_REGEN_GOLDEN=1 $(PYTEST) -q tests/test_golden_report.py tests/test_journey_golden.py \
 		tests/test_log_digests.py tests/test_report_digests.py \
-		tests/test_drishti_digests.py
+		tests/test_drishti_digests.py tests/test_metrics_golden.py
 
 loc:
 	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
