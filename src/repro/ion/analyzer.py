@@ -58,9 +58,8 @@ from repro.llm.interpreter import CodeInterpreter
 from repro.sca.policy import GuardPolicy
 from repro.llm.messages import Message
 from repro.llm.resilience import BackoffPolicy, CircuitBreaker, query_deadline
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NullTracer
 from repro.util.errors import AnalysisError, CircuitOpenError, LLMError
-from repro.util.metrics import SIZE_BUCKETS, MetricsRegistry
 
 _SEVERITY_RE = re.compile(r"\[severity=(\w+)\]")
 _MITIGATIONS_RE = re.compile(r"\[mitigations=([\w,\s]+)\]")
@@ -217,7 +216,6 @@ class Analyzer:
         self,
         client: LLMClient | None = None,
         config: AnalyzerConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         interpreter_factory: Callable[[Path], CodeInterpreter] | None = None,
         breaker: CircuitBreaker | None = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -225,8 +223,7 @@ class Analyzer:
     ) -> None:
         self.client = client or SimulatedExpertLLM()
         self.config = config or AnalyzerConfig()
-        self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer or NullTracer()
         self.interpreter_factory = interpreter_factory or self._default_interpreter
         #: Shared across every query of this analyzer; batch deployments
         #: pass one breaker to all worker analyzers so sustained backend
@@ -255,13 +252,12 @@ class Analyzer:
             return self._pool
 
     def _default_interpreter(self, workdir: Path) -> CodeInterpreter:
-        # Threads the guard policy, metrics and tracer into every
+        # Threads the guard policy and tracer into every
         # sandbox the analyzer spins up; custom factories (fault
         # shims, tests) bypass this and configure their own.
         return CodeInterpreter(
             workdir,
             guard=self.config.guard,
-            metrics=self.metrics,
             tracer=self.tracer,
         )
 
@@ -304,31 +300,34 @@ class Analyzer:
             span.set_attribute("queries", report.health.queries)
             span.set_attribute("retries", report.health.retries)
             span.set_attribute("degraded_queries", report.health.degraded)
-        self.metrics.counter("analyzer.reports").inc()
+            span.set_attribute(
+                "dxt_fallbacks",
+                sum(d.fallback_source == DXT_RUN_FAILED for d in diagnoses),
+            )
         return report
 
     # -- resilience envelope ---------------------------------------------
 
-    def _with_resilience(self, label, attempt_fn):
+    def _with_resilience(self, span, label, attempt_fn):
         """Run ``attempt_fn`` with retry/backoff/deadline/breaker.
 
         Returns ``(value, attempts, "")`` on success or
         ``(None, attempts, reason)`` once the budget is exhausted or
         the breaker refuses the call.  Only LLM-path failures
-        (:data:`_RETRYABLE`) are absorbed.
+        (:data:`_RETRYABLE`) are absorbed.  ``span`` is the query's:
+        it records the attempts, the retries scheduled (a breaker
+        refusal can follow one) and breaker events as they happen.
         """
         policy = self.config.resilience.policy()
-        span = self.tracer.current_span()
         started = time.perf_counter()
         # The tool loop and the sandbox inside an attempt honour the
         # deadline too, so one attempt cannot overrun it.
         deadline_at = None if policy.deadline is None else started + policy.deadline
-        attempts = 0
+        attempts = retries = 0
         reason = ""
         last_delay = 0.0
         for attempt in range(1, policy.max_attempts + 1):
             if not self.breaker.allow():
-                self.metrics.counter("analyzer.breaker.short_circuited").inc()
                 span.add_event(
                     "breaker.short_circuit",
                     label=label,
@@ -340,6 +339,7 @@ class Analyzer:
                 reason = f"{type(short).__name__}: {short}"
                 break
             attempts += 1
+            span.set_attribute("attempts", attempts)
             if attempts > 1:
                 # One event per re-attempt: the backoff delay that just
                 # elapsed and the breaker state letting the call through.
@@ -349,7 +349,6 @@ class Analyzer:
                     delay=round(last_delay, 9),
                     breaker=self.breaker.state.value,
                 )
-            self.metrics.counter("analyzer.queries.attempts").inc()
             try:
                 with query_deadline(deadline_at):
                     value = attempt_fn()
@@ -357,7 +356,6 @@ class Analyzer:
                 trips_before = self.breaker.trips
                 self.breaker.record_failure()
                 if self.breaker.trips > trips_before:
-                    self.metrics.counter("analyzer.breaker.opened").inc()
                     span.add_event(
                         "breaker.opened",
                         label=label,
@@ -376,7 +374,8 @@ class Analyzer:
                     if delay > 0:
                         self._sleep(delay)
                     last_delay = delay
-                    self.metrics.counter("analyzer.queries.retries").inc()
+                    retries += 1
+                    span.set_attribute("retries_scheduled", retries)
                 continue
             self.breaker.record_success()
             return value, attempts, ""
@@ -389,15 +388,16 @@ class Analyzer:
         records into.  ``on_failure(reason)`` handles a query that
         exhausted its budget: it raises in strict mode, or returns
         ``(value, fallback)`` where ``fallback`` is the span's
-        ``fallback`` attribute (None sets none).
+        ``fallback`` attribute (None sets none).  ``on_failure`` adds
+        one ``degraded`` event to the span per answer it degrades.
         """
         with span_context as span:
             span.set_attribute("prompt.chars", len(prompt))
-            value, attempts, reason = self._with_resilience(label, attempt)
+            value, attempts, reason = self._with_resilience(span, label, attempt)
             span.set_attribute("attempts", attempts)
             stats = _QueryStats(label=label, attempts=attempts)
             if value is None:
-                value, fallback = on_failure(reason)
+                value, fallback = on_failure(reason, span)
                 stats.degraded = True
                 stats.fallback = fallback == "drishti"
                 stats.reason = reason
@@ -412,16 +412,19 @@ class Analyzer:
         issue: IssueType,
         fallback: DrishtiFallback,
         reason: str,
+        span,
     ) -> Diagnosis:
         if not self.config.resilience.degrade:
             raise AnalysisError(
                 f"query for {issue.title!r} failed without degraded mode: "
                 f"{reason}"
             )
-        self.metrics.counter("analyzer.queries.degraded").inc()
         diagnosis = fallback.diagnosis_for(issue, reason)
-        if diagnosis.fallback_source == "drishti":
-            self.metrics.counter("analyzer.fallback.drishti").inc()
+        span.add_event(
+            "degraded",
+            issue=issue.value,
+            fallback=diagnosis.fallback_source or "none",
+        )
         return diagnosis
 
     def _health_from(
@@ -430,7 +433,6 @@ class Analyzer:
         notes = [f"{s.label}: {s.reason}" for s in stats if s.degraded]
         for diagnosis in diagnoses:
             if diagnosis.fallback_source == DXT_RUN_FAILED:
-                self.metrics.counter("analyzer.fallback.dxt").inc()
                 notes.append(f"query:{diagnosis.issue.value}: {DXT_RUN_FAILED}")
         return ReportHealth(
             queries=len(stats),
@@ -482,8 +484,10 @@ class Analyzer:
                     diagnosis.fallback_source = DXT_RUN_FAILED
                 return diagnosis
 
-            def degrade(reason: str) -> tuple[Diagnosis, str]:
-                diagnosis = self._degrade_or_raise(spec.issue, fallback, reason)
+            def degrade(reason: str, span) -> tuple[Diagnosis, str]:
+                diagnosis = self._degrade_or_raise(
+                    spec.issue, fallback, reason, span
+                )
                 return diagnosis, diagnosis.fallback_source or "none"
 
             return self._query(
@@ -546,10 +550,10 @@ class Analyzer:
                 diagnoses.append(diagnosis)
             return diagnoses
 
-        def degrade(reason: str) -> tuple[list[Diagnosis], str]:
+        def degrade(reason: str, span) -> tuple[list[Diagnosis], str]:
             # The one combined query failed: every issue degrades.
             diagnoses = [
-                self._degrade_or_raise(issue, fallback, reason)
+                self._degrade_or_raise(issue, fallback, reason, span)
                 for issue in self.config.issues
             ]
             drishti = any(d.fallback_source == "drishti" for d in diagnoses)
@@ -564,10 +568,6 @@ class Analyzer:
     # -- plumbing ---------------------------------------------------------------
 
     def _run_prompt(self, prompt: str, extraction: ExtractionResult) -> Run:
-        self.metrics.counter("analyzer.prompts").inc()
-        self.metrics.histogram(
-            "analyzer.prompt.chars", SIZE_BUCKETS
-        ).observe(len(prompt))
         with self.tracer.span(
             "llm.prompt", attributes={"prompt.chars": len(prompt)}
         ) as span:
@@ -584,9 +584,6 @@ class Analyzer:
             run = assistant.run(thread)
             span.set_attribute("rounds", len(run.steps))
             span.set_attribute("completion.chars", len(run.final_text))
-            self.metrics.histogram(
-                "analyzer.completion.chars", SIZE_BUCKETS
-            ).observe(len(run.final_text))
             if run.status != RunStatus.COMPLETED:
                 raise AnalysisError(
                     "analysis run failed to complete within the tool budget"
@@ -676,13 +673,13 @@ class Analyzer:
         def attempt() -> str:
             return self.client.complete([Message.user(prompt)]).content
 
-        def degrade(reason: str) -> tuple[str, None]:
+        def degrade(reason: str, span) -> tuple[str, None]:
             if not self.config.resilience.degrade:
                 raise AnalysisError(
                     f"summarization query failed without degraded mode: "
                     f"{reason}"
                 )
-            self.metrics.counter("analyzer.queries.degraded").inc()
+            span.add_event("degraded", issue="summary", fallback="none")
             return compose_degraded_summary(trace_name, diagnoses, reason), None
 
         return self._query(

@@ -24,10 +24,9 @@ from repro.darshan.binformat import read_log
 from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DXT_MODULES, DXT_OPS
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NullTracer
 from repro.util.csvio import LINE_END, csv_field, write_lines, write_rows
 from repro.util.errors import ExtractionError
-from repro.util.metrics import MetricsRegistry
 from repro.util.units import MIB
 
 DXT_COLUMNS = (
@@ -74,14 +73,12 @@ class Extractor:
     def __init__(
         self,
         rpc_size: int = 4 * MIB,
-        metrics: MetricsRegistry | None = None,
         tracer=None,
     ) -> None:
         # The RPC size is not recorded in Darshan logs; like the paper,
         # it enters as a system hyper-parameter (default: Lustre's 4 MiB).
         self.rpc_size = rpc_size
-        self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer or NullTracer()
 
     def extract_file(self, log_path: str | Path, out_dir: str | Path) -> ExtractionResult:
         """Parse a binary log file and extract its CSVs."""
@@ -97,8 +94,6 @@ class Extractor:
                 )
             span.set_attribute("modules", len(result.csv_paths))
             span.set_attribute("rows", sum(result.row_counts.values()))
-        self.metrics.counter("extractor.extractions").inc()
-        self.metrics.counter("extractor.rows").inc(sum(result.row_counts.values()))
         return result
 
     def _extract(self, log: DarshanLog, out_dir: str | Path) -> ExtractionResult:

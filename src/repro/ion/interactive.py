@@ -17,7 +17,7 @@ from repro.ion.issues import DiagnosisReport
 from repro.ion.prompts import build_question_prompt
 from repro.llm.client import LLMClient
 from repro.llm.messages import Message
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NullTracer
 from repro.util.errors import LLMError
 
 
@@ -56,7 +56,7 @@ class IonSession:
     client: LLMClient
     history: list[Exchange] = field(default_factory=list)
     degraded_answers: int = 0
-    tracer: object = field(default_factory=lambda: NULL_TRACER)
+    tracer: object = field(default_factory=NullTracer)
 
     def ask(self, question: str) -> str:
         """Ask a follow-up question; the answer cites measured evidence."""

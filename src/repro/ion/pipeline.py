@@ -32,7 +32,7 @@ from repro.ion.issues import DiagnosisReport
 from repro.llm.client import LLMClient
 from repro.llm.expert.model import SimulatedExpertLLM
 from repro.llm.resilience import CircuitBreaker
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NullTracer
 from repro.util.metrics import MetricsRegistry
 from repro.util.units import MIB
 
@@ -57,6 +57,10 @@ class IoNavigator:
     and journey navigators compose one and call :meth:`run`.  Its
     analyzer keeps one prompt thread pool for every diagnosis;
     :meth:`close` stops it with the scratch space.
+
+    ``metrics`` (a fresh registry by default) is attached to
+    ``tracer`` (a :class:`~repro.obs.trace.NullTracer` by default): it
+    counts every span that tracer finishes, this navigator's included.
     """
 
     def __init__(
@@ -74,16 +78,15 @@ class IoNavigator:
         self.client = client or SimulatedExpertLLM()
         self.config = config or AnalyzerConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer or NULL_TRACER
-        self.extractor = Extractor(
-            rpc_size=rpc_size, metrics=self.metrics, tracer=self.tracer
-        )
+        self.tracer = tracer or NullTracer()
+        # The registry counts what the spans of this tracer record.
+        self.tracer.fold_into(self.metrics)
+        self.extractor = Extractor(rpc_size=rpc_size, tracer=self.tracer)
         # Shared by concurrent callers: the Analyzer's only mutable
         # state is its seeded backoff-jitter generator.
         self.analyzer = Analyzer(
             client=self.client,
             config=self.config,
-            metrics=self.metrics,
             interpreter_factory=interpreter_factory,
             breaker=breaker,
             tracer=self.tracer,

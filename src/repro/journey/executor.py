@@ -142,12 +142,10 @@ class JourneyNavigator:
         """Run the full closed loop over a workload."""
         config = self.journey_config
         trace_name = getattr(workload, "name", "journey")
-        # ``new_trace=True``: each journey is its own trace even when a
-        # campaign pool thread is reused across workloads.
+        # A root span here; in a batch campaign, a child of the job's
+        # ``batch.job`` root.
         with self.tracer.span(
-            "journey.navigate",
-            attributes={"workload": trace_name},
-            new_trace=True,
+            "journey.navigate", attributes={"workload": trace_name}
         ) as span:
             observation = self._observe(workload, trace_name)
             initial = observation

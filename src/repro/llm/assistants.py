@@ -18,7 +18,7 @@ from repro.llm.client import LLMClient
 from repro.llm.interpreter import CodeInterpreter, ExecutionResult
 from repro.llm.messages import Completion, Message
 from repro.llm.resilience import time_left
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NullTracer
 from repro.util.errors import LLMError
 
 
@@ -104,7 +104,7 @@ class Assistant:
         self.instructions = instructions
         self.interpreter = interpreter
         self.max_tool_rounds = max_tool_rounds
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer or NullTracer()
 
     def run(self, thread: Thread) -> Run:
         """Drive the model over ``thread`` until it stops calling tools.

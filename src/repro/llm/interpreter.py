@@ -72,7 +72,7 @@ from multiprocessing.connection import Connection, Pipe
 from pathlib import Path
 
 from repro.llm.resilience import time_left
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.sca.guard import CodeGuard, code_digest
 from repro.sca.policy import GuardPolicy, SANDBOX_POLICY
 from repro.sca.violations import GuardVerdict
@@ -115,7 +115,11 @@ class ExecutionResult:
 
 
 class CodeInterpreter:
-    """Executes model-generated Python over files in one directory."""
+    """Executes model-generated Python over files in one directory.
+
+    ``metrics``, when given, is attached to ``tracer``: it counts the
+    ``sca.vet`` and ``sandbox.*`` spans of every run.
+    """
 
     def __init__(
         self,
@@ -128,8 +132,9 @@ class CodeInterpreter:
         self.workdir = Path(workdir)
         self._output_limit = output_limit
         self.guard = GuardPolicy.parse(guard)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else NullTracer()
+        if metrics is not None:
+            self.tracer.fold_into(metrics)
 
     def _vet(self, code: str, digest: bytes) -> GuardVerdict | None:
         """Run CodeGuard per policy; returns None when the guard is off."""
@@ -142,17 +147,11 @@ class CodeInterpreter:
             span.set_attribute("cached", verdict.cached)
             span.set_attribute("violations", len(verdict.violations))
             span.set_attribute("blocked", verdict.blocked)
+            span.set_attribute("warnings", len(verdict.warnings))
             for violation in verdict.blocking:
                 span.add_event(
                     "violation", rule=violation.rule, line=violation.line
                 )
-        self.metrics.counter("sca.vet.checks").inc()
-        if not verdict.cached:
-            self.metrics.counter("sca.vet.walks").inc()
-        if verdict.blocked:
-            self.metrics.counter("sca.vet.blocked").inc()
-        if verdict.warnings:
-            self.metrics.counter("sca.vet.warnings").inc(len(verdict.warnings))
         return verdict
 
     def run(self, code: str) -> ExecutionResult:
@@ -164,7 +163,6 @@ class CodeInterpreter:
         digest = code_digest(code)
         verdict = self._vet(code, digest)
         if verdict is not None and verdict.blocked and self.guard is GuardPolicy.ENFORCE:
-            self.metrics.counter("sca.vet.rejected").inc()
             return ExecutionResult(
                 stdout="", error=verdict.render_feedback(), guard_blocked=True
             )
@@ -173,9 +171,10 @@ class CodeInterpreter:
         job = (code, workdir, root, self._output_limit)
         key = _MEMO.key(digest, workdir, root, self._output_limit)
         if key is not None:
-            stdout = _MEMO.get(key)
+            with self.tracer.span("sandbox.memo") as span:
+                stdout = _MEMO.get(key)
+                span.set_attribute("hit", stdout is not None)
             if stdout is not None:
-                self.metrics.counter("sandbox.memo.hits").inc()
                 return ExecutionResult(stdout=stdout)
         with self.tracer.span("sandbox.exec") as span:
             reply = _POOL.run(job, SANDBOX_POLICY)

@@ -7,11 +7,14 @@ tree of :class:`~repro.obs.trace.Span` objects — one per pipeline
 stage, LLM query, retry envelope, tool round, journey attempt — with
 trace/span IDs, parent links, attributes and point-in-time events.
 
-Tracing is zero-overhead by default: every instrumented component
-accepts ``tracer=None`` and falls back to the shared
-:data:`~repro.obs.trace.NULL_TRACER`, whose span context managers do
-nothing.  Clock and ID sources are injectable so tests (and the golden
-trace-summary snapshot) are fully deterministic.
+Spans are always built and kept only when asked.  Every instrumented
+component accepts ``tracer=None`` and then builds its own
+:class:`~repro.obs.trace.NullTracer`, which keeps no span.  Either
+way, each finished span is folded into the metrics registries attached
+to its tracer (:data:`repro.util.metrics.FOLD`), so the registry is a
+view of the spans, never a second record beside them.  Clock and ID
+sources are injectable so tests (and the golden trace-summary
+snapshot) are fully deterministic.
 
 Exporters live in :mod:`repro.obs.export` (JSONL, Chrome trace-event
 JSON for Perfetto/``chrome://tracing``, Prometheus text exposition);
@@ -30,7 +33,6 @@ from repro.obs.export import (
 )
 from repro.obs.summary import render_summary, stage_rows, summarize
 from repro.obs.trace import (
-    NULL_TRACER,
     NullTracer,
     Span,
     SpanEvent,
@@ -38,7 +40,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "NULL_TRACER",
     "NullTracer",
     "Span",
     "SpanEvent",

@@ -31,7 +31,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.summary import render_summary, summarize
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.util.console import suppress_broken_pipe
 
 
@@ -51,17 +51,17 @@ def add_tracing_args(parser: argparse.ArgumentParser) -> None:
 
 
 def tracer_from_args(args: argparse.Namespace):
-    """A real tracer when ``--trace-out`` or ``--metrics-out`` was given.
+    """A keeping tracer when ``--trace-out`` or ``--metrics-out`` was given.
 
-    The metrics file derives stage latency from spans, so it needs them
-    recorded too; with neither flag this is the no-op tracer.
+    The metrics file derives stage latency from kept spans; with
+    neither flag this is a :class:`NullTracer`, which keeps none.
     """
     if (
         getattr(args, "trace_out", None) is not None
         or getattr(args, "metrics_out", None) is not None
     ):
         return Tracer()
-    return NULL_TRACER
+    return NullTracer()
 
 
 def emit_telemetry(args: argparse.Namespace, tracer, metrics) -> None:

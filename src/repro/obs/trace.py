@@ -13,8 +13,13 @@ Worker pools do not inherit context, so code that fans out captures
 ``tracer.current_span()`` before submitting and passes it explicitly
 as ``parent=`` — the analyzer's prompt pool does this.  The batch
 scheduler relies on the same fact the other way round: each job's
-``pipeline.diagnose`` opens on a pool thread with no active span, so
-it roots a new trace.
+``batch.job`` span opens on a pool thread with no active span, so it
+roots a new trace.
+
+Spans are always built; a tracer keeps them only when ``enabled``.
+:class:`NullTracer` (tracing off) folds each finished span into its
+metrics registries and drops it, so every pipeline metric is derived
+from spans whether or not a trace is written.
 
 Determinism: the clock and the ID source are constructor-injectable.
 The default ID source is a process-local sequential counter, so two
@@ -138,83 +143,6 @@ class Span:
         )
 
 
-class _NullSpan:
-    """Absorbs every recording call; what disabled tracing hands out."""
-
-    __slots__ = ()
-
-    trace_id = ""
-    span_id = ""
-    parent_id = None
-    name = ""
-    start = 0.0
-    end = 0.0
-    duration = 0.0
-    status = "ok"
-    status_detail = ""
-    thread = ""
-
-    @property
-    def attributes(self) -> dict:
-        return {}
-
-    @property
-    def events(self) -> list:
-        return []
-
-    def set_attribute(self, key: str, value: object) -> None:
-        pass
-
-    def add_event(self, name: str, **attributes: object) -> None:
-        pass
-
-    def set_status(self, status: str, detail: str = "") -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
-class _NullSpanContext:
-    """Reusable, stateless no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return NULL_SPAN
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullSpanContext()
-
-
-class NullTracer:
-    """The zero-overhead default: records nothing, allocates nothing."""
-
-    enabled = False
-
-    def span(
-        self,
-        name: str,
-        attributes: dict | None = None,
-        parent: object = _INHERIT,
-        new_trace: bool = False,
-    ) -> _NullSpanContext:
-        return _NULL_CONTEXT
-
-    def current_span(self) -> _NullSpan:
-        return NULL_SPAN
-
-    def spans(self) -> list:
-        return []
-
-
-#: Shared no-op tracer every instrumented component defaults to.
-NULL_TRACER = NullTracer()
-
-
 class _SpanContext:
     """Context manager handling one live span's lifecycle."""
 
@@ -259,8 +187,14 @@ class Tracer:
 
     ``clock`` defaults to :func:`time.perf_counter`; ``ids`` to a
     sequential counter.  Inject both for byte-deterministic traces.
+
+    Each finished span is folded into every metrics registry attached
+    with :meth:`fold_into` (see :meth:`MetricsRegistry.fold
+    <repro.util.metrics.MetricsRegistry.fold>`), whether or not the
+    tracer keeps it.
     """
 
+    #: Whether finished spans are kept for :meth:`spans`.
     enabled = True
 
     def __init__(
@@ -272,6 +206,14 @@ class Tracer:
         self._ids = ids or _SequentialIds()
         self._lock = threading.Lock()
         self._finished: list[Span] = []
+        self._registries: tuple = ()
+
+    def fold_into(self, registry) -> None:
+        """Fold every span this tracer finishes from now on into
+        ``registry``; attaching a registry twice folds it once."""
+        with self._lock:
+            if not any(known is registry for known in self._registries):
+                self._registries += (registry,)
 
     # -- recording -----------------------------------------------------
 
@@ -296,7 +238,7 @@ class Tracer:
         elif parent is _INHERIT:
             resolved_parent = _CURRENT.get()
         else:
-            resolved_parent = parent if isinstance(parent, Span) else None
+            resolved_parent = parent
         if resolved_parent is not None:
             trace_id = resolved_parent.trace_id
             parent_id = resolved_parent.span_id
@@ -314,14 +256,16 @@ class Tracer:
         )
         return _SpanContext(self, span)
 
-    def current_span(self) -> "Span | _NullSpan":
-        """The context-active span, or the null span when none is."""
-        span = _CURRENT.get()
-        return span if span is not None else NULL_SPAN
+    def current_span(self) -> Span | None:
+        """The context-active span, or None when none is."""
+        return _CURRENT.get()
 
     def _record(self, span: Span) -> None:
-        with self._lock:
-            self._finished.append(span)
+        for registry in self._registries:
+            registry.fold(span)
+        if self.enabled:
+            with self._lock:
+                self._finished.append(span)
 
     # -- reading -------------------------------------------------------
 
@@ -334,6 +278,16 @@ class Tracer:
         """Drop every recorded span (mainly for tests)."""
         with self._lock:
             self._finished.clear()
+
+
+class NullTracer(Tracer):
+    """Tracing off: builds and folds every span, keeps none.
+
+    Components build one each when given no tracer, so the metrics of
+    a component never include another's spans.
+    """
+
+    enabled = False
 
 
 def ticking_clock(step: float = 0.001, start: float = 0.0) -> Callable[[], float]:

@@ -22,6 +22,10 @@ SPAN_NAMES = frozenset(
         "analyzer.query",
         "analyzer.summarize",
         "batch.campaign",
+        "batch.job",
+        "cache.clear",
+        "cache.insert",
+        "cache.lookup",
         "extractor.extract",
         "journey.attempt",
         "journey.navigate",
@@ -30,6 +34,7 @@ SPAN_NAMES = frozenset(
         "llm.round",
         "pipeline.diagnose",
         "sandbox.exec",
+        "sandbox.memo",
         "sca.vet",
         "session.ask",
         "simulate",

@@ -34,7 +34,7 @@ from repro.ion.pipeline import IoNavigator
 from repro.llm.client import LLMClient
 from repro.service.cache import CacheStats, ExtractionCache
 from repro.util.errors import BatchError
-from repro.util.metrics import Counter, MetricsRegistry
+from repro.util.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.journey.executor import JourneyConfig
@@ -306,8 +306,7 @@ class BatchNavigator:
             jobs,
             self._run_one,
             kind="trace",
-            counter=self.metrics.counter("batch.campaigns"),
-            attributes={"traces": len(jobs)},
+            attributes={"kind": "traces", "traces": len(jobs)},
             thread_name_prefix="ion-batch",
         )
         return CampaignSummary(
@@ -353,7 +352,6 @@ class BatchNavigator:
             jobs,
             lambda job: self._run_one_journey(job, config),
             kind="journey",
-            counter=self.metrics.counter("batch.journey_campaigns"),
             attributes={"kind": "journeys", "workloads": len(jobs)},
             thread_name_prefix="ion-journey",
         )
@@ -369,7 +367,6 @@ class BatchNavigator:
         jobs: list,
         run_one: Callable,
         kind: str,
-        counter: Counter,
         attributes: dict,
         thread_name_prefix: str,
     ) -> tuple[list, float]:
@@ -387,7 +384,6 @@ class BatchNavigator:
                 "failed", sum(1 for o in outcomes if not o.ok)
             )
         elapsed = time.perf_counter() - started
-        counter.inc()
         if self.config.fail_fast:
             for outcome in outcomes:
                 if not outcome.ok:
@@ -404,21 +400,21 @@ class BatchNavigator:
         index, name, workload = job
         outcome = JourneyOutcome(index=index, name=name)
         started = time.perf_counter()
-        try:
-            with JourneyNavigator(
-                client=self.navigator.client,
-                analyzer_config=self.config.analyzer,
-                journey_config=config,
-                metrics=self.metrics,
-                interpreter_factory=self.interpreter_factory,
-                breaker=self.breaker,
-                tracer=self.tracer,
-            ) as navigator:
-                outcome.report = navigator.navigate(workload)
-            self.metrics.counter("batch.journeys.ok").inc()
-        except Exception as exc:  # noqa: BLE001 — isolate per-journey faults
-            outcome.fail(exc)
-            self.metrics.counter("batch.journeys.failed").inc()
+        with self._job_span("journey", workload=name) as span:
+            try:
+                with JourneyNavigator(
+                    client=self.navigator.client,
+                    analyzer_config=self.config.analyzer,
+                    journey_config=config,
+                    metrics=self.metrics,
+                    interpreter_factory=self.interpreter_factory,
+                    breaker=self.breaker,
+                    tracer=self.tracer,
+                ) as navigator:
+                    outcome.report = navigator.navigate(workload)
+            except Exception as exc:  # noqa: BLE001 — isolate per-journey faults
+                outcome.fail(exc)
+                span.set_status("error", outcome.error)
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
 
@@ -426,21 +422,28 @@ class BatchNavigator:
         index, name, log = job
         outcome = TraceOutcome(index=index, name=name)
         started = time.perf_counter()
-        try:
-            # Pool threads start with an empty span context, so each
-            # trace's ``pipeline.diagnose`` is the root of its own
-            # trace.  A path is read on the worker, so one unreadable
-            # log is an outcome, not a campaign abort.
-            result = self.navigator.diagnose(log, name)
-            outcome.report = result.report
-            outcome.extraction = result.extraction
-            outcome.cache_hit = result.cache_hit
-            self.metrics.counter("batch.traces.ok").inc()
-        except Exception as exc:  # noqa: BLE001 — isolate per-trace faults
-            outcome.fail(exc)
-            self.metrics.counter("batch.traces.failed").inc()
+        with self._job_span("trace", trace=name) as span:
+            try:
+                # A path is read on the worker, so one unreadable log
+                # is an outcome, not a campaign abort.
+                result = self.navigator.diagnose(log, name)
+                outcome.report = result.report
+                outcome.extraction = result.extraction
+                outcome.cache_hit = result.cache_hit
+            except Exception as exc:  # noqa: BLE001 — isolate per-trace faults
+                outcome.fail(exc)
+                span.set_status("error", outcome.error)
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
+
+    def _job_span(self, kind: str, **attributes):
+        """The ``batch.job`` span of one job: the root of its own trace.
+
+        Its status is the job's outcome; the metrics count it.
+        """
+        return self.tracer.span(
+            "batch.job", attributes={"kind": kind, **attributes}, new_trace=True
+        )
 
     # -- input coercion -----------------------------------------------
 

@@ -121,8 +121,10 @@ class ExtractionCache:
         When an insertion pushes the cache over budget, the
         least-recently-used entries are removed until it fits.
     metrics:
-        Registry receiving ``cache.hits`` / ``cache.misses`` /
-        ``cache.evictions`` counters and the ``cache.bytes`` gauge.
+        Registry attached to the tracer of every extractor the cache
+        serves.  A lookup is one ``cache.lookup`` span on that tracer
+        (so a miss's ``extractor.extract`` nests in it), and its
+        ``cache.*`` metrics reach every registry attached there.
 
     Every entry directory handed out is sealed while it stays indexed:
     its files do not change, so sandbox runs over it are memoized (see
@@ -144,7 +146,9 @@ class ExtractionCache:
             raise CacheError("max_bytes must be positive (or None for unbounded)")
         self.root = Path(root).expanduser().resolve()
         self.max_bytes = max_bytes
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics
+        # The tracers of the extractors served: clear() reports to them.
+        self._tracers: weakref.WeakSet = weakref.WeakSet()
         self._objects = self.root / "objects"
         self._objects.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
@@ -178,6 +182,15 @@ class ExtractionCache:
         log is extracted into a fresh entry directory, registered, and
         eviction is applied.
         """
+        tracer = extractor.tracer
+        if self.metrics is not None:
+            tracer.fold_into(self.metrics)
+        with self._lock:
+            self._tracers.add(tracer)
+        with tracer.span("cache.lookup") as span:
+            return self._get_or_extract(log, extractor, span)
+
+    def _get_or_extract(self, log, extractor: Extractor, span):
         prekey = None
         if isinstance(log, LogFile):
             source = log
@@ -185,7 +198,7 @@ class ExtractionCache:
             with self._lock:
                 digest = self._prekeys.get(known)
             if digest is not None:
-                found = self._lookup(extraction_key(digest, extractor))
+                found = self._lookup(span, extraction_key(digest, extractor))
                 if found is not None:
                     return found, True
             log = source.log
@@ -196,9 +209,10 @@ class ExtractionCache:
         else:
             digest = log_digest(log)
         key = extraction_key(digest, extractor)
-        found = self._lookup(key, prekey, digest)
+        found = self._lookup(span, key, prekey, digest)
         if found is not None:
             return found, True
+        span.set_attribute("hit", False)
         entry = self._entry_dir(key)
         # Miss: extract outside the lock (extraction dominates the
         # cost; serializing it would defeat the batch scheduler).
@@ -219,13 +233,15 @@ class ExtractionCache:
         finally:
             shutil.rmtree(staging, ignore_errors=True)
         with self._lock:
-            self._misses += 1
-            self.metrics.counter("cache.misses").inc()
-            if key not in self._index:
-                self._index[key] = size
-            self._index.move_to_end(key)
-            self._evict_locked(keep=key)
-            self.metrics.gauge("cache.bytes").set(sum(self._index.values()))
+            # Opened and closed under the lock, so the ``cache.bytes``
+            # each insertion reports reaches the registries in order.
+            with extractor.tracer.span("cache.insert") as insert:
+                self._misses += 1
+                if key not in self._index:
+                    self._index[key] = size
+                self._index.move_to_end(key)
+                insert.set_attribute("evictions", self._evict_locked(keep=key))
+                insert.set_attribute("bytes", sum(self._index.values()))
             self._seal_locked(entry)
             self._record_locked(key, prekey, digest)
             return self._load(key, entry), False
@@ -257,21 +273,23 @@ class ExtractionCache:
                 self._forget_prekeys_locked(key)
             self._index.clear()
             self._hits = self._misses = self._evictions = 0
-            self.metrics.gauge("cache.bytes").set(0)
+            for tracer in list(self._tracers):
+                with tracer.span("cache.clear"):
+                    pass  # the span reports ``cache.bytes`` 0
 
     # -- entry management ---------------------------------------------
 
     def _lookup(
-        self, key: str, prekey: str | None = None, digest: str = ""
+        self, span, key: str, prekey: str | None = None, digest: str = ""
     ) -> ExtractionResult | None:
-        """The entry of ``key`` if it is indexed, counted as a hit."""
+        """The entry of ``key`` if it is indexed, a hit on ``span``."""
         entry = self._entry_dir(key)
         with self._lock:
             if key not in self._index:
                 return None
             self._index.move_to_end(key)
             self._hits += 1
-            self.metrics.counter("cache.hits").inc()
+            span.set_attribute("hit", True)
             self._touch(entry)
             self._seal_locked(entry)
             self._record_locked(key, prekey, digest)
@@ -344,9 +362,11 @@ class ExtractionCache:
         except OSError:
             pass
 
-    def _evict_locked(self, keep: str) -> None:
+    def _evict_locked(self, keep: str) -> int:
+        """Evict least-recently-used entries over budget; how many went."""
+        evicted = 0
         if self.max_bytes is None:
-            return
+            return evicted
         total = sum(self._index.values())
         while total > self.max_bytes and len(self._index) > 1:
             key, size = next(iter(self._index.items()))
@@ -362,7 +382,8 @@ class ExtractionCache:
             self._forget_prekeys_locked(key)
             total -= size
             self._evictions += 1
-            self.metrics.counter("cache.evictions").inc()
+            evicted += 1
+        return evicted
 
     def _reindex(self) -> None:
         """Rebuild the LRU index from entries already on disk."""

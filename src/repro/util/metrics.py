@@ -1,11 +1,14 @@
 """Pipeline observability: counters, gauges and histograms.
 
-Every stage of the ION pipeline (extraction, analysis, caching,
-batch scheduling) reports into a :class:`MetricsRegistry` so that
-campaigns can be audited after the fact: how many traces hit the
-extraction cache, how many prompts were dispatched, how large they
-were.  The registry is thread-safe — the batch scheduler and the
-analyzer's prompt pool both write to it concurrently.
+A :class:`MetricsRegistry` answers for a campaign after the fact: how
+many traces hit the extraction cache, how many prompts were
+dispatched, how large they were.  The pipeline never writes to it
+directly.  Every counted fact is a span attribute, status or event,
+and a tracer folds each span it finishes into the registries attached
+to it (:meth:`repro.obs.trace.Tracer.fold_into`).  :data:`FOLD` is the
+one table that says which span fact feeds which metric, so the trace
+and the registry cannot disagree.  The registry is thread-safe: spans
+finish on the batch pool's and the prompt pool's threads at once.
 
 Stage durations are not metrics: spans (:mod:`repro.obs.trace`) are
 the only stopwatch, and the Prometheus exporter derives one
@@ -157,6 +160,84 @@ class Histogram:
         return maximum
 
 
+def _ok(span) -> bool:
+    return span.status == "ok"
+
+
+def _events(span, name: str, **match: object) -> int | None:
+    found = sum(
+        1 for event in span.events
+        if event.name == name
+        and all(event.attributes.get(k) == v for k, v in match.items())
+    )
+    return found or None
+
+
+#: What a query span (issue, monolithic or summary) counts.
+_QUERY = (
+    ("analyzer.queries.attempts", lambda s: s.attributes.get("attempts") or None),
+    ("analyzer.queries.retries", lambda s: s.attributes.get("retries_scheduled")),
+    ("analyzer.queries.degraded", lambda s: _events(s, "degraded")),
+    ("analyzer.fallback.drishti", lambda s: _events(s, "degraded", fallback="drishti")),
+    ("analyzer.breaker.opened", lambda s: _events(s, "breaker.opened")),
+    ("analyzer.breaker.short_circuited", lambda s: _events(s, "breaker.short_circuit")),
+)
+
+#: Span name -> ``(metric, value)`` pairs: the one place a span fact
+#: becomes a metric.  ``value(span)`` is what the span adds to a
+#: counter (True adds 1), sets a gauge to or a histogram observes;
+#: None or False adds nothing, so a missing attribute counts nothing.
+#: What ``_ok`` guards is not counted for a span that ended in an
+#: error: that work never returned.
+FOLD = {
+    "analyzer.analyze": (
+        ("analyzer.reports", _ok),
+        ("analyzer.fallback.dxt", lambda s: s.attributes.get("dxt_fallbacks") or None),
+    ),
+    "analyzer.query": _QUERY,
+    "analyzer.summarize": _QUERY,
+    "llm.prompt": (
+        ("analyzer.prompts", lambda s: True),
+        ("analyzer.prompt.chars", lambda s: s.attributes.get("prompt.chars")),
+        ("analyzer.completion.chars", lambda s: s.attributes.get("completion.chars")),
+    ),
+    "batch.campaign": (
+        ("batch.campaigns", lambda s: _ok(s) and s.attributes.get("kind") == "traces"),
+        ("batch.journey_campaigns", lambda s: _ok(s) and s.attributes.get("kind") == "journeys"),
+    ),
+    "batch.job": (
+        ("batch.traces.ok", lambda s: s.attributes.get("kind") == "trace" and _ok(s)),
+        ("batch.traces.failed", lambda s: s.attributes.get("kind") == "trace" and not _ok(s)),
+        ("batch.journeys.ok", lambda s: s.attributes.get("kind") == "journey" and _ok(s)),
+        ("batch.journeys.failed", lambda s: s.attributes.get("kind") == "journey" and not _ok(s)),
+    ),
+    "cache.lookup": (("cache.hits", lambda s: s.attributes.get("hit")),),
+    "cache.insert": (
+        ("cache.misses", lambda s: True),
+        ("cache.evictions", lambda s: s.attributes.get("evictions") or None),
+        ("cache.bytes", lambda s: s.attributes.get("bytes")),
+    ),
+    "cache.clear": (("cache.bytes", lambda s: 0),),
+    "extractor.extract": (
+        ("extractor.extractions", _ok),
+        ("extractor.rows", lambda s: _ok(s) and s.attributes.get("rows")),
+    ),
+    "sandbox.memo": (("sandbox.memo.hits", lambda s: s.attributes.get("hit")),),
+    "sca.vet": (
+        ("sca.vet.checks", _ok),
+        ("sca.vet.walks", lambda s: _ok(s) and not s.attributes.get("cached")),
+        ("sca.vet.blocked", lambda s: _ok(s) and s.attributes.get("blocked")),
+        ("sca.vet.warnings", lambda s: _ok(s) and s.attributes.get("warnings") or None),
+        ("sca.vet.rejected", lambda s: _ok(s) and s.attributes.get("blocked")
+            and s.attributes.get("mode") == "enforce"),
+    ),
+}
+
+#: The metrics of :data:`FOLD` that are not counters.
+GAUGES = frozenset({"cache.bytes"})
+HISTOGRAMS = frozenset({"analyzer.prompt.chars", "analyzer.completion.chars"})
+
+
 class MetricsRegistry:
     """Named metrics, created on first use, safe for concurrent writers."""
 
@@ -210,6 +291,19 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} already registered with a different type"
             )
+
+    def fold(self, span) -> None:
+        """Add what one finished span counts, per :data:`FOLD`."""
+        for name, value in FOLD.get(span.name, ()):
+            amount = value(span)
+            if amount is None or amount is False:
+                continue
+            if name in GAUGES:
+                self.gauge(name).set(amount)
+            elif name in HISTOGRAMS:
+                self.histogram(name, SIZE_BUCKETS).observe(amount)
+            else:
+                self.counter(name).inc(amount)
 
     # -- reading ------------------------------------------------------
 

@@ -36,6 +36,7 @@ from repro.llm.faults import (
 from repro.llm import interpreter as interpreter_module
 from repro.llm.interpreter import CodeInterpreter
 from repro.llm.messages import CodeCall, Completion
+from repro.obs.trace import NullTracer
 from repro.sca.policy import SANDBOX_POLICY
 from repro.service import cli as batch_cli
 from repro.util.errors import AnalysisError
@@ -55,6 +56,13 @@ MATRIX_KINDS = (
     FaultKind.INTERPRETER_CRASH,
     FaultKind.GUARD_REJECT,
 )
+
+
+def counting_tracer(metrics: MetricsRegistry) -> NullTracer:
+    """A tracer whose spans ``metrics`` counts."""
+    tracer = NullTracer()
+    tracer.fold_into(metrics)
+    return tracer
 
 
 def fast_resilience(**overrides) -> ResilienceConfig:
@@ -148,7 +156,7 @@ class TestTotalOutage:
                 parallel_prompts=1,
                 resilience=fast_resilience(max_attempts=2, **resilience),
             ),
-            metrics=metrics,
+            tracer=counting_tracer(metrics),
         )
         return analyzer.analyze(easy_extraction, "outage", log=log), metrics
 
@@ -212,7 +220,7 @@ class TestTransientRecovery:
             config=AnalyzerConfig(
                 parallel_prompts=1, resilience=fast_resilience()
             ),
-            metrics=metrics,
+            tracer=counting_tracer(metrics),
         )
         report = analyzer.analyze(
             easy_extraction, "flaky", log=easy_2k_bundle.log
@@ -254,7 +262,7 @@ class TestGuardRejectRecovery:
             config=AnalyzerConfig(
                 parallel_prompts=1, resilience=fast_resilience()
             ),
-            metrics=metrics,
+            tracer=counting_tracer(metrics),
             interpreter_factory=lambda workdir: FaultyCodeInterpreter(
                 CodeInterpreter(workdir, metrics=metrics), plan
             ),
@@ -378,7 +386,7 @@ class TestCircuitBreaker:
                     breaker_recovery_seconds=3600.0,
                 ),
             ),
-            metrics=metrics,
+            tracer=counting_tracer(metrics),
         )
         report = analyzer.analyze(
             easy_extraction, "meltdown", log=easy_2k_bundle.log

@@ -22,6 +22,7 @@ from repro.ion.pipeline import IoNavigator
 from repro.ion.serialize import report_to_dict
 from repro.llm.expert.model import SimulatedExpertLLM
 from repro.llm.faults import FaultKind, FaultPlan, FaultyLLMClient
+from repro.obs.trace import NullTracer, Tracer
 from repro.service import cache as cache_module
 from repro.service.cache import ExtractionCache, extraction_key, log_digest
 from repro.util.errors import CacheError, DarshanFormatError
@@ -109,7 +110,8 @@ class TestExtractionKey:
 class TestExtractionCache:
     def test_hit_skips_re_extraction(self, tmp_path):
         metrics = MetricsRegistry()
-        extractor = Extractor(metrics=metrics)
+        extractor = Extractor()
+        # The cache attaches its registry to the extractor's tracer.
         cache = ExtractionCache(tmp_path / "cache", metrics=metrics)
         log = tiny_log()
 
@@ -236,6 +238,49 @@ class TestExtractionCache:
         assert not cache.contains(log, extractor)
         _, hit = cache.get_or_extract(log, extractor)
         assert not hit
+
+    def test_bytes_gauge_reads_zero_after_clear(self, tmp_path):
+        metrics = MetricsRegistry()
+        extractor = Extractor()
+        cache = ExtractionCache(tmp_path / "cache", metrics=metrics)
+        cache.get_or_extract(tiny_log(), extractor)
+        assert metrics.gauge_value("cache.bytes") == cache.stats.total_bytes > 0
+        cache.clear()
+        assert metrics.gauge_value("cache.bytes") == 0
+
+    def test_a_cache_without_registry_counts_into_its_callers(self, tmp_path):
+        metrics = MetricsRegistry()
+        tracer = NullTracer()
+        tracer.fold_into(metrics)
+        extractor = Extractor(tracer=tracer)
+        cache = ExtractionCache(tmp_path / "cache")
+        log = tiny_log()
+        cache.get_or_extract(log, extractor)
+        cache.get_or_extract(log, extractor)
+        assert metrics.counter_value("cache.misses") == 1
+        assert metrics.counter_value("cache.hits") == 1
+        cache.clear()
+        assert metrics.gauge_value("cache.bytes") == 0
+
+    def test_lookup_span_holds_the_extraction(self, tmp_path):
+        tracer = Tracer()
+        extractor = Extractor(tracer=tracer)
+        cache = ExtractionCache(tmp_path / "cache")
+        log = tiny_log()
+        with tracer.span("pipeline.diagnose"):
+            cache.get_or_extract(log, extractor)
+            cache.get_or_extract(log, extractor)
+        spans = tracer.spans()
+        by_id = {span.span_id: span for span in spans}
+        assert all(
+            span.parent_id is None or span.parent_id in by_id for span in spans
+        )
+        lookups = [span for span in spans if span.name == "cache.lookup"]
+        assert [span.attributes["hit"] for span in lookups] == [False, True]
+        nested = sorted(
+            span.name for span in spans if span.parent_id == lookups[0].span_id
+        )
+        assert nested == ["cache.insert", "extractor.extract"]
 
     def test_corrupt_manifest_raises_cache_error(self, tmp_path):
         extractor = Extractor()

@@ -16,7 +16,7 @@ from repro.llm.interpreter import (
     CodeInterpreter,
     _namespace,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.sca import CodeGuard, GuardPolicy, SANDBOX_POLICY
 from repro.sca import guard as guard_module
 from repro.sca.guard import (
@@ -573,9 +573,11 @@ class TestPipelineAcceptance:
         counters = {}
         for mode in ("off", "enforce"):
             metrics = MetricsRegistry()
+            tracer = NullTracer()
+            tracer.fold_into(metrics)
             analyzer = Analyzer(
                 config=AnalyzerConfig(guard=mode, parallel_prompts=1),
-                metrics=metrics,
+                tracer=tracer,
             )
             report = analyzer.analyze(extraction, "accept", log=easy_2k_bundle.log)
             reports[mode] = render_report(report)

@@ -161,22 +161,24 @@ class TestPropagationUnderConcurrency:
             by_trace.setdefault(span.trace_id, []).append(span)
         # 8 diagnosed traces plus the campaign trace.
         assert len(by_trace) == 9
-        diagnose_roots = 0
+        job_roots = 0
         for members in by_trace.values():
             roots = [s for s in members if s.parent_id is None]
             assert len(roots) == 1
-            if roots[0].name == "pipeline.diagnose":
-                diagnose_roots += 1
+            if roots[0].name == "batch.job":
+                job_roots += 1
+                (diagnose,) = [s for s in members if s.name == "pipeline.diagnose"]
+                assert diagnose.parent_id == roots[0].span_id
             else:
                 assert roots[0].name == "batch.campaign"
-        assert diagnose_roots == 8
+        assert job_roots == 8
 
     def test_no_cross_attribution_between_traces(self, wide):
         spans, _summary = wide
         roots = {
             span.trace_id: span.attributes["trace"]
             for span in spans
-            if span.parent_id is None and span.name == "pipeline.diagnose"
+            if span.parent_id is None and span.name == "batch.job"
         }
         for span in spans:
             if span.name != "analyzer.analyze":

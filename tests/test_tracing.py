@@ -3,8 +3,9 @@
 Covers the three propagation rules the pipeline relies on — ambient
 contextvar nesting within a thread, explicit ``parent=`` handoff across
 worker-pool boundaries, and ``new_trace=True`` roots that must ignore
-stale ambient context in reused pool threads — plus the zero-overhead
-null tracer and the injectable clock/ID determinism contract.
+stale ambient context in reused pool threads — plus the null tracer
+that builds and folds spans but keeps none, and the injectable
+clock/ID determinism contract.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs.trace import (
-    NULL_SPAN,
-    NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
     spans_in_trace,
     ticking_clock,
 )
+from repro.util.metrics import MetricsRegistry
 
 
 class TestContextPropagation:
@@ -49,7 +49,7 @@ class TestContextPropagation:
         tracer = Tracer(clock=ticking_clock())
         with tracer.span("only"):
             pass
-        assert tracer.current_span() is NULL_SPAN
+        assert tracer.current_span() is None
         # A new span after the exit starts a fresh trace.
         with tracer.span("later") as later:
             pass
@@ -113,7 +113,7 @@ class TestThreadHandoff:
             # Same reused thread: the previous task's span must not
             # linger as ambient context.
             ambient = pool.submit(observe_ambient, 0).result()
-        assert ambient is NULL_SPAN
+        assert ambient is None
 
 
 class TestSpanRecording:
@@ -198,25 +198,66 @@ class TestDeterminism:
 
 
 class TestNullTracer:
-    def test_disabled_and_allocation_free(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        context = NULL_TRACER.span("anything", attributes={"k": "v"})
-        # The same stateless context object is reused for every call.
-        assert NULL_TRACER.span("other") is context
-        with context as span:
-            span.set_attribute("k", "v")
-            span.add_event("retry", attempt=1)
-            span.set_status("error", "ignored")
-        assert span is NULL_SPAN
-        assert span.attributes == {}
-        assert span.events == []
-        assert span.status == "ok"
-        assert NULL_TRACER.spans() == []
-        assert NULL_TRACER.current_span() is NULL_SPAN
+    def test_builds_and_folds_spans_but_keeps_none(self):
+        tracer = NullTracer()
+        metrics = MetricsRegistry()
+        tracer.fold_into(metrics)
+        assert tracer.enabled is False
+        with tracer.span("extractor.extract", attributes={"k": "v"}) as span:
+            span.set_attribute("rows", 7)
+            span.add_event("csv.emit", module="POSIX", rows=7)
+            assert tracer.current_span() is span
+        assert isinstance(span, Span)
+        assert span.attributes == {"k": "v", "rows": 7}
+        assert [event.name for event in span.events] == ["csv.emit"]
+        assert tracer.spans() == []
+        assert metrics.counter_value("extractor.extractions") == 1
+        assert metrics.counter_value("extractor.rows") == 7
+
+    def test_each_null_tracer_is_its_own(self):
+        first, second = NullTracer(), NullTracer()
+        metrics = MetricsRegistry()
+        first.fold_into(metrics)
+        with second.span("extractor.extract"):
+            pass
+        assert metrics.snapshot() == {}
 
     def test_null_context_swallows_nothing(self):
         # Exceptions still propagate — the null tracer only drops data.
         with pytest.raises(KeyError):
-            with NULL_TRACER.span("x"):
+            with NullTracer().span("x"):
                 raise KeyError("boom")
+
+
+class TestFoldInto:
+    def test_attaching_twice_folds_once(self):
+        tracer = Tracer(clock=ticking_clock())
+        metrics = MetricsRegistry()
+        tracer.fold_into(metrics)
+        tracer.fold_into(metrics)
+        with tracer.span("extractor.extract"):
+            pass
+        assert metrics.counter_value("extractor.extractions") == 1
+        assert len(tracer.spans()) == 1
+
+    def test_every_attached_registry_counts_each_span(self):
+        tracer = Tracer(clock=ticking_clock())
+        first, second = MetricsRegistry(), MetricsRegistry()
+        tracer.fold_into(first)
+        tracer.fold_into(second)
+        with tracer.span("llm.prompt", attributes={"prompt.chars": 10}):
+            pass
+        for metrics in (first, second):
+            assert metrics.counter_value("analyzer.prompts") == 1
+            assert metrics.snapshot()["analyzer.prompt.chars.count"] == 1
+
+    def test_an_erroring_span_counts_only_what_it_recorded(self):
+        tracer = NullTracer()
+        metrics = MetricsRegistry()
+        tracer.fold_into(metrics)
+        with pytest.raises(RuntimeError):
+            with tracer.span("extractor.extract") as span:
+                span.set_attribute("rows", 3)
+                raise RuntimeError("disk full")
+        assert span.status == "error"
+        assert metrics.snapshot() == {}
