@@ -72,7 +72,12 @@ def from_dict(cls: type[_T], payload) -> _T:
     try:
         return _decode(cls, payload, "")
     except _Malformed as exc:
-        raise ReproError(f"malformed {cls.SCHEMA[0]} payload: {exc}") from exc
+        raise ReproError(f"malformed {_kind(cls)} payload: {exc}") from exc
+
+
+def _kind(cls: type) -> str:
+    """What an error calls a ``cls`` payload: its schema kind, or its name."""
+    return getattr(cls, "SCHEMA", (cls.__name__,))[0]
 
 
 def _decode(hint, value, path: str):
@@ -153,8 +158,7 @@ def load(cls: type[_T], path: str | Path) -> _T:
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        kind = cls.SCHEMA[0]
-        raise ReproError(f"{path} is not valid {kind} JSON: {exc}") from exc
+        raise ReproError(f"{path} is not valid {_kind(cls)} JSON: {exc}") from exc
     return from_dict(cls, payload)
 
 

@@ -83,26 +83,76 @@ _HEADER_LINE = re.compile(
 _SHAPE_DOMAIN = b"\xffrepro.sca.shape\x00"
 
 
-def shape_key(code: str) -> bytes | None:
-    """SHA-256 of ``code`` with the values of its header lines dropped.
+#: A banner at a line start, which may open a later header section.
+_BANNER_LINE = re.compile(f'^print\\("{_LITERAL_TEXT}"\\)\n', re.MULTILINE)
 
-    The header is the run of :data:`_HEADER_LINE` lines from offset 0.
-    The key keeps each line's name (``NAME =``) or banner, then a NUL,
-    then the rest of the text unchanged.  None when ``code`` has no
-    header line.
+
+def _shape(code: str) -> tuple[bytes, list[int]] | None:
+    """:func:`shape_key` of ``code``, and the line of each later banner.
+
+    Sections are the leading header, and each later run of header
+    lines that starts with a banner at a line start and names a value.
+    A later banner might sit inside a string or brackets, so
+    :meth:`CodeGuard.vet` files a snippet under this key only after
+    its parse shows every later banner starting a top-level statement.
     """
-    kept: list[str] = []
-    end = 0
-    while (line := _HEADER_LINE.match(code, end)) is not None:
-        kept.append(line["banner"] or f"{line['name']} =\n")
-        end = line.end()
-    if not kept:
+    pieces: list[str] = []  # text before each section, its kept lines
+    later: list[int] = []
+    start = end = 0
+    for banner in (None, *_BANNER_LINE.finditer(code)):
+        at = 0 if banner is None else banner.start()
+        if at < end:
+            continue
+        kept: list[str] = []
+        names = False
+        stop = at
+        while (line := _HEADER_LINE.match(code, stop)) is not None:
+            kept.append(line["banner"] or f"{line['name']} =\n")
+            names = names or line["name"] is not None
+            stop = line.end()
+        if not kept or (banner is not None and not names):
+            continue
+        pieces += [code[start:at], "".join(kept)]
+        if banner is not None:
+            later.append(code.count("\n", 0, at) + 1)
+        start = end = stop
+    if not pieces:
         return None
     hasher = hashlib.sha256(_SHAPE_DOMAIN)
-    hasher.update("".join(kept).encode("utf-8"))
-    hasher.update(b"\x00")
-    hasher.update(code[end:].encode("utf-8", "surrogatepass"))
-    return hasher.digest()
+    for piece in (*pieces, code[start:]):
+        data = piece.encode("utf-8", "surrogatepass")
+        hasher.update(len(data).to_bytes(8, "little"))
+        hasher.update(data)
+    return hasher.digest(), later
+
+
+def shape_key(code: str) -> bytes | None:
+    """SHA-256 of ``code`` with the values of its header sections dropped.
+
+    A section is a run of :data:`_HEADER_LINE` lines: the one at offset
+    0, and each one starting with a banner at a later line start.  The
+    key keeps each line's name (``NAME =``) or banner and the text
+    between sections, each length-prefixed.  None when ``code`` has no
+    section.
+    """
+    shape = _shape(code)
+    return None if shape is None else shape[0]
+
+
+def _start_statements(code: str, lines: list[int]) -> bool:
+    """Whether a top-level statement starts at column 0 of every line.
+
+    ``lines`` count ``\\n`` only; the parser also breaks lines at a
+    lone ``\\r``, so text holding one never qualifies.
+    """
+    if "\r" in code:
+        return False
+    try:
+        tree = parse_source(code)
+    except (SyntaxError, ValueError, RecursionError, SystemError):
+        return False
+    starts = {stmt.lineno for stmt in tree.body if stmt.col_offset == 0}
+    return starts.issuperset(lines)
 
 
 RULE_IMPORT = "sca.import"
@@ -438,7 +488,8 @@ class CodeGuard:
         syntax errors with the traceback the model expects.  The
         verdict's ``cached`` is False when this call walked the code.
         """
-        key = shape_key(code)
+        shape = _shape(code)
+        key, later = shape if shape is not None else (None, [])
         if key is None:
             key = digest if digest is not None else code_digest(code)
         with self._cache_lock:
@@ -448,6 +499,10 @@ class CodeGuard:
         cached = findings is not None
         if findings is None:
             findings = self._walk(code)
+            if later and not _start_statements(code, later):
+                # A later banner inside a string or brackets: its values
+                # may matter, so only this exact text shares the findings.
+                key = digest if digest is not None else code_digest(code)
             with self._cache_lock:
                 self._findings[key] = findings
                 if len(self._findings) > self.CACHE_SIZE:

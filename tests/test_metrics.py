@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import pytest
 
+from repro.ion.pipeline import IoNavigator
+from repro.llm.interpreter import CodeInterpreter
+from repro.obs.trace import Span, Tracer
+from repro.sca.registry import METRIC_NAMES, SPAN_NAMES
+from repro.service.batch import BatchConfig, BatchNavigator
+from repro.service.cache import ExtractionCache
 from repro.util.metrics import (
+    FOLD,
+    GAUGES,
+    HISTOGRAMS,
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
     Histogram,
@@ -150,3 +160,57 @@ class TestRegistry:
         for thread in threads:
             thread.join()
         assert counter.value == 8000
+
+
+class TestFold:
+    """Every metric is folded from spans, through one table."""
+
+    def test_fold_covers_exactly_the_registered_metrics(self):
+        folded = {name for entries in FOLD.values() for name, _ in entries}
+        assert folded == METRIC_NAMES
+        assert set(FOLD) <= SPAN_NAMES
+        assert GAUGES | HISTOGRAMS <= folded
+
+    def test_navigator_without_tracer_keeps_no_spans(self, hard_bundle):
+        # Several campaigns through one batch: no span list grows.
+        traces = [(f"t{index}", hard_bundle.log) for index in range(2)]
+        with BatchNavigator(config=BatchConfig(max_workers=2)) as batch:
+            alive = []
+            for _ in range(3):
+                batch.run(traces)
+                gc.collect()
+                alive.append(sum(isinstance(o, Span) for o in gc.get_objects()))
+            assert batch.tracer.spans() == []
+            assert batch.metrics.counter_value("batch.traces.ok") == 6
+        assert alive[2] <= alive[1] <= alive[0]
+
+    def test_wrapped_components_fold_each_span_once(self, hard_bundle, tmp_path):
+        # As perfbench's traced probe wires it: the interpreter factory
+        # and the cache receive the navigator's tracer and registry.
+        def diagnose_twice(metrics, root, tracer=None, factory=None):
+            cache = ExtractionCache(root, metrics=metrics)
+            with IoNavigator(
+                cache=cache, metrics=metrics, tracer=tracer,
+                interpreter_factory=factory,
+            ) as navigator:
+                for _ in range(2):
+                    navigator.diagnose(hard_bundle.log, hard_bundle.name)
+
+        plain = MetricsRegistry()
+        diagnose_twice(plain, tmp_path / "plain")
+        wired, tracer = MetricsRegistry(), Tracer()
+        diagnose_twice(
+            wired, tmp_path / "wired", tracer,
+            lambda workdir: CodeInterpreter(workdir, metrics=wired, tracer=tracer),
+        )
+        assert wired.counter_value("sca.vet.checks") > 0
+        assert wired.counter_value("cache.hits") == 1
+        assert {
+            name: value
+            for name, value in wired.snapshot().items()
+            if not name.endswith(("sum", "p50", "p90", "p99"))
+        } == {
+            name: value
+            for name, value in plain.snapshot().items()
+            if not name.endswith(("sum", "p50", "p90", "p99"))
+        }

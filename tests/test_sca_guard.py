@@ -397,6 +397,76 @@ class TestShapeKey:
         assert len(walks) == 2
 
 
+class TestLaterSections:
+    """Each banner-plus-header section drops its values, where sound."""
+
+    @staticmethod
+    def _monolithic(root: str) -> str:
+        return "\n\n".join([
+            f'print("{ISSUE_MARKER} small_io")\n'
+            + small_io_code(Path(f"{root}/POSIX.csv"), 1048576, 65536),
+            f'print("{ISSUE_MARKER} no_mpiio")\n'
+            + no_mpiio_code(Path(f"{root}/POSIX.csv"), Path(f"{root}/MPIIO.csv"), 8),
+        ])
+
+    def test_every_section_of_a_combined_snippet_drops_its_values(self):
+        first, second = self._monolithic("/x/a"), self._monolithic("/y/b c")
+        assert first != second
+        assert _guard_key(first) == _guard_key(second)
+        guard = CodeGuard()
+        assert not guard.vet(first).cached
+        verdict = guard.vet(second)
+        assert verdict.cached
+        assert tuple(verdict.violations) == guard._walk(second)
+
+    @pytest.mark.parametrize(
+        "opening,closing",
+        [
+            ('open("""\n', '""")\n'),
+            ("open(\n'''\n", "''')\n"),
+            ('x = 1\ropen("""\n', '""")\n'),
+        ],
+        ids=["string", "string-in-brackets", "lone-cr"],
+    )
+    def test_an_unverified_banner_shares_no_findings(self, opening, closing):
+        # The section's value is part of the opened path.  In the
+        # lone-cr case a line count by "\n" alone would place the banner
+        # on the line where ``open(`` starts a statement.
+        banner = f'print("{ISSUE_MARKER} small_io")\n'
+        benign = opening + banner + "P = 'a'\n" + closing
+        escaping = opening + banner + "P = '../../etc/passwd'\n" + closing
+        assert _guard_key(benign) == _guard_key(escaping)
+        guard = CodeGuard()
+        assert not guard.vet(benign).blocked
+        verdict = guard.vet(escaping)
+        assert not verdict.cached
+        assert verdict.blocked
+        assert tuple(verdict.violations) == guard._walk(escaping)
+
+    def test_monolithic_diagnoses_walk_once(self, monkeypatch, hard_bundle):
+        from repro.ion.analyzer import AnalyzerConfig
+        from repro.ion.pipeline import IoNavigator
+        from repro.llm import interpreter as interpreter_module
+
+        walks = []
+        real_walk = CodeGuard._walk
+
+        def counting_walk(self, code):
+            walks.append(code)
+            return real_walk(self, code)
+
+        monkeypatch.setattr(CodeGuard, "_walk", counting_walk)
+        monkeypatch.setattr(interpreter_module, "_GUARD", CodeGuard())
+        counts = []
+        config = AnalyzerConfig(strategy="monolithic")
+        with IoNavigator(config=config) as navigator:
+            for _ in range(3):
+                before = len(walks)
+                navigator.diagnose(hard_bundle.log, hard_bundle.name)
+                counts.append(len(walks) - before)
+        assert counts == [1, 0, 0]
+
+
 class TestPolicyDrift:
     """Satellite 1: one SANDBOX_POLICY, two consumers, zero drift."""
 

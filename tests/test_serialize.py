@@ -17,10 +17,13 @@ from repro.ion.issues import (
 from repro.ion.serialize import (
     SCHEMA_VERSION,
     dump_report,
+    from_dict,
+    load,
     load_report,
     report_from_dict,
     report_to_dict,
 )
+from repro.journey.perf import PerfSnapshot
 from repro.util.errors import ReproError
 
 
@@ -108,6 +111,15 @@ class TestErrors:
         path.write_text("{not json")
         with pytest.raises(ReproError):
             load_report(path)
+
+    def test_record_without_schema_fails_as_repro_error(self, tmp_path):
+        # A nested record has no SCHEMA: the error names its class.
+        with pytest.raises(ReproError, match="malformed PerfSnapshot payload"):
+            from_dict(PerfSnapshot, {"runtime_seconds": "x", "bytes_moved": 1})
+        path = tmp_path / "perf.json"
+        path.write_text("{not json")
+        with pytest.raises(ReproError, match="not valid PerfSnapshot JSON"):
+            load(PerfSnapshot, path)
 
     def test_bad_mitigation(self):
         payload = report_to_dict(sample_report())
