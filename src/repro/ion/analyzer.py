@@ -58,7 +58,7 @@ from repro.llm.interpreter import CodeInterpreter
 from repro.sca.policy import GuardPolicy
 from repro.llm.messages import Message
 from repro.llm.resilience import BackoffPolicy, CircuitBreaker, query_deadline
-from repro.obs.trace import NullTracer
+from repro.obs.trace import NullTracer, Span
 from repro.util.errors import AnalysisError, CircuitOpenError, LLMError
 
 _SEVERITY_RE = re.compile(r"\[severity=(\w+)\]")
@@ -174,17 +174,6 @@ class AnalyzerConfig:
             raise AnalysisError("at least one issue type must be analyzed")
 
 
-@dataclass
-class _QueryStats:
-    """Outcome accounting for one logical query (issue or summary)."""
-
-    label: str
-    attempts: int = 1
-    degraded: bool = False
-    fallback: bool = False
-    reason: str = ""
-
-
 def _dxt_run_failed(run: Run, extraction: ExtractionResult) -> bool:
     """Whether code that read ``DXT.csv`` failed in ``run`` and the run's
     last clean execution read no ``DXT.csv``: it answered from counters."""
@@ -283,20 +272,18 @@ class Analyzer:
             trips_before = self.breaker.trips
             fallback = DrishtiFallback(log, trace_name)
             if self.config.strategy == "divide":
-                diagnoses, stats = self._analyze_divide(
+                diagnoses, queries = self._analyze_divide(
                     extraction, trace_name, fallback
                 )
             else:
-                diagnoses, stats = self._analyze_monolithic(
+                diagnoses, queries = self._analyze_monolithic(
                     extraction, trace_name, fallback
                 )
             report = DiagnosisReport(trace_name=trace_name, diagnoses=diagnoses)
             if self.config.summarize:
-                report.summary, summary_stats = self._summarize(
-                    trace_name, diagnoses
-                )
-                stats.append(summary_stats)
-            report.health = self._health_from(stats, trips_before, diagnoses)
+                report.summary, summary = self._summarize(trace_name, diagnoses)
+                queries.append(summary)
+            report.health = self._health_from(queries, trips_before, diagnoses)
             span.set_attribute("queries", report.health.queries)
             span.set_attribute("retries", report.health.retries)
             span.set_attribute("degraded_queries", report.health.degraded)
@@ -384,28 +371,25 @@ class Analyzer:
     def _query(self, span_context, label, prompt, attempt, on_failure):
         """Run one logical query (issue, monolithic or summary) in a span.
 
-        ``span_context`` is the unopened ``tracer.span(...)`` the query
-        records into.  ``on_failure(reason)`` handles a query that
-        exhausted its budget: it raises in strict mode, or returns
-        ``(value, fallback)`` where ``fallback`` is the span's
-        ``fallback`` attribute (None sets none).  ``on_failure`` adds
-        one ``degraded`` event to the span per answer it degrades.
+        Returns the query's value and its span.  ``span_context`` is the
+        unopened ``tracer.span(...)`` the query records into.
+        ``on_failure(reason, span)`` handles a query that exhausted its
+        budget: it raises in strict mode, or adds one ``degraded`` event
+        to the span per answer it degrades and returns ``(value,
+        fallback)`` where ``fallback`` is the span's ``fallback``
+        attribute (None sets none).
         """
         with span_context as span:
             span.set_attribute("prompt.chars", len(prompt))
             value, attempts, reason = self._with_resilience(span, label, attempt)
             span.set_attribute("attempts", attempts)
-            stats = _QueryStats(label=label, attempts=attempts)
             if value is None:
                 value, fallback = on_failure(reason, span)
-                stats.degraded = True
-                stats.fallback = fallback == "drishti"
-                stats.reason = reason
                 span.set_attribute("degraded", True)
                 if fallback is not None:
                     span.set_attribute("fallback", fallback)
                 span.set_attribute("reason", reason)
-        return value, stats
+        return value, span
 
     def _degrade_or_raise(
         self,
@@ -428,18 +412,23 @@ class Analyzer:
         return diagnosis
 
     def _health_from(
-        self, stats: list[_QueryStats], trips_before: int, diagnoses: list[Diagnosis]
+        self, queries: list[Span], trips_before: int, diagnoses: list[Diagnosis]
     ) -> ReportHealth:
-        notes = [f"{s.label}: {s.reason}" for s in stats if s.degraded]
-        for diagnosis in diagnoses:
-            if diagnosis.fallback_source == DXT_RUN_FAILED:
-                notes.append(f"query:{diagnosis.issue.value}: {DXT_RUN_FAILED}")
+        """The report's health, read off its query spans."""
+        degraded = [q.attributes for q in queries if q.attributes.get("degraded")]
+        notes = [f"query:{a.get('issue', 'summary')}: {a['reason']}" for a in degraded]
+        notes += [
+            f"query:{d.issue.value}: {DXT_RUN_FAILED}"
+            for d in diagnoses
+            if d.fallback_source == DXT_RUN_FAILED
+        ]
+        attempts = [q.attributes["attempts"] for q in queries]
         return ReportHealth(
-            queries=len(stats),
-            attempts=sum(s.attempts for s in stats),
-            retries=sum(max(s.attempts - 1, 0) for s in stats),
-            degraded=sum(1 for s in stats if s.degraded),
-            fallbacks=sum(1 for s in stats if s.fallback),
+            queries=len(queries),
+            attempts=sum(attempts),
+            retries=sum(max(a - 1, 0) for a in attempts),
+            degraded=len(degraded),
+            fallbacks=sum(a.get("fallback") == "drishti" for a in degraded),
             breaker_state=self.breaker.state.value,
             breaker_trips=self.breaker.trips - trips_before,
             notes=notes,
@@ -463,14 +452,14 @@ class Analyzer:
         extraction: ExtractionResult,
         trace_name: str,
         fallback: DrishtiFallback,
-    ) -> tuple[list[Diagnosis], list[_QueryStats]]:
+    ) -> tuple[list[Diagnosis], list[Span]]:
         specs = self._specs(extraction)
         # Captured before the pool: worker threads have no ambient span
         # context, so the per-issue query spans take their parent by
         # explicit handoff across the thread boundary.
         parent = self.tracer.current_span()
 
-        def run_one(spec: IssueSpec) -> tuple[Diagnosis, _QueryStats]:
+        def run_one(spec: IssueSpec) -> tuple[Diagnosis, Span]:
             prompt = build_issue_prompt(
                 trace_name, spec, extraction,
                 include_context=self.config.include_context,
@@ -515,7 +504,7 @@ class Analyzer:
         extraction: ExtractionResult,
         trace_name: str,
         fallback: DrishtiFallback,
-    ) -> tuple[list[Diagnosis], list[_QueryStats]]:
+    ) -> tuple[list[Diagnosis], list[Span]]:
         prompt = build_issue_prompt(
             trace_name, self._specs(extraction), extraction,
             include_context=self.config.include_context,
@@ -559,11 +548,11 @@ class Analyzer:
             drishti = any(d.fallback_source == "drishti" for d in diagnoses)
             return diagnoses, "drishti" if drishti else "none"
 
-        diagnoses, stats = self._query(
+        diagnoses, query = self._query(
             self.tracer.span("analyzer.query", attributes={"issue": "monolithic"}),
             "query:monolithic", prompt, attempt, degrade,
         )
-        return diagnoses, [stats]
+        return diagnoses, [query]
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -660,7 +649,7 @@ class Analyzer:
 
     def _summarize(
         self, trace_name: str, diagnoses: list[Diagnosis]
-    ) -> tuple[str, _QueryStats]:
+    ) -> tuple[str, Span]:
         conclusions = [
             (
                 diagnosis.issue,

@@ -79,7 +79,6 @@ class IoNavigator:
         self.config = config or AnalyzerConfig()
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or NullTracer()
-        # The registry counts what the spans of this tracer record.
         self.tracer.fold_into(self.metrics)
         self.extractor = Extractor(rpc_size=rpc_size, tracer=self.tracer)
         # Shared by concurrent callers: the Analyzer's only mutable

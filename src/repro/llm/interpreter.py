@@ -117,8 +117,8 @@ class ExecutionResult:
 class CodeInterpreter:
     """Executes model-generated Python over files in one directory.
 
-    ``metrics``, when given, is attached to ``tracer``: it counts the
-    ``sca.vet`` and ``sandbox.*`` spans of every run.
+    ``metrics``, when given, is attached to ``tracer`` (see
+    :meth:`repro.obs.trace.Tracer.fold_into`).
     """
 
     def __init__(

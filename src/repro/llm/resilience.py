@@ -19,7 +19,7 @@ to the calling context; the assistant's tool loop and the sandbox
 read :func:`time_left` so that no single attempt outlives it.
 
 Neither class knows anything about LLMs; the analyzer wires them to
-its query loop and the metrics registry.
+its query loop, whose spans the metrics registry folds.
 """
 
 from __future__ import annotations

@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.obs.trace import SpanEvent
+from repro.obs.trace import Span, SpanEvent
 from repro.util.errors import ReproError
 from repro.util.metrics import LATENCY_BUCKETS, Histogram, MetricsRegistry
 
@@ -36,29 +35,8 @@ class TraceFormatError(ReproError):
     """A trace file did not match the expected schema."""
 
 
-@dataclass
-class SpanRecord:
-    """A span read back from an exported trace file.
-
-    Structurally compatible with a live
-    :class:`~repro.obs.trace.Span` — the summarizer accepts either.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    name: str
-    start: float
-    end: float
-    attributes: dict = field(default_factory=dict)
-    events: list[SpanEvent] = field(default_factory=list)
-    status: str = "ok"
-    status_detail: str = ""
-    thread: str = "MainThread"
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+#: Spans read back from a file are plain :class:`Span` objects.
+SpanRecord = Span
 
 
 # -- JSONL ------------------------------------------------------------
@@ -226,7 +204,7 @@ def validate_chrome_trace(payload: object) -> list[str]:
 # -- reading traces back ----------------------------------------------
 
 
-def load_spans(path: str | Path) -> list[SpanRecord]:
+def load_spans(path: str | Path) -> list[Span]:
     """Read a trace file (JSONL or Chrome JSON) back into span records."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -238,8 +216,8 @@ def load_spans(path: str | Path) -> list[SpanRecord]:
     return _spans_from_jsonl(path, text)
 
 
-def _spans_from_jsonl(path: Path, text: str) -> list[SpanRecord]:
-    records: list[SpanRecord] = []
+def _spans_from_jsonl(path: Path, text: str) -> list[Span]:
+    records: list[Span] = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -249,29 +227,27 @@ def _spans_from_jsonl(path: Path, text: str) -> list[SpanRecord]:
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"{path}:{number}: invalid JSON: {exc}") from exc
         try:
-            records.append(
-                SpanRecord(
-                    trace_id=payload["trace_id"],
-                    span_id=payload["span_id"],
-                    parent_id=payload.get("parent_id"),
-                    name=payload["name"],
-                    start=float(payload["start"]),
-                    end=float(payload["end"] if payload["end"] is not None
-                              else payload["start"]),
-                    attributes=payload.get("attributes", {}),
-                    events=[
-                        SpanEvent(
-                            event["name"],
-                            float(event["time"]),
-                            event.get("attributes", {}),
-                        )
-                        for event in payload.get("events", [])
-                    ],
-                    status=payload.get("status", "ok"),
-                    status_detail=payload.get("status_detail", ""),
-                    thread=payload.get("thread", "MainThread"),
-                )
+            record = Span(
+                payload["trace_id"],
+                payload["span_id"],
+                payload.get("parent_id"),
+                payload["name"],
+                float(payload["start"]),
+                attributes=payload.get("attributes", {}),
+                end=float(payload["end"] if payload["end"] is not None
+                          else payload["start"]),
+                thread=payload.get("thread", "MainThread"),
             )
+            record.events = [
+                SpanEvent(
+                    event["name"], float(event["time"]), event.get("attributes", {})
+                )
+                for event in payload.get("events", [])
+            ]
+            record.set_status(
+                payload.get("status", "ok"), payload.get("status_detail", "")
+            )
+            records.append(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(
                 f"{path}:{number}: span record missing field: {exc}"
@@ -279,7 +255,7 @@ def _spans_from_jsonl(path: Path, text: str) -> list[SpanRecord]:
     return records
 
 
-def _spans_from_chrome(path: Path, text: str) -> list[SpanRecord]:
+def _spans_from_chrome(path: Path, text: str) -> list[Span]:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -289,22 +265,22 @@ def _spans_from_chrome(path: Path, text: str) -> list[SpanRecord]:
         raise TraceFormatError(
             f"{path}: not a valid Chrome trace: {problems[0]}"
         )
-    by_span_id: dict[str, SpanRecord] = {}
+    by_span_id: dict[str, Span] = {}
     instants: list[dict] = []
     for event in payload["traceEvents"]:
         if event["ph"] == "X":
             args = dict(event["args"])
-            record = SpanRecord(
-                trace_id=args.pop("trace_id"),
-                span_id=args.pop("span_id"),
-                parent_id=args.pop("parent_id", None),
-                name=event["name"],
-                start=event["ts"] / 1e6,
+            record = Span(
+                args.pop("trace_id"),
+                args.pop("span_id"),
+                args.pop("parent_id", None),
+                event["name"],
+                event["ts"] / 1e6,
                 end=(event["ts"] + event["dur"]) / 1e6,
-                status=args.pop("status", "ok"),
-                status_detail=args.pop("status_detail", ""),
-                attributes=args,
+                thread="MainThread",
             )
+            record.set_status(args.pop("status", "ok"), args.pop("status_detail", ""))
+            record.attributes = args
             by_span_id[record.span_id] = record
         elif event["ph"] == "i":
             instants.append(event)

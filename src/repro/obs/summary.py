@@ -1,8 +1,7 @@
 """Deterministic per-stage digestion of a recorded trace.
 
-Turns a flat list of spans (live :class:`~repro.obs.trace.Span`
-objects or :class:`~repro.obs.export.SpanRecord` read back from a
-file) into the report ``ion-trace`` prints: per-stage timing totals,
+Turns a flat list of :class:`~repro.obs.trace.Span` objects (live,
+or read back from a file) into the report ``ion-trace`` prints: per-stage timing totals,
 the slowest individual spans, and a per-trace block with retry /
 degradation / breaker accounting and the critical path (the
 root-to-leaf chain maximizing summed span duration).

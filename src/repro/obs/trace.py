@@ -29,6 +29,7 @@ inject a fixed-step clock to freeze durations.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextvars import ContextVar
@@ -60,7 +61,11 @@ class SpanEvent:
 
 
 class Span:
-    """One timed, attributed unit of work inside a trace."""
+    """One timed, attributed unit of work inside a trace.
+
+    A tracer builds live spans; :func:`repro.obs.export.load_spans`
+    builds finished ones (``end`` and ``thread`` given) from a file.
+    """
 
     __slots__ = (
         "trace_id",
@@ -84,20 +89,22 @@ class Span:
         parent_id: str | None,
         name: str,
         start: float,
-        clock: Callable[[], float],
+        clock: Callable[[], float] = time.perf_counter,
         attributes: dict | None = None,
+        end: float | None = None,
+        thread: str | None = None,
     ) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.start = start
-        self.end: float | None = None
+        self.end = end
         self.attributes: dict = dict(attributes) if attributes else {}
         self.events: list[SpanEvent] = []
         self.status = "ok"
         self.status_detail = ""
-        self.thread = threading.current_thread().name
+        self.thread = thread or threading.current_thread().name
         self._clock = clock
 
     # -- recording -----------------------------------------------------
@@ -167,19 +174,11 @@ class _SpanContext:
         return False
 
 
-class _SequentialIds:
-    """Deterministic process-local ID source (zero-padded hex)."""
-
-    __slots__ = ("_lock", "_next")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._next = 0
-
-    def __call__(self) -> str:
-        with self._lock:
-            self._next += 1
-            return f"{self._next:016x}"
+def _sequential_ids() -> Callable[[], str]:
+    """Deterministic process-local IDs (zero-padded hex); ``next`` on a
+    :func:`itertools.count` is atomic, so threads never share one."""
+    counter = itertools.count(1)
+    return lambda: f"{next(counter):016x}"
 
 
 class Tracer:
@@ -203,7 +202,7 @@ class Tracer:
         ids: Callable[[], str] | None = None,
     ) -> None:
         self._clock = clock
-        self._ids = ids or _SequentialIds()
+        self._ids = ids or _sequential_ids()
         self._lock = threading.Lock()
         self._finished: list[Span] = []
         self._registries: tuple = ()
@@ -234,14 +233,12 @@ class Tracer:
         worker thread's context is stale).
         """
         if new_trace:
-            resolved_parent = None
+            parent = None
         elif parent is _INHERIT:
-            resolved_parent = _CURRENT.get()
-        else:
-            resolved_parent = parent
-        if resolved_parent is not None:
-            trace_id = resolved_parent.trace_id
-            parent_id = resolved_parent.span_id
+            parent = _CURRENT.get()
+        if parent is not None:
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
         else:
             trace_id = self._ids()
             parent_id = None

@@ -83,43 +83,38 @@ _HEADER_LINE = re.compile(
 _SHAPE_DOMAIN = b"\xffrepro.sca.shape\x00"
 
 
-#: A banner at a line start, which may open a later header section.
+#: A banner at a line start: where a later header section may open.
 _BANNER_LINE = re.compile(f'^print\\("{_LITERAL_TEXT}"\\)\n', re.MULTILINE)
 
 
-def _shape(code: str) -> tuple[bytes, list[int]] | None:
+def _shape(code: str) -> tuple[bytes | None, list[int]]:
     """:func:`shape_key` of ``code``, and the line of each later banner.
 
-    Sections are the leading header, and each later run of header
-    lines that starts with a banner at a line start and names a value.
     A later banner might sit inside a string or brackets, so
-    :meth:`CodeGuard.vet` files a snippet under this key only after
-    its parse shows every later banner starting a top-level statement.
+    :meth:`CodeGuard.vet` files a snippet under this key only once its
+    parse shows every later banner starting a top-level statement.
     """
-    pieces: list[str] = []  # text before each section, its kept lines
+    pieces: list[str] = []  # the text before each section, its kept lines
     later: list[int] = []
-    start = end = 0
+    end = 0
     for banner in (None, *_BANNER_LINE.finditer(code)):
         at = 0 if banner is None else banner.start()
         if at < end:
             continue
         kept: list[str] = []
-        names = False
         stop = at
         while (line := _HEADER_LINE.match(code, stop)) is not None:
             kept.append(line["banner"] or f"{line['name']} =\n")
-            names = names or line["name"] is not None
             stop = line.end()
-        if not kept or (banner is not None and not names):
-            continue
-        pieces += [code[start:at], "".join(kept)]
-        if banner is not None:
-            later.append(code.count("\n", 0, at) + 1)
-        start = end = stop
+        if kept:
+            pieces += [code[end:at], "".join(kept)]
+            if banner is not None:
+                later.append(code.count("\n", 0, at) + 1)
+            end = stop
     if not pieces:
-        return None
+        return None, later
     hasher = hashlib.sha256(_SHAPE_DOMAIN)
-    for piece in (*pieces, code[start:]):
+    for piece in (*pieces, code[end:]):
         data = piece.encode("utf-8", "surrogatepass")
         hasher.update(len(data).to_bytes(8, "little"))
         hasher.update(data)
@@ -129,14 +124,12 @@ def _shape(code: str) -> tuple[bytes, list[int]] | None:
 def shape_key(code: str) -> bytes | None:
     """SHA-256 of ``code`` with the values of its header sections dropped.
 
-    A section is a run of :data:`_HEADER_LINE` lines: the one at offset
-    0, and each one starting with a banner at a later line start.  The
-    key keeps each line's name (``NAME =``) or banner and the text
-    between sections, each length-prefixed.  None when ``code`` has no
-    section.
+    A section is a run of :data:`_HEADER_LINE` lines at offset 0 or
+    opening with a banner at a later line start.  The key keeps each
+    line's name (``NAME =``) or banner and the text between sections,
+    each length-prefixed.  None when ``code`` has no section.
     """
-    shape = _shape(code)
-    return None if shape is None else shape[0]
+    return _shape(code)[0]
 
 
 def _start_statements(code: str, lines: list[int]) -> bool:
@@ -488,10 +481,9 @@ class CodeGuard:
         syntax errors with the traceback the model expects.  The
         verdict's ``cached`` is False when this call walked the code.
         """
-        shape = _shape(code)
-        key, later = shape if shape is not None else (None, [])
+        key, later = _shape(code)
         if key is None:
-            key = digest if digest is not None else code_digest(code)
+            key = digest or code_digest(code)
         with self._cache_lock:
             findings = self._findings.get(key)
             if findings is not None:
@@ -502,7 +494,7 @@ class CodeGuard:
             if later and not _start_statements(code, later):
                 # A later banner inside a string or brackets: its values
                 # may matter, so only this exact text shares the findings.
-                key = digest if digest is not None else code_digest(code)
+                key = digest or code_digest(code)
             with self._cache_lock:
                 self._findings[key] = findings
                 if len(self._findings) > self.CACHE_SIZE:

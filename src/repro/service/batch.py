@@ -400,7 +400,10 @@ class BatchNavigator:
         index, name, workload = job
         outcome = JourneyOutcome(index=index, name=name)
         started = time.perf_counter()
-        with self._job_span("journey", workload=name) as span:
+        with self.tracer.span(
+            "batch.job", attributes={"kind": "journey", "workload": name},
+            new_trace=True,
+        ) as span:
             try:
                 with JourneyNavigator(
                     client=self.navigator.client,
@@ -422,7 +425,12 @@ class BatchNavigator:
         index, name, log = job
         outcome = TraceOutcome(index=index, name=name)
         started = time.perf_counter()
-        with self._job_span("trace", trace=name) as span:
+        # Each job is the root of its own trace; the span's status is
+        # the job's outcome, which the metrics count.
+        with self.tracer.span(
+            "batch.job", attributes={"kind": "trace", "trace": name},
+            new_trace=True,
+        ) as span:
             try:
                 # A path is read on the worker, so one unreadable log
                 # is an outcome, not a campaign abort.
@@ -435,15 +443,6 @@ class BatchNavigator:
                 span.set_status("error", outcome.error)
         outcome.duration_seconds = time.perf_counter() - started
         return outcome
-
-    def _job_span(self, kind: str, **attributes):
-        """The ``batch.job`` span of one job: the root of its own trace.
-
-        Its status is the job's outcome; the metrics count it.
-        """
-        return self.tracer.span(
-            "batch.job", attributes={"kind": kind, **attributes}, new_trace=True
-        )
 
     # -- input coercion -----------------------------------------------
 

@@ -164,19 +164,20 @@ def _ok(span) -> bool:
     return span.status == "ok"
 
 
-def _events(span, name: str, **match: object) -> int | None:
-    found = sum(
-        1 for event in span.events
-        if event.name == name
-        and all(event.attributes.get(k) == v for k, v in match.items())
+def _kind(span) -> object:
+    return span.attributes.get("kind")
+
+
+def _events(span, name: str, **match: object) -> int:
+    return sum(
+        e.name == name and e.attributes.items() >= match.items() for e in span.events
     )
-    return found or None
 
 
 #: What a query span (issue, monolithic or summary) counts.
 _QUERY = (
-    ("analyzer.queries.attempts", lambda s: s.attributes.get("attempts") or None),
-    ("analyzer.queries.retries", lambda s: s.attributes.get("retries_scheduled")),
+    ("analyzer.queries.attempts", "attempts"),
+    ("analyzer.queries.retries", "retries_scheduled"),
     ("analyzer.queries.degraded", lambda s: _events(s, "degraded")),
     ("analyzer.fallback.drishti", lambda s: _events(s, "degraded", fallback="drishti")),
     ("analyzer.breaker.opened", lambda s: _events(s, "breaker.opened")),
@@ -184,50 +185,50 @@ _QUERY = (
 )
 
 #: Span name -> ``(metric, value)`` pairs: the one place a span fact
-#: becomes a metric.  ``value(span)`` is what the span adds to a
-#: counter (True adds 1), sets a gauge to or a histogram observes;
-#: None or False adds nothing, so a missing attribute counts nothing.
+#: becomes a metric.  ``value`` names a span attribute or maps the span
+#: to what it adds to a counter (True adds 1; None, False and 0 add
+#: nothing), sets a gauge to or a histogram observes (None: nothing).
 #: What ``_ok`` guards is not counted for a span that ended in an
 #: error: that work never returned.
 FOLD = {
     "analyzer.analyze": (
         ("analyzer.reports", _ok),
-        ("analyzer.fallback.dxt", lambda s: s.attributes.get("dxt_fallbacks") or None),
+        ("analyzer.fallback.dxt", "dxt_fallbacks"),
     ),
     "analyzer.query": _QUERY,
     "analyzer.summarize": _QUERY,
     "llm.prompt": (
-        ("analyzer.prompts", lambda s: True),
-        ("analyzer.prompt.chars", lambda s: s.attributes.get("prompt.chars")),
-        ("analyzer.completion.chars", lambda s: s.attributes.get("completion.chars")),
+        ("analyzer.prompts", lambda s: 1),
+        ("analyzer.prompt.chars", "prompt.chars"),
+        ("analyzer.completion.chars", "completion.chars"),
     ),
     "batch.campaign": (
-        ("batch.campaigns", lambda s: _ok(s) and s.attributes.get("kind") == "traces"),
-        ("batch.journey_campaigns", lambda s: _ok(s) and s.attributes.get("kind") == "journeys"),
+        ("batch.campaigns", lambda s: _ok(s) and _kind(s) == "traces"),
+        ("batch.journey_campaigns", lambda s: _ok(s) and _kind(s) == "journeys"),
     ),
     "batch.job": (
-        ("batch.traces.ok", lambda s: s.attributes.get("kind") == "trace" and _ok(s)),
-        ("batch.traces.failed", lambda s: s.attributes.get("kind") == "trace" and not _ok(s)),
-        ("batch.journeys.ok", lambda s: s.attributes.get("kind") == "journey" and _ok(s)),
-        ("batch.journeys.failed", lambda s: s.attributes.get("kind") == "journey" and not _ok(s)),
+        ("batch.traces.ok", lambda s: _kind(s) == "trace" and _ok(s)),
+        ("batch.traces.failed", lambda s: _kind(s) == "trace" and not _ok(s)),
+        ("batch.journeys.ok", lambda s: _kind(s) == "journey" and _ok(s)),
+        ("batch.journeys.failed", lambda s: _kind(s) == "journey" and not _ok(s)),
     ),
-    "cache.lookup": (("cache.hits", lambda s: s.attributes.get("hit")),),
+    "cache.lookup": (("cache.hits", "hit"),),
     "cache.insert": (
-        ("cache.misses", lambda s: True),
-        ("cache.evictions", lambda s: s.attributes.get("evictions") or None),
-        ("cache.bytes", lambda s: s.attributes.get("bytes")),
+        ("cache.misses", lambda s: 1),
+        ("cache.evictions", "evictions"),
+        ("cache.bytes", "bytes"),
     ),
     "cache.clear": (("cache.bytes", lambda s: 0),),
     "extractor.extract": (
         ("extractor.extractions", _ok),
         ("extractor.rows", lambda s: _ok(s) and s.attributes.get("rows")),
     ),
-    "sandbox.memo": (("sandbox.memo.hits", lambda s: s.attributes.get("hit")),),
+    "sandbox.memo": (("sandbox.memo.hits", "hit"),),
     "sca.vet": (
         ("sca.vet.checks", _ok),
         ("sca.vet.walks", lambda s: _ok(s) and not s.attributes.get("cached")),
         ("sca.vet.blocked", lambda s: _ok(s) and s.attributes.get("blocked")),
-        ("sca.vet.warnings", lambda s: _ok(s) and s.attributes.get("warnings") or None),
+        ("sca.vet.warnings", lambda s: _ok(s) and s.attributes.get("warnings")),
         ("sca.vet.rejected", lambda s: _ok(s) and s.attributes.get("blocked")
             and s.attributes.get("mode") == "enforce"),
     ),
@@ -295,14 +296,14 @@ class MetricsRegistry:
     def fold(self, span) -> None:
         """Add what one finished span counts, per :data:`FOLD`."""
         for name, value in FOLD.get(span.name, ()):
-            amount = value(span)
-            if amount is None or amount is False:
+            amount = value(span) if callable(value) else span.attributes.get(value)
+            if amount is None:
                 continue
             if name in GAUGES:
                 self.gauge(name).set(amount)
             elif name in HISTOGRAMS:
                 self.histogram(name, SIZE_BUCKETS).observe(amount)
-            else:
+            elif amount:
                 self.counter(name).inc(amount)
 
     # -- reading ------------------------------------------------------
