@@ -298,9 +298,8 @@ class Analyzer:
     def _with_resilience(self, span, label, attempt_fn):
         """Run ``attempt_fn`` with retry/backoff/deadline/breaker.
 
-        Returns ``(value, attempts, "")`` on success or
-        ``(None, attempts, reason)`` once the budget is exhausted or
-        the breaker refuses the call.  Only LLM-path failures
+        Returns ``(value, "")`` on success or ``(None, reason)`` once the
+        budget is exhausted or the breaker refuses the call.  Only LLM-path failures
         (:data:`_RETRYABLE`) are absorbed.  ``span`` is the query's:
         it records the attempts, the retries scheduled (a breaker
         refusal can follow one) and breaker events as they happen.
@@ -311,6 +310,7 @@ class Analyzer:
         # deadline too, so one attempt cannot overrun it.
         deadline_at = None if policy.deadline is None else started + policy.deadline
         attempts = retries = 0
+        span.set_attribute("attempts", attempts)
         reason = ""
         last_delay = 0.0
         for attempt in range(1, policy.max_attempts + 1):
@@ -365,8 +365,8 @@ class Analyzer:
                     span.set_attribute("retries_scheduled", retries)
                 continue
             self.breaker.record_success()
-            return value, attempts, ""
-        return None, attempts, reason
+            return value, ""
+        return None, reason
 
     def _query(self, span_context, label, prompt, attempt, on_failure):
         """Run one logical query (issue, monolithic or summary) in a span.
@@ -381,8 +381,7 @@ class Analyzer:
         """
         with span_context as span:
             span.set_attribute("prompt.chars", len(prompt))
-            value, attempts, reason = self._with_resilience(span, label, attempt)
-            span.set_attribute("attempts", attempts)
+            value, reason = self._with_resilience(span, label, attempt)
             if value is None:
                 value, fallback = on_failure(reason, span)
                 span.set_attribute("degraded", True)

@@ -35,10 +35,6 @@ class TraceFormatError(ReproError):
     """A trace file did not match the expected schema."""
 
 
-#: Spans read back from a file are plain :class:`Span` objects.
-SpanRecord = Span
-
-
 # -- JSONL ------------------------------------------------------------
 
 
@@ -205,7 +201,7 @@ def validate_chrome_trace(payload: object) -> list[str]:
 
 
 def load_spans(path: str | Path) -> list[Span]:
-    """Read a trace file (JSONL or Chrome JSON) back into span records."""
+    """Read a trace file (JSONL or Chrome JSON) back into spans."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     stripped = text.lstrip()
@@ -346,14 +342,10 @@ def render_prometheus(registry: MetricsRegistry, spans: Iterable = ()) -> str:
     lines: list[str] = []
     for name, kind, metric in sorted(metrics, key=lambda item: item[0]):
         base = _prom_name(name)
-        if kind == "counter":
-            lines.append(f"# TYPE {base} counter")
+        lines.append(f"# TYPE {base} {kind}")
+        if kind != "histogram":
             lines.append(f"{base} {_prom_value(metric.value)}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {base} gauge")
-            lines.append(f"{base} {_prom_value(metric.value)}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {base} histogram")
+        else:
             for edge, cumulative in metric.bucket_counts():
                 lines.append(
                     f'{base}_bucket{{le="{_prom_value(edge)}"}} {cumulative}'

@@ -427,8 +427,8 @@ class CodeGuard:
     """Vets one snippet per call; thread-safe.
 
     Findings are memoized in a bounded LRU cache keyed by the snippet's
-    *shape*, :func:`shape_key`: its text with the values of its leading
-    ``NAME = <literal>`` header lines dropped.  The expert's snippets
+    *shape*, :func:`shape_key`: its text with the values of its
+    ``NAME = <literal>`` header sections dropped.  The expert's snippets
     for one issue differ from trace to trace only in those values (the
     absolute CSV paths of the extraction dir, per-trace numbers), so
     vetting costs one walk per shape, not one per trace.  A snippet
@@ -438,10 +438,12 @@ class CodeGuard:
     code, never the normalized text:
 
     - Each header line is a complete one-line statement: by induction
-      from offset 0, each starts a fresh logical line, and its literal
-      holds no quote, backslash, line break, NUL or lone surrogate and
-      no int too long to parse.  So the rest of the text parses exactly
-      as it would under any other values, on the same line numbers.
+      from offset 0, or from a later banner that the parse shows
+      starting a top-level statement, each starts a fresh logical
+      line, and its literal holds no quote, backslash, line break, NUL
+      or lone surrogate and no int too long to parse.  So the rest of
+      the text parses exactly as it would under any other values, on
+      the same line numbers.
     - No rule reads the value bound to a name: ``PathRule``,
       ``RangeRule`` and the ``getattr`` checks read only literal
       arguments of calls.

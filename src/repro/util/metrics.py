@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+from typing import Callable
 
 
 class Counter:
@@ -252,21 +253,11 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get (or lazily create) the counter called ``name``."""
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                self._require_free(name)
-                metric = self._counters[name] = Counter()
-            return metric
+        return self._get(self._counters, name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get (or lazily create) the gauge called ``name``."""
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                self._require_free(name)
-                metric = self._gauges[name] = Gauge()
-            return metric
+        return self._get(self._gauges, name, Gauge)
 
     def histogram(
         self, name: str, buckets: tuple[float, ...] | None = None
@@ -276,22 +267,20 @@ class MetricsRegistry:
         ``buckets`` only matters on first creation; later calls return
         the existing histogram unchanged.
         """
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                self._require_free(name)
-                metric = self._histograms[name] = Histogram(
-                    buckets if buckets is not None else LATENCY_BUCKETS
-                )
-            return metric
+        edges = buckets if buckets is not None else LATENCY_BUCKETS
+        return self._get(self._histograms, name, lambda: Histogram(edges))
 
-    def _require_free(self, name: str) -> None:
-        # Called with the lock held, just before inserting ``name``.
-        kinds = (self._counters, self._gauges, self._histograms)
-        if any(name in kind for kind in kinds):
-            raise ValueError(
-                f"metric {name!r} already registered with a different type"
-            )
+    def _get(self, kind: dict, name: str, make: Callable[[], object]):
+        with self._lock:
+            metric = kind.get(name)
+            if metric is None:
+                kinds = (self._counters, self._gauges, self._histograms)
+                if any(name in other for other in kinds):
+                    raise ValueError(
+                        f"metric {name!r} already registered with a different type"
+                    )
+                metric = kind[name] = make()
+            return metric
 
     def fold(self, span) -> None:
         """Add what one finished span counts, per :data:`FOLD`."""

@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.obs.export import (
-    SpanRecord,
     TraceFormatError,
     chrome_trace,
     load_spans,
@@ -27,13 +26,13 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.summary import render_summary, summarize
-from repro.obs.trace import Tracer, ticking_clock
+from repro.obs.trace import Span, Tracer, ticking_clock
 from repro.util.metrics import MetricsRegistry
 
 
-def span_record(name: str, seconds: float) -> SpanRecord:
+def span_record(name: str, seconds: float) -> Span:
     """A finished root span of ``seconds`` duration."""
-    return SpanRecord("t", name, None, name, start=0.0, end=seconds)
+    return Span("t", name, None, name, start=0.0, end=seconds)
 
 
 def recorded_tracer() -> Tracer:
@@ -58,7 +57,7 @@ class TestJsonlRoundTrip:
         assert len(loaded) == len(originals)
         for record in loaded:
             original = originals[record.span_id]
-            assert isinstance(record, SpanRecord)
+            assert isinstance(record, Span)
             assert record.trace_id == original.trace_id
             assert record.parent_id == original.parent_id
             assert record.name == original.name
