@@ -299,10 +299,11 @@ class Analyzer:
         """Run ``attempt_fn`` with retry/backoff/deadline/breaker.
 
         Returns ``(value, "")`` on success or ``(None, reason)`` once the
-        budget is exhausted or the breaker refuses the call.  Only LLM-path failures
-        (:data:`_RETRYABLE`) are absorbed.  ``span`` is the query's:
-        it records the attempts, the retries scheduled (a breaker
-        refusal can follow one) and breaker events as they happen.
+        budget is exhausted or the breaker refuses the call.  Only
+        LLM-path failures (:data:`_RETRYABLE`) are absorbed.  ``span``
+        is the query's: it records the attempts, the retries scheduled
+        (a breaker refusal can follow one) and breaker events as they
+        happen.
         """
         policy = self.config.resilience.policy()
         started = time.perf_counter()
