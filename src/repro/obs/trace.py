@@ -63,8 +63,9 @@ class SpanEvent:
 class Span:
     """One timed, attributed unit of work inside a trace.
 
-    A tracer builds live spans; :func:`repro.obs.export.load_spans`
-    builds finished ones (``end`` and ``thread`` given) from a file.
+    A tracer builds live spans, each its own context manager;
+    :func:`repro.obs.export.load_spans` builds finished ones (``end``
+    and ``thread`` given) from a file.
     """
 
     __slots__ = (
@@ -80,6 +81,8 @@ class Span:
         "status_detail",
         "thread",
         "_clock",
+        "_tracer",
+        "_token",
     )
 
     def __init__(
@@ -104,8 +107,20 @@ class Span:
         self.events: list[SpanEvent] = []
         self.status = "ok"
         self.status_detail = ""
-        self.thread = thread or threading.current_thread().name
+        self.thread = threading.current_thread().name if thread is None else thread
         self._clock = clock
+
+    def __enter__(self) -> "Span":
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        self.end = self._clock()
+        if exc is not None and self.status == "ok":
+            self.set_status("error", f"{exc_type.__name__}: {exc}")
+        _CURRENT.reset(self._token)
+        self._tracer._record(self)
+        return False
 
     # -- recording -----------------------------------------------------
 
@@ -148,30 +163,6 @@ class Span:
             f"Span({self.name!r}, trace={self.trace_id}, "
             f"span={self.span_id}, parent={self.parent_id})"
         )
-
-
-class _SpanContext:
-    """Context manager handling one live span's lifecycle."""
-
-    __slots__ = ("_tracer", "_span", "_token")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._token = None
-
-    def __enter__(self) -> Span:
-        self._token = _CURRENT.set(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        span = self._span
-        span.end = self._tracer._clock()
-        if exc is not None and span.status == "ok":
-            span.set_status("error", f"{exc_type.__name__}: {exc}")
-        _CURRENT.reset(self._token)
-        self._tracer._record(span)
-        return False
 
 
 def _sequential_ids() -> Callable[[], str]:
@@ -222,7 +213,7 @@ class Tracer:
         attributes: dict | None = None,
         parent: object = _INHERIT,
         new_trace: bool = False,
-    ) -> _SpanContext:
+    ) -> Span:
         """Open a span as a context manager.
 
         ``parent`` defaults to the context-active span of the calling
@@ -250,8 +241,11 @@ class Tracer:
             start=self._clock(),
             clock=self._clock,
             attributes=attributes,
+            # Only a kept span is ever exported with its thread.
+            thread=None if self.enabled else "",
         )
-        return _SpanContext(self, span)
+        span._tracer = self
+        return span
 
     def current_span(self) -> Span | None:
         """The context-active span, or None when none is."""
