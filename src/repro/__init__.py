@@ -31,9 +31,16 @@ Quickstart::
     print(render_report(result.report))
 """
 
-from repro.ion.pipeline import IoNavigator
-from repro.service.batch import BatchNavigator
-from repro.service.cache import ExtractionCache
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.ion.pipeline": ("IoNavigator",),
+        "repro.service.batch": ("BatchNavigator",),
+        "repro.service.cache": ("ExtractionCache",),
+    },
+)
 
 __version__ = "1.0.0"
 

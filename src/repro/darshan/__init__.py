@@ -6,42 +6,49 @@ counter sets, DXT extended tracing, the binary log file, and the
 ``darshan-parser`` / ``darshan-dxt-parser`` text dumps.
 """
 
-from repro.darshan.binformat import read_log, write_log
-from repro.darshan.counters import (
-    LUSTRE_MODULE,
-    MPIIO_MODULE,
-    POSIX_MODULE,
-    STDIO_MODULE,
-    counters_for,
-    fcounters_for,
-    known_modules,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.darshan.binformat": ("read_log", "write_log"),
+        "repro.darshan.counters": (
+            "LUSTRE_MODULE",
+            "MPIIO_MODULE",
+            "POSIX_MODULE",
+            "STDIO_MODULE",
+            "counters_for",
+            "fcounters_for",
+            "known_modules",
+        ),
+        "repro.darshan.dxt": ("parse_dxt_dump", "parse_dxt_file", "render_dxt"),
+        "repro.darshan.heatmap": ("Heatmap", "build_heatmap", "render_heatmap"),
+        "repro.darshan.log": ("DarshanLog", "merge_rank_byte_totals"),
+        "repro.darshan.parser": (
+            "parse_file",
+            "parse_text_dump",
+            "render_header",
+            "render_log",
+            "render_module",
+        ),
+        "repro.darshan.summary": (
+            "FileActivity",
+            "ModuleTotals",
+            "TraceSummary",
+            "render_summary",
+            "summarize",
+        ),
+        "repro.darshan.records": (
+            "SHARED_RANK",
+            "DxtSegment",
+            "DxtTable",
+            "JobRecord",
+            "ModuleRecord",
+            "NameRecord",
+        ),
+        "repro.darshan.validate": ("validate_log",),
+    },
 )
-from repro.darshan.dxt import parse_dxt_dump, parse_dxt_file, render_dxt
-from repro.darshan.heatmap import Heatmap, build_heatmap, render_heatmap
-from repro.darshan.log import DarshanLog, merge_rank_byte_totals
-from repro.darshan.parser import (
-    parse_file,
-    parse_text_dump,
-    render_header,
-    render_log,
-    render_module,
-)
-from repro.darshan.summary import (
-    FileActivity,
-    ModuleTotals,
-    TraceSummary,
-    render_summary,
-    summarize,
-)
-from repro.darshan.records import (
-    SHARED_RANK,
-    DxtSegment,
-    DxtTable,
-    JobRecord,
-    ModuleRecord,
-    NameRecord,
-)
-from repro.darshan.validate import validate_log
 
 __all__ = [
     "DarshanLog",

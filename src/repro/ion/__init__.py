@@ -1,31 +1,43 @@
 """ION core: extractor, issue registry, analyzer, reports, interactivity."""
 
-from repro.ion.analyzer import Analyzer, AnalyzerConfig
-from repro.ion.consistency import (
-    ConsistencyChecker,
-    ConsistencyReport,
-    IssueConsistency,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.ion.analyzer": ("Analyzer", "AnalyzerConfig"),
+        "repro.ion.consistency": (
+            "ConsistencyChecker",
+            "ConsistencyReport",
+            "IssueConsistency",
+        ),
+        "repro.ion.extractor": ("ExtractionResult", "Extractor"),
+        "repro.ion.htmlreport": ("render_html", "write_html"),
+        "repro.ion.interactive": ("IonSession", "build_digest"),
+        "repro.ion.issues": (
+            "Diagnosis",
+            "DiagnosisReport",
+            "IssueType",
+            "MitigationNote",
+            "Severity",
+        ),
+        "repro.ion.pipeline": ("IonResult", "IoNavigator"),
+        "repro.ion.retrieval": (
+            "ContextRetriever",
+            "Passage",
+            "TfIdfIndex",
+            "build_knowledge_base",
+        ),
+        "repro.ion.report": ("render_diagnosis", "render_report"),
+        "repro.ion.serialize": (
+            "dump_report",
+            "load_report",
+            "report_from_dict",
+            "report_to_dict",
+        ),
+        "repro.ion.specs": ("IssueSpec", "all_specs", "spec_for"),
+    },
 )
-from repro.ion.extractor import ExtractionResult, Extractor
-from repro.ion.htmlreport import render_html, write_html
-from repro.ion.interactive import IonSession, build_digest
-from repro.ion.issues import (
-    Diagnosis,
-    DiagnosisReport,
-    IssueType,
-    MitigationNote,
-    Severity,
-)
-from repro.ion.pipeline import IonResult, IoNavigator
-from repro.ion.retrieval import ContextRetriever, Passage, TfIdfIndex, build_knowledge_base
-from repro.ion.report import render_diagnosis, render_report
-from repro.ion.serialize import (
-    dump_report,
-    load_report,
-    report_from_dict,
-    report_to_dict,
-)
-from repro.ion.specs import IssueSpec, all_specs, spec_for
 
 __all__ = [
     "Analyzer",

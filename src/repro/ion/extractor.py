@@ -88,12 +88,7 @@ class Extractor:
         """Extract CSVs for every module present in ``log``."""
         with self.tracer.span("extractor.extract") as span:
             result = self._extract(log, out_dir)
-            for module in sorted(result.row_counts):
-                span.add_event(
-                    "csv.emit", module=module, rows=result.row_counts[module]
-                )
-            span.set_attribute("modules", len(result.csv_paths))
-            span.set_attribute("rows", sum(result.row_counts.values()))
+            record_extraction(span, result)
         return result
 
     def _extract(self, log: DarshanLog, out_dir: str | Path) -> ExtractionResult:
@@ -167,6 +162,17 @@ class Extractor:
                     "POSIX_FILE_ALIGNMENT"
                 ]
         return system
+
+
+def record_extraction(span, result: ExtractionResult) -> None:
+    """Record ``result`` on its ``extractor.extract`` span: one
+    ``csv.emit`` event per CSV, and the ``modules`` and ``rows``
+    attributes.  The extraction cache records its workers'
+    extractions with it too."""
+    for module in sorted(result.row_counts):
+        span.add_event("csv.emit", module=module, rows=result.row_counts[module])
+    span.set_attribute("modules", len(result.csv_paths))
+    span.set_attribute("rows", sum(result.row_counts.values()))
 
 
 def _dxt_lines(log: DarshanLog) -> Iterator[str]:

@@ -136,19 +136,23 @@ class IoNavigator:
     ) -> IonResult:
         """Read (if given a path), extract and analyze; opens no span.
 
-        With a cache, a path goes to the cache as a :class:`LogFile`,
-        parsed only when the cache or the Drishti fallback needs it.
+        With a cache, a path goes to the cache as a :class:`LogFile`:
+        the cache parses it in an extraction worker, and this process
+        reads it only if the Drishti fallback needs it.  The cache
+        entry is held until the analysis ends.
         """
         if self.cache is not None:
             if not isinstance(log, DarshanLog):
                 log = LogFile(log, read_log)
-            extraction, hit = self.cache.get_or_extract(log, self.extractor)
+            with self.cache.in_use():
+                extraction, hit = self.cache.get_or_extract(log, self.extractor)
+                report = self.analyzer.analyze(extraction, trace_name, log=log)
         else:
             if not isinstance(log, DarshanLog):
                 log = read_log(log)
             directory = self._extraction_dir(trace_name)
             extraction, hit = self.extractor.extract(log, directory), False
-        report = self.analyzer.analyze(extraction, trace_name, log=log)
+            report = self.analyzer.analyze(extraction, trace_name, log=log)
         return IonResult(
             report=report,
             extraction=extraction,

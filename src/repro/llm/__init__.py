@@ -1,18 +1,31 @@
 """LLM substrate: messages, clients, code interpreter, assistants, expert."""
 
-from repro.llm.assistants import Assistant, Run, RunStatus, RunStep, Thread
-from repro.llm.client import LLMClient, ScriptedLLM
-from repro.llm.expert.model import SimulatedExpertLLM
-from repro.llm.faults import (
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    FaultyCodeInterpreter,
-    FaultyLLMClient,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.llm.assistants": ("Assistant", "Run", "RunStatus", "RunStep", "Thread"),
+        "repro.llm.client": ("LLMClient", "ScriptedLLM"),
+        "repro.llm.expert.model": ("SimulatedExpertLLM",),
+        "repro.llm.faults": (
+            "FaultEvent",
+            "FaultKind",
+            "FaultPlan",
+            "FaultyCodeInterpreter",
+            "FaultyLLMClient",
+        ),
+        "repro.llm.interpreter": ("CodeInterpreter", "ExecutionResult"),
+        "repro.llm.messages": (
+            "CodeCall",
+            "Completion",
+            "Message",
+            "Role",
+            "transcript",
+        ),
+        "repro.llm.resilience": ("BackoffPolicy", "BreakerState", "CircuitBreaker"),
+    },
 )
-from repro.llm.interpreter import CodeInterpreter, ExecutionResult
-from repro.llm.messages import CodeCall, Completion, Message, Role, transcript
-from repro.llm.resilience import BackoffPolicy, BreakerState, CircuitBreaker
 
 __all__ = [
     "Assistant",

@@ -29,7 +29,9 @@ so the static, runtime and budget views of the sandbox cannot drift.
 The pool is process-wide: it starts on the first run, and its workers
 are stopped at interpreter exit.  The first two layers are
 containment against accidents, not a security boundary; the third
-bounds what an accident can cost.
+bounds what an accident can cost.  The extraction cache
+(:mod:`repro.service.cache`) runs a second pool of the same class,
+whose workers parse and extract logs and never run analysis code.
 
 A directory can be *sealed* (:func:`seal_directory`): its files do not
 change while it stays sealed, as the entries of
@@ -500,26 +502,27 @@ _PACKAGE_ROOT = Path(__file__).resolve().parents[2]
 
 _WORKER_BOOT = (
     "import sys; sys.path.insert(0, {path!r}); "
-    "from repro.llm.interpreter import _worker_main; _worker_main({fd})"
+    "from {module} import _worker_main; _worker_main({fd})"
 )
 
 
 class _Worker:
-    """One sandbox process and the parent's end of its pipe.
+    """One worker process and the parent's end of its pipe.
 
     The worker is a fresh interpreter (fork plus exec, as ``spawn``
-    starts one), so it copies none of this process's threads or locks.
-    Unlike ``multiprocessing``'s ``spawn`` it does not re-run the
-    caller's ``__main__``, which may be a script without a main guard
-    or no file at all.  It runs in its own session, so a Ctrl-C at the
+    starts one) running ``module``'s ``_worker_main``, so it copies
+    none of this process's threads or locks.  Unlike
+    ``multiprocessing``'s ``spawn`` it does not re-run the caller's
+    ``__main__``, which may be a script without a main guard or no
+    file at all.  It runs in its own session, so a Ctrl-C at the
     terminal reaches only the parent, which stops the pool.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, module: str) -> None:
         self.conn, child = Pipe()
         self.process = subprocess.Popen(
             [sys.executable, "-c", _WORKER_BOOT.format(
-                path=str(_PACKAGE_ROOT), fd=child.fileno()
+                path=str(_PACKAGE_ROOT), module=module, fd=child.fileno()
             )],
             stdin=subprocess.DEVNULL,
             pass_fds=(child.fileno(),),
@@ -527,6 +530,8 @@ class _Worker:
         )
         child.close()
         self.ready = False
+        #: Whether a request sent by :meth:`call` is still unanswered.
+        self.pending = False
 
     def boot(self) -> bool:
         """Wait for the worker's hello; False if it died first."""
@@ -539,6 +544,15 @@ class _Worker:
                 return False
         return self.ready
 
+    def call(self, request: tuple):
+        """Send ``request`` and wait for its reply; ``EOFError`` or
+        ``OSError`` when the worker died."""
+        self.pending = True
+        self.conn.send(request)
+        reply = self.conn.recv()
+        self.pending = False
+        return reply
+
     def stop(self, timeout: float = 1.0) -> int | None:
         """Close the pipe, kill the worker after ``timeout``; its exit code."""
         self.conn.close()
@@ -550,15 +564,24 @@ class _Worker:
 
 
 class _WorkerPool:
-    """Pre-started sandbox workers behind an idle queue.
+    """Pre-started workers behind an idle queue, one per usable CPU.
 
-    A run takes an idle worker (waiting while all are busy), sends it
-    the request and waits up to the wall-clock budget for the reply.
-    A worker that misses its budget is killed; one that dies is
-    reaped; either way a fresh worker takes its place.
+    Each worker runs ``module``'s ``_worker_main``; ``role`` names it
+    in errors.  The pool starts on first use, starts afresh in a
+    forked child (which never touches its parent's workers), and stops
+    at interpreter exit.  A worker that dies is reaped and a fresh one
+    takes its place.
+
+    There are two entry points.  :meth:`run` is the sandbox's: it
+    sends one snippet and waits up to the wall-clock budget for the
+    reply, killing a worker that misses it.  :meth:`lease` lends a
+    worker for a conversation of several requests, as the extraction
+    cache's workers hold one parsed log across two.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, module: str, role: str) -> None:
+        self.module = module
+        self.role = role
         self._lock = threading.Lock()
         self._idle: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
         self._workers: list[_Worker] = []
@@ -578,7 +601,7 @@ class _WorkerPool:
             self._pid = os.getpid()
 
     def _add(self) -> None:
-        worker = _Worker()
+        worker = _Worker(self.module)
         self._workers.append(worker)
         self._idle.put(worker)
 
@@ -591,6 +614,47 @@ class _WorkerPool:
                 self._add()
         return exitcode
 
+    def _take(self) -> tuple[_Worker | None, float]:
+        """The next idle worker, booted, and the seconds spent waiting
+        for it; None when it failed to start (a successor is started)."""
+        if self._pid != os.getpid():
+            self._start()
+        waited = time.perf_counter()
+        worker = self._idle.get()
+        booted = worker.boot()
+        queue_wait = time.perf_counter() - waited
+        if booted:
+            return worker, queue_wait
+        self._replace(worker)
+        return None, queue_wait
+
+    @contextmanager
+    def lease(self):
+        """Lend the next idle worker for a conversation of
+        :meth:`_Worker.call` requests: yields ``(worker, queue wait)``.
+
+        The worker goes back to the idle queue when the block ends.
+        One that died, or was interrupted with a request unanswered,
+        is replaced; its death is raised as ``ChildProcessError``.
+        """
+        worker, queue_wait = self._take()
+        if worker is None:
+            raise ChildProcessError(f"the {self.role} failed to start")
+        try:
+            yield worker, queue_wait
+        except BaseException as exc:
+            if not worker.pending:  # raised by the caller between requests
+                self._idle.put(worker)
+                raise
+            died = isinstance(exc, (EOFError, OSError))
+            exitcode = self._replace(worker, timeout=5.0 if died else 0.0)
+            if died:
+                raise ChildProcessError(
+                    f"the {self.role} died (exit code {exitcode})"
+                ) from exc
+            raise
+        self._idle.put(worker)
+
     def run(self, job: tuple, policy) -> _Reply:
         """Run ``job`` under ``policy``'s budgets on the next idle worker.
 
@@ -598,16 +662,10 @@ class _WorkerPool:
         query's deadline (:func:`repro.llm.resilience.time_left`); with
         none left the run does not start.
         """
-        if self._pid != os.getpid():
-            self._start()
-        waited = time.perf_counter()
-        worker = self._idle.get()
-        booted = worker.boot()
-        queue_wait = time.perf_counter() - waited
-        if not booted:
-            self._replace(worker)
+        worker, queue_wait = self._take()
+        if worker is None:
             error = _traceback_text(
-                "ChildProcessError", "the analysis worker failed to start"
+                "ChildProcessError", f"the {self.role} failed to start"
             )
             return _Reply("", error, queue_wait, killed=True)
         wall = policy.run_wall_seconds
@@ -652,4 +710,5 @@ class _WorkerPool:
 
 
 #: The process-wide pool every :class:`CodeInterpreter` dispatches to.
-_POOL = _WorkerPool()
+#: Its workers run analysis snippets and nothing else.
+_POOL = _WorkerPool(__name__, "analysis worker")

@@ -1,18 +1,25 @@
 """Batch diagnosis service: extraction cache, scheduler, campaign CLI."""
 
-from repro.service.batch import (
-    BatchConfig,
-    BatchNavigator,
-    CampaignSummary,
-    JourneyCampaignSummary,
-    JourneyOutcome,
-    TraceOutcome,
-)
-from repro.service.cache import (
-    CacheStats,
-    ExtractionCache,
-    extraction_key,
-    log_digest,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.batch": (
+            "BatchConfig",
+            "BatchNavigator",
+            "CampaignSummary",
+            "JourneyCampaignSummary",
+            "JourneyOutcome",
+            "TraceOutcome",
+        ),
+        "repro.service.cache": (
+            "CacheStats",
+            "ExtractionCache",
+            "extraction_key",
+            "log_digest",
+        ),
+    },
 )
 
 __all__ = [

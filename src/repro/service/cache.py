@@ -22,12 +22,26 @@ its size plus the sha256 of its bytes
 the cache does records the pre-key's log digest, in memory and beside
 the entry, so a re-indexed root keeps it.  A file with a known pre-key
 whose entry is indexed is a hit that runs neither ``read_log`` nor
-:func:`log_digest`; any other file is parsed as before.
+:func:`log_digest`.
+
+Any other file is parsed, and on a miss extracted, in a pre-started
+*extraction worker* process, off the calling process's interpreter
+lock: the batch threads that share that lock keep it for analysis.
+The worker replies with the log's digest, the cache looks the key up,
+and only a miss asks the same worker to extract the log it holds into
+a staging directory; a file whose content is cached under another
+path costs one parse and no extraction.  The pre-key check, the
+index, the manifest, sealing and insertion stay in the caller.
+Extraction workers run no analysis code, as the sandbox's workers
+(:mod:`repro.llm.interpreter`, whose pool class they share) extract
+nothing.  A log already in memory is extracted in the caller.
 
 Entries are evicted least-recently-used by total byte size when the
-cache exceeds its budget.  All bookkeeping is thread-safe; concurrent
-misses on the same key race benignly (one extraction wins, the other
-is discarded).
+cache exceeds its budget.  An entry evicted while a diagnosis inside
+:meth:`ExtractionCache.in_use` still reads it leaves the index at once
+and keeps its files until that diagnosis ends.  All bookkeeping is
+thread-safe; concurrent misses on the same key race benignly (one
+extraction wins, the other is discarded).
 
 An entry is never rewritten, and the same key always names the same
 bytes, so every entry directory the cache hands out is *sealed*
@@ -45,9 +59,12 @@ import os
 import shutil
 import tempfile
 import threading
+import time
 import weakref
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 from repro.darshan.binformat import (
@@ -55,11 +72,12 @@ from repro.darshan.binformat import (
     content_digest,
     file_prekey,
     iter_sections,
+    read_log,
 )
 from repro.darshan.log import DarshanLog
-from repro.ion.extractor import ExtractionResult, Extractor
-from repro.llm.interpreter import seal_directory, unseal_directories
-from repro.util.errors import CacheError
+from repro.ion.extractor import ExtractionResult, Extractor, record_extraction
+from repro.llm.interpreter import _WorkerPool, seal_directory, unseal_directories
+from repro.util.errors import CacheError, ReproError
 from repro.util.metrics import MetricsRegistry
 
 _MANIFEST = "manifest.json"
@@ -165,6 +183,11 @@ class ExtractionCache:
         # Entry dirs this cache has sealed; unsealed when it is collected.
         self._sealed: set[Path] = set()
         weakref.finalize(self, unseal_directories, self._sealed)
+        # Keys handed out inside in_use() blocks, per block still open;
+        # the removed ones keep their files until their last block ends.
+        self._holds: Counter[str] = Counter()
+        self._removed: set[str] = set()
+        self._local = threading.local()
         self._reindex()
 
     # -- public API ---------------------------------------------------
@@ -179,72 +202,143 @@ class ExtractionCache:
         ``log`` is a parsed log or a :class:`LogFile`.  On a hit the
         cached CSVs are reused without touching the extractor, and a
         file whose pre-key is known is not even parsed.  On a miss the
-        log is extracted into a fresh entry directory, registered, and
-        eviction is applied.
+        log is extracted into a fresh entry directory (a file's in an
+        extraction worker), registered, and eviction is applied.
         """
         tracer = extractor.tracer
         if self.metrics is not None:
             tracer.fold_into(self.metrics)
         with self._lock:
             self._tracers.add(tracer)
-        with tracer.span("cache.lookup") as span:
-            return self._get_or_extract(log, extractor, span)
+        locked = False
+        try:
+            with tracer.span("cache.lookup") as span:
+                result, hit = self._get_or_extract(log, extractor, span)
+                if hit:
+                    # Read and folded under the lock, as an insertion's
+                    # is, so ``cache.bytes`` reports sizes in order.
+                    self._lock.acquire()
+                    locked = True
+                    span.set_attribute("bytes", sum(self._index.values()))
+            return result, hit
+        finally:
+            if locked:
+                self._lock.release()
+
+    @contextmanager
+    def in_use(self):
+        """Keep the files of every entry this thread is handed, until
+        the block ends.
+
+        An entry evicted or cleared meanwhile leaves the index at once;
+        its directory goes when the last block holding it ends.  The
+        navigator holds each entry for the diagnosis that reads it.
+        """
+        outer = getattr(self._local, "held", None)
+        held = self._local.held = []
+        try:
+            yield
+        finally:
+            self._local.held = outer
+            with self._lock:
+                for key in held:
+                    self._holds[key] -= 1
+                    if not self._holds[key]:
+                        del self._holds[key]
+                        if key in self._removed:
+                            self._removed.discard(key)
+                            shutil.rmtree(self._entry_dir(key), ignore_errors=True)
 
     def _get_or_extract(self, log, extractor: Extractor, span):
-        prekey = None
         if isinstance(log, LogFile):
-            source = log
-            known = file_prekey(source.path.read_bytes())
-            with self._lock:
-                digest = self._prekeys.get(known)
-            if digest is not None:
-                found = self._lookup(span, extraction_key(digest, extractor))
-                if found is not None:
-                    return found, True
-            log = source.log
-            if log.source is None:  # a reader that records no source
-                digest = log_digest(log)
-            else:
-                digest, prekey = log.source.digest, log.source.prekey
-        else:
-            digest = log_digest(log)
-        key = extraction_key(digest, extractor)
-        found = self._lookup(span, key, prekey, digest)
+            return self._get_or_extract_file(log.path, extractor, span)
+        key = extraction_key(log_digest(log), extractor)
+        found = self._lookup(span, key)
         if found is not None:
             return found, True
+        return self._miss(
+            span, key, extractor, lambda staging: extractor.extract(log, staging)
+        )
+
+    def _get_or_extract_file(self, path: Path, extractor: Extractor, span):
+        """A known pre-key's hit, else a worker's parse and, on a miss,
+        its extraction, recorded on an ``extractor.extract`` span."""
+        known = file_prekey(path.read_bytes())
+        with self._lock:
+            digest = self._prekeys.get(known)
+        if digest is not None:
+            found = self._lookup(span, extraction_key(digest, extractor))
+            if found is not None:
+                return found, True
+        with _EXTRACTORS.lease() as (worker, queue_wait):
+            (prekey, digest, read_s), parse_cpu_s = _ask(worker, "parse", str(path))
+            key = extraction_key(digest, extractor)
+            found = self._lookup(span, key, prekey, digest)
+            if found is not None:
+                _ask(worker, "drop")
+                return found, True
+
+            def extract(staging: Path) -> ExtractionResult:
+                with extractor.tracer.span("extractor.extract") as extraction:
+                    result, cpu_s = _ask(
+                        worker, "extract", str(staging), extractor.rpc_size
+                    )
+                    record_extraction(extraction, result)
+                    extraction.set_attribute("queue_wait_s", round(queue_wait, 6))
+                    extraction.set_attribute("read_log_s", round(read_s, 6))
+                    extraction.set_attribute(
+                        "worker_cpu_s", round(parse_cpu_s + cpu_s, 6)
+                    )
+                return result
+
+            return self._miss(span, key, extractor, extract, prekey, digest)
+
+    def _miss(
+        self,
+        span,
+        key: str,
+        extractor: Extractor,
+        extract,
+        prekey: str | None = None,
+        digest: str = "",
+    ) -> tuple[ExtractionResult, bool]:
+        """Extract a miss on ``key`` with ``extract(staging dir)`` and
+        insert it (outside the lock: extraction dominates the cost, and
+        serializing it would defeat the batch scheduler)."""
         span.set_attribute("hit", False)
-        entry = self._entry_dir(key)
-        # Miss: extract outside the lock (extraction dominates the
-        # cost; serializing it would defeat the batch scheduler).
         staging = Path(
             tempfile.mkdtemp(prefix=f"staging-{key[:8]}-", dir=self._objects)
         )
         try:
-            result = extractor.extract(log, staging)
+            result = extract(staging)
             self._write_manifest(staging, key, result)
             size = _tree_size(staging)
+            entry = self._entry_dir(key)
             entry.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                staging.rename(entry)
-            except OSError:
-                # A concurrent miss on the same key inserted first;
-                # their entry is byte-equivalent, so use it.
-                shutil.rmtree(staging, ignore_errors=True)
+            with self._lock:
+                # A concurrent miss on the same key inserted first, or
+                # an evicted entry is still in use: either holds these
+                # bytes, so it stays (and is no longer to be removed).
+                self._removed.discard(key)
+                try:
+                    staging.rename(entry)
+                except OSError:
+                    pass
+                # Opened and closed under the lock, so the ``cache.bytes``
+                # each insertion reports reaches the registries in order.
+                with extractor.tracer.span("cache.insert") as insert:
+                    self._misses += 1
+                    if key not in self._index:
+                        self._index[key] = size
+                    self._index.move_to_end(key)
+                    insert.set_attribute("evictions", self._evict_locked(keep=key))
+                    insert.set_attribute("bytes", sum(self._index.values()))
+                self._seal_locked(entry)
+                self._record_locked(key, prekey, digest)
+                self._hold_locked(key)
+                return self._load(key, entry), False
         finally:
             shutil.rmtree(staging, ignore_errors=True)
-        with self._lock:
-            # Opened and closed under the lock, so the ``cache.bytes``
-            # each insertion reports reaches the registries in order.
-            with extractor.tracer.span("cache.insert") as insert:
-                self._misses += 1
-                if key not in self._index:
-                    self._index[key] = size
-                self._index.move_to_end(key)
-                insert.set_attribute("evictions", self._evict_locked(keep=key))
-                insert.set_attribute("bytes", sum(self._index.values()))
-            self._seal_locked(entry)
-            self._record_locked(key, prekey, digest)
-            return self._load(key, entry), False
 
     def contains(self, log: DarshanLog, extractor: Extractor) -> bool:
         """Whether ``log`` (under this extractor config) is cached."""
@@ -266,12 +360,8 @@ class ExtractionCache:
     def clear(self) -> None:
         """Remove every entry and reset accounting."""
         with self._lock:
-            unseal_directories(self._sealed)
-            self._sealed.clear()
             for key in list(self._index):
-                shutil.rmtree(self._entry_dir(key), ignore_errors=True)
-                self._forget_prekeys_locked(key)
-            self._index.clear()
+                self._remove_locked(key)
             self._hits = self._misses = self._evictions = 0
             for tracer in list(self._tracers):
                 with tracer.span("cache.clear"):
@@ -293,7 +383,28 @@ class ExtractionCache:
             self._touch(entry)
             self._seal_locked(entry)
             self._record_locked(key, prekey, digest)
+            self._hold_locked(key)
             return self._load(key, entry)
+
+    def _hold_locked(self, key: str) -> None:
+        """Count ``key`` as held by this thread's :meth:`in_use` block."""
+        held = getattr(self._local, "held", None)
+        if held is not None:
+            held.append(key)
+            self._holds[key] += 1
+
+    def _remove_locked(self, key: str) -> None:
+        """Drop ``key`` from the index; its files go now or, while an
+        :meth:`in_use` block holds it, when the last such block ends."""
+        del self._index[key]
+        entry = self._entry_dir(key)
+        unseal_directories([entry])
+        self._sealed.discard(entry)
+        self._forget_prekeys_locked(key)
+        if self._holds[key]:
+            self._removed.add(key)
+        else:
+            shutil.rmtree(entry, ignore_errors=True)
 
     def _entry_dir(self, key: str) -> Path:
         return self._objects / key[:2] / key
@@ -374,12 +485,7 @@ class ExtractionCache:
                 # The protected entry is the oldest; nothing older to
                 # evict, so stop rather than drop what we just made.
                 break
-            del self._index[key]
-            entry = self._entry_dir(key)
-            unseal_directories([entry])
-            self._sealed.discard(entry)
-            shutil.rmtree(entry, ignore_errors=True)
-            self._forget_prekeys_locked(key)
+            self._remove_locked(key)
             total -= size
             self._evictions += 1
             evicted += 1
@@ -411,6 +517,64 @@ class ExtractionCache:
                 }
                 self._entry_prekeys[key] = recorded
                 self._prekeys.update(recorded)
+
+
+# -- extraction workers --------------------------------------------------
+
+
+def _worker_main(fd: int) -> None:
+    """An extraction worker: serve parse and extract requests on pipe ``fd``.
+
+    ``("parse", path)`` reads a log file and replies ``(pre-key, log
+    digest, read seconds)``; the worker keeps that log for one
+    ``("extract", out_dir, rpc_size)``, which replies the
+    :class:`ExtractionResult`, or until ``("drop",)``.  A reply is
+    ``(True, value, cpu seconds)``, or ``(False, exception, cpu
+    seconds)`` when the request raised a library error
+    (``DarshanFormatError``, ``ExtractionError``) or an ``OSError``.
+    Any other exception is a bug: it ends the worker with its
+    traceback, and the caller reports the worker's death.
+    """
+    conn = Connection(fd)
+    log = None
+    try:
+        conn.send("ready")
+        while (request := conn.recv()) is not None:
+            started = time.process_time()
+            kind, *args = request
+            try:
+                if kind == "parse":
+                    log = None
+                    wall = time.perf_counter()
+                    log = read_log(*args)
+                    value = (log.source.prekey, log.source.digest,
+                             time.perf_counter() - wall)
+                elif kind == "extract":
+                    out_dir, rpc_size = args
+                    parsed, log = log, None
+                    value = Extractor(rpc_size=rpc_size).extract(parsed, out_dir)
+                else:
+                    log = value = None
+                reply = (True, value, time.process_time() - started)
+            except (ReproError, OSError) as exc:  # the caller raises it
+                reply = (False, exc, time.process_time() - started)
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent went away
+
+
+def _ask(worker, *request):
+    """Send ``request`` to an extraction worker: ``(value, cpu seconds)``,
+    or the worker's exception raised here."""
+    ok, value, cpu_s = worker.call(request)
+    if not ok:
+        raise value
+    return value, cpu_s
+
+
+#: The process-wide extraction workers, one per usable CPU, started by
+#: the first miss on a log file.  They run no analysis code.
+_EXTRACTORS = _WorkerPool(__name__, "extraction worker")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -11,6 +11,15 @@ synthetic workloads of the evaluation suite (``--workload``, repeatable
 — handy for demos and smoke tests on machines without real logs).
 Attaching ``--cache-dir`` makes repeated campaigns reuse extractions
 through the content-addressed cache.
+
+The command diagnoses ``--workers`` traces at a time, on threads of
+one process, and starts worker processes as it needs them, one per
+usable CPU of each kind: sandbox workers run the analysis snippets,
+from the first snippet on.  With ``--cache-dir``, a log file the cache
+has no entry for is parsed and extracted in an extraction worker,
+started by the first such miss; without a cache, and for
+``--workload`` traces (already in memory), extraction runs in the
+command's own process.  Every worker stops when the command exits.
 """
 
 from __future__ import annotations

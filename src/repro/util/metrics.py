@@ -213,7 +213,7 @@ FOLD = {
         ("batch.journeys.ok", lambda s: _kind(s) == "journey" and _ok(s)),
         ("batch.journeys.failed", lambda s: _kind(s) == "journey" and not _ok(s)),
     ),
-    "cache.lookup": (("cache.hits", "hit"),),
+    "cache.lookup": (("cache.hits", "hit"), ("cache.bytes", "bytes")),
     "cache.insert": (
         ("cache.misses", lambda s: 1),
         ("cache.evictions", "evictions"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import threading
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.llm.expert.model import SimulatedExpertLLM
 from repro.llm.faults import FaultKind, FaultPlan, FaultyLLMClient
 from repro.obs.trace import NullTracer, Tracer
 from repro.service import cache as cache_module
+from repro.service import cli as batch_cli
 from repro.service.cache import ExtractionCache, extraction_key, log_digest
 from repro.util.errors import CacheError, DarshanFormatError
 from repro.util.metrics import MetricsRegistry
@@ -305,27 +307,85 @@ class TestExtractionCache:
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
 
 
+# -- entries in use outlive their eviction ------------------------------
+
+
+class TestInUse:
+    @staticmethod
+    def evict_from_another_thread(cache, log, extractor) -> None:
+        """Insert ``log`` as a second batch worker would."""
+        thread = threading.Thread(target=cache.get_or_extract, args=(log, extractor))
+        thread.start()
+        thread.join()
+
+    def test_an_entry_in_use_keeps_its_files_past_eviction(self, tmp_path):
+        extractor = Extractor()
+        cache = ExtractionCache(tmp_path / "cache", max_bytes=1)
+        with cache.in_use():
+            held, _ = cache.get_or_extract(tiny_log(segments=8), extractor)
+            self.evict_from_another_thread(cache, tiny_log(segments=16), extractor)
+            assert cache.stats.evictions == 1
+            assert not cache.contains(tiny_log(segments=8), extractor)
+            for module, path in held.csv_paths.items():
+                assert path.exists(), module
+        assert not held.directory.exists()
+
+    def test_an_entry_cleared_in_use_keeps_its_files(self, tmp_path):
+        cache = ExtractionCache(tmp_path / "cache")
+        with cache.in_use():
+            held, _ = cache.get_or_extract(tiny_log(), Extractor())
+            cache.clear()
+            assert cache.stats.entries == 0
+            assert held.path_for("POSIX").exists()
+        assert not held.directory.exists()
+
+    def test_an_evicted_entry_in_use_can_come_back(self, tmp_path):
+        extractor = Extractor()
+        log = tiny_log(segments=8)
+        cache = ExtractionCache(tmp_path / "cache", max_bytes=1)
+        with cache.in_use():
+            held, _ = cache.get_or_extract(log, extractor)
+            self.evict_from_another_thread(cache, tiny_log(segments=16), extractor)
+            self.evict_from_another_thread(cache, log, extractor)  # back again
+        assert cache.contains(log, extractor)
+        again, hit = cache.get_or_extract(log, extractor)
+        assert hit and again.directory == held.directory
+        assert again.path_for("POSIX").exists()
+
+    def test_outside_in_use_an_eviction_removes_at_once(self, tmp_path):
+        extractor = Extractor()
+        cache = ExtractionCache(tmp_path / "cache", max_bytes=1)
+        first, _ = cache.get_or_extract(tiny_log(segments=8), extractor)
+        cache.get_or_extract(tiny_log(segments=16), extractor)
+        assert not first.directory.exists()
+
+
+def test_a_second_cli_run_reports_the_cache_size(tmp_path, capsys):
+    path = write_log(tiny_log(), tmp_path / "t.darshan")
+    reported = []
+    for run in range(2):
+        prom = tmp_path / f"run-{run}.prom"
+        argv = [str(path), "--cache-dir", str(tmp_path / "cache"),
+                "--metrics-out", str(prom)]
+        assert batch_cli.main(argv) == 0
+        reported.append(
+            [line for line in prom.read_text().splitlines()
+             if line.startswith("cache_bytes ")]
+        )
+    capsys.readouterr()
+    assert len(reported[0]) == 1
+    assert reported[1] == reported[0]
+
+
 # -- pre-keys: a known log file is a hit without a parse ---------------
-
-
-def unread(path):
-    raise AssertionError(f"{path} was parsed")
-
-
-def reading(reads):
-    """A ``LogFile`` reader that records each path it parses."""
-
-    def reader(path):
-        reads.append(path)
-        return read_log(path)
-
-    return reader
 
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """Calls of the pipeline's ``read_log`` and the cache's ``log_digest``."""
-    calls = {"read_log": 0, "log_digest": 0}
+    """Calls of the pipeline's ``read_log`` and the cache's ``log_digest``
+    in this process, and the ``parse`` and ``extract`` requests the
+    cache sends its extraction workers."""
+    calls = {"read_log": 0, "log_digest": 0, "parse": 0, "extract": 0}
     for module, name in (
         (pipeline_module, "read_log"),
         (cache_module, "log_digest"),
@@ -337,7 +397,20 @@ def counted(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(module, name, counting)
+    real_ask = cache_module._ask
+
+    def asking(worker, kind, *args):
+        if kind in calls:
+            calls[kind] += 1
+        return real_ask(worker, kind, *args)
+
+    monkeypatch.setattr(cache_module, "_ask", asking)
     return calls
+
+
+def parses(parse: int, extract: int) -> dict[str, int]:
+    """``counted`` when this process parsed and digested nothing."""
+    return {"read_log": 0, "log_digest": 0, "parse": parse, "extract": extract}
 
 
 class TestPreKeys:
@@ -347,46 +420,47 @@ class TestPreKeys:
         path = write_log(tiny_log(), tmp_path / "t.darshan")
         with IoNavigator(cache=ExtractionCache(tmp_path / "cache")) as navigator:
             first = navigator.run(path)
-            assert counted == {"read_log": 1, "log_digest": 0}
+            assert counted == parses(1, 1)
             second = navigator.run(path)
         assert (first.cache_hit, second.cache_hit) == (False, True)
-        assert counted == {"read_log": 1, "log_digest": 0}
+        assert counted == parses(1, 1)
         assert report_to_dict(second.report) == report_to_dict(first.report)
 
-    def test_a_reindexed_root_keeps_its_prekeys(self, tmp_path):
+    def test_a_reindexed_root_keeps_its_prekeys(self, tmp_path, counted):
         path = write_log(tiny_log(), tmp_path / "t.darshan")
         extractor = Extractor()
         ExtractionCache(tmp_path / "cache").get_or_extract(LogFile(path), extractor)
         reopened = ExtractionCache(tmp_path / "cache")
-        _, hit = reopened.get_or_extract(LogFile(path, unread), extractor)
+        _, hit = reopened.get_or_extract(LogFile(path), extractor)
         assert hit
         assert reopened.stats.hits == 1
+        assert counted == parses(1, 1)
 
-    def test_a_file_without_a_prekey_is_parsed_then_known(self, tmp_path):
+    def test_a_file_without_a_prekey_is_parsed_then_known(self, tmp_path, counted):
         log = tiny_log()
         path = write_log(log, tmp_path / "t.darshan")
         extractor = Extractor()
         cache = ExtractionCache(tmp_path / "cache")
         cache.get_or_extract(log, extractor)  # cached from memory: no pre-key
-        reads = []
-        _, hit = cache.get_or_extract(LogFile(path, reading(reads)), extractor)
-        assert hit and reads == [path]
-        _, hit = cache.get_or_extract(LogFile(path, unread), extractor)
-        assert hit
+        counted["log_digest"] = 0
+        # Its content is cached under no path: one parse, no extraction.
+        _, hit = cache.get_or_extract(LogFile(path), extractor)
+        assert hit and counted == parses(1, 0)
+        _, hit = cache.get_or_extract(LogFile(path), extractor)
+        assert hit and counted == parses(1, 0)
 
-    def test_a_changed_file_is_parsed_again(self, tmp_path):
+    def test_a_changed_file_is_parsed_again(self, tmp_path, counted):
         path = tmp_path / "t.darshan"
         extractor = Extractor()
         cache = ExtractionCache(tmp_path / "cache")
         write_log(tiny_log(segments=8), path)
         first, _ = cache.get_or_extract(LogFile(path), extractor)
         write_log(tiny_log(segments=16), path)
-        reads = []
-        second, hit = cache.get_or_extract(LogFile(path, reading(reads)), extractor)
-        assert not hit and reads == [path]
+        second, hit = cache.get_or_extract(LogFile(path), extractor)
+        assert not hit and counted == parses(2, 2)
         assert second.directory != first.directory
 
-    def test_an_evicted_entry_forgets_its_prekeys(self, tmp_path):
+    def test_an_evicted_entry_forgets_its_prekeys(self, tmp_path, counted):
         extractor = Extractor()
         root = tmp_path / "cache"
         cache = ExtractionCache(root, max_bytes=1)
@@ -395,25 +469,25 @@ class TestPreKeys:
         cache.get_or_extract(LogFile(a), extractor)
         cache.get_or_extract(LogFile(b), extractor)  # evicts a's entry
         assert len(list(root.glob("objects/*/*.prekeys.json"))) == 1
-        reads = []
-        _, hit = cache.get_or_extract(LogFile(a, reading(reads)), extractor)
-        assert not hit and reads == [a]
+        _, hit = cache.get_or_extract(LogFile(a), extractor)
+        assert not hit and counted == parses(3, 3)
         cache.clear()
         assert not list(root.glob("objects/*/*.prekeys.json"))
 
-    def test_a_damaged_prekeys_file_is_ignored(self, tmp_path):
+    def test_a_damaged_prekeys_file_is_ignored(self, tmp_path, counted):
         path = write_log(tiny_log(), tmp_path / "t.darshan")
         extractor = Extractor()
         root = tmp_path / "cache"
         ExtractionCache(root).get_or_extract(LogFile(path), extractor)
         (recorded,) = root.glob("objects/*/*.prekeys.json")
         prekey = next(iter(json.loads(recorded.read_text())))
-        for damage in ("not json", json.dumps([1]), json.dumps({prekey: 7})):
+        for round_, damage in enumerate(
+            ("not json", json.dumps([1]), json.dumps({prekey: 7})), start=2
+        ):
             recorded.write_text(damage)
-            reads = []
             reopened = ExtractionCache(root)
-            _, hit = reopened.get_or_extract(LogFile(path, reading(reads)), extractor)
-            assert hit and reads == [path]
+            _, hit = reopened.get_or_extract(LogFile(path), extractor)
+            assert hit and counted == parses(round_, 1)
 
     def test_a_corrupt_file_raises_only_darshan_format_error(self, tmp_path):
         path = write_log(tiny_log(), tmp_path / "t.darshan")
@@ -451,7 +525,9 @@ class TestPreKeys:
 
         result = diagnose(path)
         assert result.cache_hit
-        assert counted["read_log"] == 2  # the miss, then once for the fallback
+        # The miss parsed in a worker; this process reads the log once,
+        # for the fallback.
+        assert counted == {**parses(1, 1), "read_log": 1}
         diagnoses = result.report.diagnoses
         assert all(d.degraded and d.fallback_source == "drishti" for d in diagnoses)
         in_memory = diagnose(log).report.diagnoses
